@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import synthdata, trainer
 from .ctc import InfeasibleAlignmentError, greedy_decode
-from .diffcore import NumericError
+from .diffcore import FormatError, NumericError
 from .encoder import EncoderModel, ModelConfig, PlacementConfig, strategy_names
 from .labels import Vocabulary, error_rate
 from .synthdata import LanguageSpecError
@@ -75,7 +75,6 @@ class TrainCmdConfig:
     eval_interval: int = 50
     grad_clip: float = 5.0
     early_stop_train_cer: float = -1.0
-    n_workers: int = 1
 
 
 @dataclass
@@ -241,7 +240,6 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
         eval_interval=cfg.eval_interval,
         grad_clip=cfg.grad_clip,
         early_stop_train_cer=None if cfg.early_stop_train_cer < 0 else cfg.early_stop_train_cer,
-        n_workers=cfg.n_workers,
     )
     meta = {"char_tokens": list(char_vocab.tokens), "syl_tokens": list(syl_vocab.tokens)}
     result = trainer.train(model, train_set, valid_set, train_cfg, out_dir, checkpoint_meta=meta)
@@ -277,6 +275,13 @@ def cmd_decode(cfg: DecodeConfig) -> int:
     except KeyError as exc:
         raise DataError(f"checkpoint lacks vocabulary metadata ({exc})") from exc
     utts = synthdata.read_jsonl(data_path, char_vocab, syl_vocab)
+    for utt in utts:
+        rows, cols = utt.features.shape
+        if rows < 1 or cols != model.cfg.d_in:
+            raise DataError(
+                f"{data_path}: record {utt.utt_id!r} has {rows}x{cols} features; "
+                f"the model takes T>=1 frames of {model.cfg.d_in}"
+            )
 
     with open(cfg.out, "w", encoding="utf-8") as fh:
         for utt in utts:
@@ -393,7 +398,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, LanguageSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DataError, FormatError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, InfeasibleAlignmentError) as exc:

@@ -27,6 +27,10 @@ class NumericError(FloatingPointError):
     """A non-finite value appeared where a finite one is required."""
 
 
+class FormatError(ValueError):
+    """A file does not hold what its format requires."""
+
+
 class Tensor:
     """A value plus a same-shape gradient accumulator in the tape.
 
@@ -40,7 +44,10 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.op = op
-        self._backward: Callable[[], None] | None = None
+        # Called with this node's gradient; it must not refer to this node,
+        # so a finished graph holds no reference cycle and is freed as soon
+        # as the last reference to its loss is dropped.
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,7 +109,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def _require_2d(name: str, *tensors: Tensor) -> None:
@@ -117,35 +124,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ, {a.value.shape} @ {b.value.shape}")
     out = Tensor(a.value @ b.value, (a, b), "matmul")
 
-    def _bwd() -> None:
-        _acc(a, out.grad @ b.value.T)
-        _acc(b, a.value.T @ out.grad)
-
-    out._backward = _bwd
-    return out
-
-
-def matmul_nt(a: Tensor, b: Tensor, factor: float = 1.0) -> Tensor:
-    """factor * (a @ b.T); fused form of the attention score product."""
-    _require_2d("matmul_nt", a, b)
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(f"matmul_nt: inner dims differ, {a.value.shape} x {b.value.shape}")
-    out = Tensor((a.value @ b.value.T) * factor, (a, b), "matmul_nt")
-
-    def _bwd() -> None:
-        _acc(a, (out.grad @ b.value) * factor)
-        _acc(b, (out.grad.T @ a.value) * factor)
-
-    out._backward = _bwd
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    _require_2d("transpose", a)
-    out = Tensor(a.value.T, (a,), "transpose")
-
-    def _bwd() -> None:
-        _acc(a, out.grad.T)
+    def _bwd(g: np.ndarray) -> None:
+        _acc(a, g @ b.value.T)
+        _acc(b, a.value.T @ g)
 
     out._backward = _bwd
     return out
@@ -156,9 +137,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
     out = Tensor(a.value + b.value, (a, b), "add")
 
-    def _bwd() -> None:
-        _acc(a, out.grad)
-        _acc(b, out.grad)
+    def _bwd(g: np.ndarray) -> None:
+        _acc(a, g)
+        _acc(b, g)
 
     out._backward = _bwd
     return out
@@ -169,9 +150,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
     out = Tensor(a.value * b.value, (a, b), "mul")
 
-    def _bwd() -> None:
-        _acc(a, out.grad * b.value)
-        _acc(b, out.grad * a.value)
+    def _bwd(g: np.ndarray) -> None:
+        _acc(a, g * b.value)
+        _acc(b, g * a.value)
 
     out._backward = _bwd
     return out
@@ -180,23 +161,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, factor: float) -> Tensor:
     out = Tensor(a.value * factor, (a,), "scale")
 
-    def _bwd() -> None:
-        _acc(a, out.grad * factor)
-
-    out._backward = _bwd
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Broadcast a length-n bias over the rows of an (m, n) matrix."""
-    _require_2d("add_bias", x)
-    if b.value.ndim != 1 or b.value.shape[0] != x.value.shape[1]:
-        raise ShapeError(f"add_bias: bias {b.value.shape} does not fit {x.value.shape}")
-    out = Tensor(x.value + b.value, (x, b), "add_bias")
-
-    def _bwd() -> None:
-        _acc(x, out.grad)
-        _acc(b, out.grad.sum(axis=0))
+    def _bwd(g: np.ndarray) -> None:
+        _acc(a, g * factor)
 
     out._backward = _bwd
     return out
@@ -212,10 +178,10 @@ def affine_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     out = Tensor(x.value * gain.value + bias.value, (x, gain, bias), "affine_rows")
 
-    def _bwd() -> None:
-        _acc(x, out.grad * gain.value)
-        _acc(gain, (out.grad * x.value).sum(axis=0))
-        _acc(bias, out.grad.sum(axis=0))
+    def _bwd(g: np.ndarray) -> None:
+        _acc(x, g * gain.value)
+        _acc(gain, (g * x.value).sum(axis=0))
+        _acc(bias, g.sum(axis=0))
 
     out._backward = _bwd
     return out
@@ -231,10 +197,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias {bias.value.shape} does not fit {weight.value.shape}")
     out = Tensor(x.value @ weight.value + bias.value, (x, weight, bias), "linear")
 
-    def _bwd() -> None:
-        _acc(x, out.grad @ weight.value.T)
-        _acc(weight, x.value.T @ out.grad)
-        _acc(bias, out.grad.sum(axis=0))
+    def _bwd(g: np.ndarray) -> None:
+        _acc(x, g @ weight.value.T)
+        _acc(weight, x.value.T @ g)
+        _acc(bias, g.sum(axis=0))
 
     out._backward = _bwd
     return out
@@ -247,8 +213,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     y = e / e.sum(axis=1, keepdims=True)
     out = Tensor(y, (x,), "softmax_rows")
 
-    def _bwd() -> None:
-        g = out.grad
+    def _bwd(g: np.ndarray) -> None:
         _acc(x, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
     out._backward = _bwd
@@ -262,8 +227,7 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     y = shifted - lse
     out = Tensor(y, (x,), "log_softmax_rows")
 
-    def _bwd() -> None:
-        g = out.grad
+    def _bwd(g: np.ndarray) -> None:
         _acc(x, g - np.exp(y) * g.sum(axis=1, keepdims=True))
 
     out._backward = _bwd
@@ -279,8 +243,7 @@ def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
     y = (x.value - mean) * inv
     out = Tensor(y, (x,), "layer_norm_rows")
 
-    def _bwd() -> None:
-        g = out.grad
+    def _bwd(g: np.ndarray) -> None:
         _acc(
             x,
             inv * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True)),
@@ -294,17 +257,31 @@ def swish(x: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-x.value))
     out = Tensor(x.value * sig, (x,), "swish")
 
-    def _bwd() -> None:
-        _acc(x, out.grad * sig * (1.0 + x.value * (1.0 - sig)))
+    def _bwd(g: np.ndarray) -> None:
+        _acc(x, g * sig * (1.0 + x.value * (1.0 - sig)))
 
     out._backward = _bwd
     return out
 
 
-def depthwise_conv_rows(x: Tensor, kernel: Tensor) -> Tensor:
+def _segment_bounds(name: str, rows: int, lengths: Sequence[int] | None) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of the segments; None means one segment."""
+    if lengths is None:
+        return [(0, rows)]
+    sizes = [int(n) for n in lengths]
+    if not sizes or min(sizes) < 1 or sum(sizes) != rows:
+        raise ShapeError(f"{name}: segment lengths {sizes} do not split {rows} rows")
+    stops = np.cumsum(sizes).tolist()
+    return list(zip([0, *stops[:-1]], stops))
+
+
+def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
     """Per-column 1-D convolution along rows with zero 'same' padding.
 
     `kernel` has shape (k, n) with k odd: one length-k filter per column.
+    The rows may be split into segments of the given `lengths` (default: one
+    segment); each segment is zero-padded at both of its edges, so no row
+    sees a row of another segment.
     """
     _require_2d("depthwise_conv_rows", x, kernel)
     k, n = kernel.value.shape
@@ -312,92 +289,86 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError(f"depthwise_conv_rows: kernel {kernel.value.shape} does not fit {x.value.shape}")
     if k % 2 != 1:
         raise ShapeError(f"depthwise_conv_rows: kernel length must be odd, got {k}")
-    t = x.value.shape[0]
+    rows = x.value.shape[0]
+    bounds = _segment_bounds("depthwise_conv_rows", rows, lengths)
     pad = k // 2
-    xp = np.zeros((t + 2 * pad, n))
-    xp[pad : pad + t] = x.value
-    y = np.zeros_like(x.value)
+    # Segment i sits in the padded buffer behind 2*i + 1 blocks of `pad` zeros.
+    sizes = [stop - start for start, stop in bounds]
+    at = np.arange(rows) + pad * (2 * np.repeat(np.arange(len(bounds)), sizes) + 1)
+    width = rows + 2 * pad * (len(bounds) - 1)  # window starts in the buffer
+    xp = np.zeros((width + 2 * pad, n))
+    xp[at] = x.value
+    yp = np.zeros((width, n))
     for j in range(k):
-        y += kernel.value[j] * xp[j : j + t]
-    out = Tensor(y, (x, kernel), "depthwise_conv_rows")
+        yp += kernel.value[j] * xp[j : j + width]
+    out = Tensor(yp[at - pad], (x, kernel), "depthwise_conv_rows")
 
-    def _bwd() -> None:
-        g = out.grad
+    def _bwd(g: np.ndarray) -> None:
         kg = _acc_zeros(kernel)
+        gyp = np.zeros((width, n))
+        gyp[at - pad] = g
         gxp = np.zeros_like(xp)
         for j in range(k):
-            kg[j] += (g * xp[j : j + t]).sum(axis=0)
-            gxp[j : j + t] += g * kernel.value[j]
-        _acc(x, gxp[pad : pad + t])
+            kg[j] += (gyp * xp[j : j + width]).sum(axis=0)
+            gxp[j : j + width] += gyp * kernel.value[j]
+        _acc(x, gxp[at])
 
     out._backward = _bwd
     return out
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    _require_2d("slice_cols", x)
-    if not 0 <= start < stop <= x.value.shape[1]:
-        raise ShapeError(f"slice_cols: [{start}:{stop}] invalid for shape {x.value.shape}")
-    out = Tensor(x.value[:, start:stop].copy(), (x,), "slice_cols")
+def multi_head_attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Scaled dot-product attention of every head within every segment, as one node.
 
-    def _bwd() -> None:
-        _acc_zeros(x)[:, start:stop] += out.grad
+    q, k and v are (rows, d) with d = n_heads * d_head; head h owns columns
+    [h * d_head, (h + 1) * d_head) and its output lands in the same columns.
+    The rows may be split into segments of the given `lengths` (default: one
+    segment); a row attends only to the rows of its own segment.
+    """
+    _require_2d("multi_head_attention", q, k, v)
+    shapes = [t.value.shape for t in (q, k, v)]
+    if len(set(shapes)) != 1:
+        raise ShapeError(f"multi_head_attention: q, k and v shapes differ, {shapes}")
+    rows, d = shapes[0]
+    if n_heads < 1 or d % n_heads != 0:
+        raise ShapeError(f"multi_head_attention: {d} columns do not split into {n_heads} heads")
+    d_head = d // n_heads
+    factor = 1.0 / math.sqrt(d_head)
+    bounds = _segment_bounds("multi_head_attention", rows, lengths)
 
-    out._backward = _bwd
-    return out
+    def heads(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+        # (T, d) rows -> (n_heads, T, d_head) view
+        return a[start:stop].reshape(stop - start, n_heads, d_head).transpose(1, 0, 2)
 
+    def merge(a: np.ndarray) -> np.ndarray:
+        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
 
-def concat_cols(xs: Sequence[Tensor]) -> Tensor:
-    if not xs:
-        raise ShapeError("concat_cols: empty input list")
-    _require_2d("concat_cols", *xs)
-    rows = xs[0].value.shape[0]
-    if any(x.value.shape[0] != rows for x in xs):
-        raise ShapeError("concat_cols: row counts differ")
-    out = Tensor(np.concatenate([x.value for x in xs], axis=1), tuple(xs), "concat_cols")
-    widths = [x.value.shape[1] for x in xs]
+    y = np.empty_like(q.value)
+    weights = []
+    for start, stop in bounds:
+        qh, kh, vh = (heads(t.value, start, stop) for t in (q, k, v))
+        scores = (qh @ kh.transpose(0, 2, 1)) * factor
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        w = e / e.sum(axis=2, keepdims=True)
+        weights.append(w)
+        y[start:stop] = merge(w @ vh)
+    out = Tensor(y, (q, k, v), "multi_head_attention")
 
-    def _bwd() -> None:
-        at = 0
-        for x, w in zip(xs, widths):
-            _acc(x, out.grad[:, at : at + w])
-            at += w
-
-    out._backward = _bwd
-    return out
-
-
-def concat_rows(xs: Sequence[Tensor]) -> Tensor:
-    """Stack row blocks; with `mask_rows` this realizes masked batching."""
-    if not xs:
-        raise ShapeError("concat_rows: empty input list")
-    _require_2d("concat_rows", *xs)
-    cols = xs[0].value.shape[1]
-    if any(x.value.shape[1] != cols for x in xs):
-        raise ShapeError("concat_rows: column counts differ")
-    out = Tensor(np.concatenate([x.value for x in xs], axis=0), tuple(xs), "concat_rows")
-    heights = [x.value.shape[0] for x in xs]
-
-    def _bwd() -> None:
-        at = 0
-        for x, h in zip(xs, heights):
-            _acc(x, out.grad[at : at + h])
-            at += h
-
-    out._backward = _bwd
-    return out
-
-
-def mask_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Zero out rows where mask is 0; gradients of masked rows are zeroed too."""
-    _require_2d("mask_rows", x)
-    m = np.asarray(mask, dtype=np.float64).reshape(-1, 1)
-    if m.shape[0] != x.value.shape[0]:
-        raise ShapeError(f"mask_rows: mask length {m.shape[0]} != rows {x.value.shape[0]}")
-    out = Tensor(x.value * m, (x,), "mask_rows")
-
-    def _bwd() -> None:
-        _acc(x, out.grad * m)
+    def _bwd(g: np.ndarray) -> None:
+        gq, gk, gv = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+        for (start, stop), w in zip(bounds, weights):
+            qh, kh, vh = (heads(t.value, start, stop) for t in (q, k, v))
+            gh = heads(g, start, stop)
+            gw = gh @ vh.transpose(0, 2, 1)
+            gs = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * factor
+            gq[start:stop] = merge(gs @ kh)
+            gk[start:stop] = merge(gs.transpose(0, 2, 1) @ qh)
+            gv[start:stop] = merge(w.transpose(0, 2, 1) @ gh)
+        _acc(q, gq)
+        _acc(k, gk)
+        _acc(v, gv)
 
     out._backward = _bwd
     return out
@@ -408,9 +379,9 @@ def mean_reduce(x: Tensor) -> Tensor:
     out = Tensor(np.float64(x.value.mean()), (x,), "mean_reduce")
     size = x.value.size
 
-    def _bwd() -> None:
+    def _bwd(g: np.ndarray) -> None:
         _acc_zeros(x)
-        x.grad += float(out.grad) / size
+        x.grad += float(g) / size
 
     out._backward = _bwd
     return out
@@ -504,19 +475,33 @@ class ParamStore:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:
+        """Read a container written by `save`; a file that is not exactly one
+        raises FormatError."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_CONTAINER_MAGIC))
             if magic != _CONTAINER_MAGIC:
-                raise ContractError(f"{path}: not a named-tensor container")
-            index = json.loads(fh.readline().decode("utf-8"))
+                raise FormatError(f"{path}: not a named-tensor container")
+            try:
+                index = json.loads(fh.readline().decode("utf-8"))
+                records = [
+                    (str(rec["name"]), tuple(int(n) for n in rec["shape"]))
+                    for rec in index["tensors"]
+                ]
+                meta = index["meta"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path}: unreadable index ({exc})") from None
             store = cls()
-            for rec in index["tensors"]:
-                shape = tuple(rec["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                payload = fh.read(count * 8)
-                arr = np.frombuffer(payload, dtype=np.float64).reshape(shape).copy()
-                store.add(rec["name"], arr)
-        return store, index["meta"]
+            for name, shape in records:
+                if min(shape, default=0) < 0 or name in store:
+                    raise FormatError(f"{path}: bad index record for {name!r}")
+                size = 8 * math.prod(shape)
+                payload = fh.read(size)
+                if len(payload) != size:
+                    raise FormatError(f"{path}: truncated payload for {name!r}")
+                store.add(name, np.frombuffer(payload, dtype=np.float64).reshape(shape))
+            if fh.read(1):
+                raise FormatError(f"{path}: trailing bytes after the last payload")
+        return store, meta
 
 
 def grad_check(

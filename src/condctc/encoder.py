@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -131,11 +131,21 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """Final posteriors plus the intermediate posteriors keyed by layer."""
+    """Final posteriors plus the intermediate posteriors keyed by layer.
+
+    Each matrix stacks the rows of the input segments in order; `lengths`
+    holds the segments' frame counts.
+    """
 
     final: Tensor
     char_inters: dict[int, Tensor]
     syl_inters: dict[int, Tensor]
+    lengths: tuple[int, ...]
+
+    def segments(self) -> list[slice]:
+        """Row range of each segment, in input order."""
+        stops = np.cumsum(self.lengths).tolist()
+        return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
 
 
 def sinusoidal_positions(n_rows: int, dim: int) -> np.ndarray:
@@ -247,29 +257,19 @@ class EncoderModel:
         normed = dc.layer_norm_rows(x, self.cfg.ln_eps)
         return dc.affine_rows(normed, self.store[f"{prefix}.gain"], self.store[f"{prefix}.bias"])
 
-    def _attention(self, x: Tensor, layer: int) -> Tensor:
+    def _attention(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
         p = self.store
         pre = f"block{layer:02d}.attn"
         q = dc.linear(x, p[f"{pre}.wq"], p[f"{pre}.bq"])
         k = dc.linear(x, p[f"{pre}.wk"], p[f"{pre}.bk"])
         v = dc.linear(x, p[f"{pre}.wv"], p[f"{pre}.bv"])
-        d_head = self.cfg.d_model // self.cfg.n_heads
-        inv_sqrt = 1.0 / math.sqrt(d_head)
-        heads = []
-        for h in range(self.cfg.n_heads):
-            lo, hi = h * d_head, (h + 1) * d_head
-            qh = dc.slice_cols(q, lo, hi)
-            kh = dc.slice_cols(k, lo, hi)
-            vh = dc.slice_cols(v, lo, hi)
-            scores = dc.matmul_nt(qh, kh, inv_sqrt)
-            heads.append(dc.matmul(dc.softmax_rows(scores), vh))
-        mixed = heads[0] if len(heads) == 1 else dc.concat_cols(heads)
+        mixed = dc.multi_head_attention(q, k, v, self.cfg.n_heads, lengths)
         return dc.linear(mixed, p[f"{pre}.wo"], p[f"{pre}.bo"])
 
-    def _conv_mix(self, x: Tensor, layer: int) -> Tensor:
+    def _conv_mix(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
         p = self.store
         pre = f"block{layer:02d}.conv"
-        mixed = dc.depthwise_conv_rows(x, p[f"{pre}.depth"])
+        mixed = dc.depthwise_conv_rows(x, p[f"{pre}.depth"], lengths)
         return dc.linear(dc.swish(mixed), p[f"{pre}.point.w"], p[f"{pre}.point.b"])
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
@@ -278,11 +278,15 @@ class EncoderModel:
         hidden = dc.swish(dc.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"]))
         return dc.linear(hidden, p[f"{pre}.w2"], p[f"{pre}.b2"])
 
-    def block_forward(self, x: Tensor, layer: int) -> Tensor:
-        """One residual block; the (T, d_model) shape is preserved."""
+    def block_forward(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
+        """One residual block; the (T, d_model) shape is preserved.
+
+        `lengths` splits the rows into segments that attention and the
+        convolution keep apart (default: one segment).
+        """
         name = f"block{layer:02d}"
-        x = dc.add(x, self._attention(self._normed(x, f"{name}.attn_ln"), layer))
-        x = dc.add(x, self._conv_mix(self._normed(x, f"{name}.conv_ln"), layer))
+        x = dc.add(x, self._attention(self._normed(x, f"{name}.attn_ln"), layer, lengths))
+        x = dc.add(x, self._conv_mix(self._normed(x, f"{name}.conv_ln"), layer, lengths))
         x = dc.add(x, self._ffn(self._normed(x, f"{name}.ffn_ln"), layer))
         if not np.isfinite(x.value).all():
             raise NumericError(f"block {layer} produced non-finite values")
@@ -322,29 +326,43 @@ class EncoderModel:
         return out
 
     def forward(self, features: np.ndarray) -> ForwardOutput:
-        """Run the full stack and collect final plus intermediate posteriors.
+        """Run the full stack over one utterance: `forward_batch` of one segment."""
+        return self.forward_batch([features])
 
+    def forward_batch(self, features: Sequence[np.ndarray]) -> ForwardOutput:
+        """Run the full stack once over several utterances and collect final
+        plus intermediate posteriors.
+
+        The utterances' frames are stacked as rows, one segment each.  Every
+        row-wise op runs once for the whole batch; positions restart at each
+        segment, and attention and the convolution never cross a segment
+        edge, so each segment's posteriors are those of its utterance alone.
         Feedback computed at a layer feeds the next block, so conditioning at
         the last layer is never applied; the final head reads the last block's
         output directly.
         """
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.cfg.d_in:
-            raise ShapeError(f"features must be (T, {self.cfg.d_in}), got {feats.shape}")
-        if feats.shape[0] < 1:
-            raise ShapeError("features need at least one frame")
-        if not np.isfinite(feats).all():
-            raise NumericError("input features contain non-finite values")
+        feats = [np.asarray(f, dtype=np.float64) for f in features]
+        if not feats:
+            raise ShapeError("forward_batch needs at least one utterance")
+        for f in feats:
+            if f.ndim != 2 or f.shape[1] != self.cfg.d_in:
+                raise ShapeError(f"features must be (T, {self.cfg.d_in}), got {f.shape}")
+            if f.shape[0] < 1:
+                raise ShapeError("features need at least one frame")
+            if not np.isfinite(f).all():
+                raise NumericError("input features contain non-finite values")
+        lengths = tuple(f.shape[0] for f in feats)
 
-        x = dc.linear(Tensor(feats), self.store["input.w"], self.store["input.b"])
+        x = dc.linear(Tensor(np.concatenate(feats)), self.store["input.w"], self.store["input.b"])
         if self.cfg.use_pos_enc:
-            x = dc.add(x, Tensor(sinusoidal_positions(feats.shape[0], self.cfg.d_model)))
+            pos = [sinusoidal_positions(n, self.cfg.d_model) for n in lengths]
+            x = dc.add(x, Tensor(np.concatenate(pos)))
 
         char_inters: dict[int, Tensor] = {}
         syl_inters: dict[int, Tensor] = {}
         last = self.placement.n_layers
         for layer in range(1, last + 1):
-            x = self.block_forward(x, layer)
+            x = self.block_forward(x, layer, lengths)
             z = self.predict_head(x, "char") if layer in self.placement.char_layers else None
             r = self.predict_head(x, "syl") if layer in self.placement.syl_layers else None
             if z is not None:
@@ -354,7 +372,7 @@ class EncoderModel:
             if layer < last:
                 x = self.condition(x, z, r, layer)
         final = self.predict_head(x, "char")
-        return ForwardOutput(final=final, char_inters=char_inters, syl_inters=syl_inters)
+        return ForwardOutput(final, char_inters, syl_inters, lengths)
 
     # -- persistence --------------------------------------------------------
 

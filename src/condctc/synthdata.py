@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .labels import Vocabulary
+from .diffcore import FormatError
+from .labels import InvalidTokenError, Vocabulary
 
 _CONSONANTS = "kstnhmyrwgzdbp"
 _VOWELS = "aiueo"
@@ -291,13 +293,24 @@ def utterance_to_record(utt: Utterance, lang: ToyLanguage) -> dict:
 
 
 def record_to_utterance(record: dict, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> Utterance:
-    shape = tuple(record["features"]["shape"])
-    features = np.asarray(record["features"]["data"], dtype=np.float64).reshape(shape)
+    """Inverse of `utterance_to_record`.  Feature values that do not fill
+    their shape, or a token outside the vocabularies, raise FormatError."""
+    try:
+        shape = tuple(int(n) for n in record["features"]["shape"])
+        data = np.asarray(record["features"]["data"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"record {record['id']!r}: unreadable features ({exc})") from None
+    if len(shape) != 2 or min(shape) < 0 or data.ndim != 1 or data.size != math.prod(shape):
+        raise FormatError(
+            f"record {record['id']!r}: {data.size} feature values do not fill shape {list(shape)}"
+        )
+    try:
+        char_ids = char_vocab.encode(record["chars"])
+        syl_ids = syl_vocab.encode(record["syllables"])
+    except InvalidTokenError as exc:
+        raise FormatError(f"record {record['id']!r}: {exc}") from None
     return Utterance(
-        utt_id=record["id"],
-        features=features,
-        char_ids=char_vocab.encode(record["chars"]),
-        syl_ids=syl_vocab.encode(record["syllables"]),
+        utt_id=record["id"], features=data.reshape(shape), char_ids=char_ids, syl_ids=syl_ids
     )
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +23,10 @@ class TrainConfig:
     """Knobs of one training run.
 
     `mix_weight` balances the final loss against the averaged intermediate
-    losses; 0 means pure final-loss training.
+    losses; 0 means pure final-loss training.  `early_stop_train_cer` ends
+    the run at the first evaluation where the training-set error rate is at
+    or below it both at the final character output and, when the placement
+    has syllable heads, at the top syllable head.
     """
 
     mix_weight: float = 0.5
@@ -38,7 +40,6 @@ class TrainConfig:
     eval_interval: int = 50
     grad_clip: float = 5.0
     early_stop_train_cer: float | None = None
-    n_workers: int = 1
     adam_beta1: float = 0.9
     adam_beta2: float = 0.98
     adam_eps: float = 1e-8
@@ -77,17 +78,19 @@ class TrainResult:
     steps_run: int
 
 
-def ctc_loss_node(probs: Tensor, target: Sequence[int]) -> Tensor:
-    """CTC negative log-likelihood as a graph node over a posterior matrix."""
-    result = ctc.ctc_loss(probs.value, target)
-    out = Tensor(np.float64(result.loss), parents=(probs,), op="ctc_nll")
+def ctc_loss_node(
+    probs: Tensor, targets: Sequence[Sequence[int]], segments: Sequence[slice]
+) -> Tensor:
+    """Summed CTC negative log-likelihood of each segment's rows of a
+    posterior matrix against that segment's target, as one graph node."""
+    results = [ctc.ctc_loss(probs.value[rows], t) for rows, t in zip(segments, targets)]
+    out = Tensor(np.float64(sum(r.loss for r in results)), parents=(probs,), op="ctc_nll")
 
-    def _bwd() -> None:
-        contribution = float(out.grad) * result.grad
+    def _bwd(g: np.ndarray) -> None:
         if probs.grad is None:
-            probs.grad = contribution
-        else:
-            probs.grad += contribution
+            probs.grad = np.zeros_like(probs.value)
+        for rows, result in zip(segments, results):
+            probs.grad[rows] += float(g) * result.grad
 
     out._backward = _bwd
     return out
@@ -99,23 +102,44 @@ def total_loss(
     syl_target: Sequence[int],
     mix_weight: float,
 ) -> tuple[Tensor, dict]:
-    """Weighted sum of the final character loss and all intermediate losses.
+    """Weighted sum of the final character loss and all intermediate losses
+    of a one-utterance forward output.
 
     The final loss gets weight (1 - mix_weight); each intermediate loss gets
     mix_weight divided by the number of intermediate prediction points, so the
     coefficients always sum to one.  With no intermediate layers the final
     loss is returned as-is.
     """
-    final_node = ctc_loss_node(out.final, char_target)
+    if len(out.lengths) != 1:
+        raise ContractError(f"total_loss takes one utterance, got {len(out.lengths)}")
+    return batch_loss(out, [char_target], [syl_target], mix_weight)
+
+
+def batch_loss(
+    out: ForwardOutput,
+    char_targets: Sequence[Sequence[int]],
+    syl_targets: Sequence[Sequence[int]],
+    mix_weight: float,
+) -> tuple[Tensor, dict]:
+    """Sum over the segments of `out` of each one's `total_loss`, built with
+    one CTC node per prediction point; the parts are summed the same way."""
+    if not len(char_targets) == len(syl_targets) == len(out.lengths):
+        raise ContractError(
+            f"{len(out.lengths)} segments but {len(char_targets)} character and "
+            f"{len(syl_targets)} syllable targets"
+        )
+    segments = out.segments()
+    final_node = ctc_loss_node(out.final, char_targets, segments)
     parts: dict = {"final": float(final_node.value)}
     inter_nodes: list[Tensor] = []
-    for layer in sorted(out.char_inters):
-        node = _layer_loss(out.char_inters[layer], char_target, "char", layer)
-        parts[("char", layer)] = float(node.value)
-        inter_nodes.append(node)
-    for layer in sorted(out.syl_inters):
-        node = _layer_loss(out.syl_inters[layer], syl_target, "syl", layer)
-        parts[("syl", layer)] = float(node.value)
+    points = [("char", n, out.char_inters[n], char_targets) for n in sorted(out.char_inters)]
+    points += [("syl", n, out.syl_inters[n], syl_targets) for n in sorted(out.syl_inters)]
+    for level, layer, probs, targets in points:
+        try:
+            node = ctc_loss_node(probs, targets, segments)
+        except ctc.InfeasibleAlignmentError as exc:
+            raise ctc.InfeasibleAlignmentError(f"{level} head at layer {layer}: {exc}") from exc
+        parts[(level, layer)] = float(node.value)
         inter_nodes.append(node)
     if mix_weight == 0.0 or not inter_nodes:
         return final_node, parts
@@ -124,13 +148,6 @@ def total_loss(
     for node in inter_nodes:
         total = dc.add(total, dc.scale(node, per_layer))
     return total, parts
-
-
-def _layer_loss(probs: Tensor, target: Sequence[int], level: str, layer: int) -> Tensor:
-    try:
-        return ctc_loss_node(probs, target)
-    except ctc.InfeasibleAlignmentError as exc:
-        raise ctc.InfeasibleAlignmentError(f"{level} head at layer {layer}: {exc}") from exc
 
 
 def noam_lr(step: int, d_model: int, warmup_steps: int, factor: float) -> float:
@@ -147,16 +164,21 @@ def adam_step(
     beta2: float = 0.98,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam update over every parameter in the store."""
+    """Bias-corrected Adam update over every parameter in the store.
+
+    All or nothing: every gradient is checked before any parameter, moment or
+    the step count changes, so a non-finite gradient leaves the store intact.
+    """
+    grads = {name: store[name].grad_or_zeros() for name in store.names()}
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
     store.step_count += 1
     t = store.step_count
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for name in store.names():
+    for name, g in grads.items():
         tensor = store[name]
-        g = tensor.grad_or_zeros()
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
         m, v = store.moments(name)
         m *= beta1
         m += (1.0 - beta1) * g
@@ -210,43 +232,44 @@ def layerwise_error_rates(
     """
     pairs: dict[tuple[str, int], list] = {}
     for utt in utts:
-        out = model.forward(utt.features)
-        _collect_pairs(pairs, out, utt, model.n_layers)
+        _collect_pairs(pairs, model.forward(utt.features), [utt], model.n_layers)
     return {key: error_rate(vals) for key, vals in sorted(pairs.items())}
 
 
-def _collect_pairs(pairs: dict, out: ForwardOutput, utt: Utterance, last_layer: int) -> None:
-    pairs.setdefault(("char", last_layer), []).append(
-        (utt.char_ids, ctc.greedy_decode(out.final.value))
-    )
-    for layer, probs in out.char_inters.items():
-        pairs.setdefault(("char", layer), []).append(
-            (utt.char_ids, ctc.greedy_decode(probs.value))
-        )
-    for layer, probs in out.syl_inters.items():
-        pairs.setdefault(("syl", layer), []).append(
-            (utt.syl_ids, ctc.greedy_decode(probs.value))
-        )
+def _collect_pairs(
+    pairs: dict, out: ForwardOutput, utts: Sequence[Utterance], last_layer: int
+) -> None:
+    """Append each segment's (reference, greedy hypothesis) pair per point."""
+    points = [(("char", last_layer), out.final)]
+    points += [(("char", layer), probs) for layer, probs in out.char_inters.items()]
+    points += [(("syl", layer), probs) for layer, probs in out.syl_inters.items()]
+    for rows, utt in zip(out.segments(), utts):
+        for key, probs in points:
+            ref = utt.char_ids if key[0] == "char" else utt.syl_ids
+            pairs.setdefault(key, []).append((ref, ctc.greedy_decode(probs.value[rows])))
 
 
 def _evaluate(
-    model: EncoderModel, utts: Sequence[Utterance], mix_weight: float
+    model: EncoderModel, utts: Sequence[Utterance], mix_weight: float, batch_size: int
 ) -> tuple[float, dict[tuple[str, int], float], dict]:
     """Mean total loss, per-point error rates, and mean per-part losses in one
-    pass over `utts`."""
+    pass over `utts`, one packed forward per `batch_size` utterances."""
     pairs: dict[tuple[str, int], list] = {}
-    losses = []
+    loss_sum = 0.0
     part_sums: dict = {}
-    for utt in utts:
-        out = model.forward(utt.features)
-        node, parts = total_loss(out, utt.char_ids, utt.syl_ids, mix_weight)
-        losses.append(float(node.value))
+    for start in range(0, len(utts), batch_size):
+        chunk = utts[start : start + batch_size]
+        out = model.forward_batch([u.features for u in chunk])
+        node, parts = batch_loss(
+            out, [u.char_ids for u in chunk], [u.syl_ids for u in chunk], mix_weight
+        )
+        loss_sum += float(node.value)
         for key, val in parts.items():
             part_sums[key] = part_sums.get(key, 0.0) + val
-        _collect_pairs(pairs, out, utt, model.n_layers)
+        _collect_pairs(pairs, out, chunk, model.n_layers)
     rates = {key: error_rate(vals) for key, vals in sorted(pairs.items())}
     part_means = {key: val / len(utts) for key, val in part_sums.items()}
-    return float(np.mean(losses)), rates, part_means
+    return loss_sum / len(utts), rates, part_means
 
 
 def metrics_columns(placement) -> list[str]:
@@ -297,9 +320,12 @@ def train(
 ) -> TrainResult:
     """Run the optimization loop; deterministic given the model seed and cfg.seed.
 
-    Batches are lists of utterances; each builds its own graph and the batch
-    loss is their mean, so no frame padding is needed.  Evaluation every
-    `eval_interval` steps records a metrics row and a checkpoint candidate;
+    Each step runs one forward and one backward over the batch's frames
+    stacked as rows, one segment per utterance (see
+    `EncoderModel.forward_batch`), so no frame padding is needed; the batch
+    loss is the mean of the utterances' total losses.  Evaluation, which
+    packs `batch_size` utterances per forward too, runs every
+    `eval_interval` steps and records a metrics row and a checkpoint candidate;
     the `average_k` best checkpoints by validation total loss are averaged
     into the final parameter set.  A non-finite loss or gradient aborts the
     run, returning the last finite parameters.
@@ -317,16 +343,12 @@ def train(
     best: list[_Checkpoint] = []
     aborted = False
     step = 0
-    pool = ThreadPoolExecutor(cfg.n_workers) if cfg.n_workers > 1 else None
 
-    def forward_one(utt: Utterance) -> Tensor:
-        out = model.forward(utt.features)
-        node, _ = total_loss(out, utt.char_ids, utt.syl_ids, cfg.mix_weight)
-        return node
-
-    def evaluate_now(lr: float) -> MetricsRow:
-        valid_loss, valid_rates, _ = _evaluate(model, valid_set, cfg.mix_weight)
-        train_loss, train_rates, train_parts = _evaluate(model, train_set, cfg.mix_weight)
+    def evaluate_now(lr: float) -> float:
+        valid_loss, valid_rates, _ = _evaluate(model, valid_set, cfg.mix_weight, cfg.batch_size)
+        train_loss, train_rates, train_parts = _evaluate(
+            model, train_set, cfg.mix_weight, cfg.batch_size
+        )
         inter = {k: v for k, v in train_parts.items() if isinstance(k, tuple)}
         row = MetricsRow(
             step=step,
@@ -342,50 +364,47 @@ def train(
         best.append(_Checkpoint(step, valid_loss, model.store.clone()))
         best.sort(key=lambda c: (c.valid_loss, c.step))
         del best[cfg.average_k :]
-        return row
+        # The early-stop figure: the worse training error of the two outputs.
+        tops = [("char", model.n_layers)]
+        if model.placement.syl_layers:
+            tops.append(("syl", max(model.placement.syl_layers)))
+        return max(train_rates[key] for key in tops)
 
-    try:
-        done = False
-        while not done:
-            order = rng.permutation(n_train)
-            for start in range(0, n_train, cfg.batch_size):
-                batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
-                step += 1
-                lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor)
-                model.store.zero_grad()
-                try:
-                    if pool is not None:
-                        nodes = list(pool.map(forward_one, batch))
-                    else:
-                        nodes = [forward_one(u) for u in batch]
-                    batch_loss = nodes[0]
-                    for node in nodes[1:]:
-                        batch_loss = dc.add(batch_loss, node)
-                    batch_loss = dc.scale(batch_loss, 1.0 / len(nodes))
-                    if not np.isfinite(batch_loss.value):
-                        raise NumericError(f"non-finite loss at step {step}")
-                    dc.backward(batch_loss)
-                    clip_global_norm(model.store, cfg.grad_clip)
-                    adam_step(model.store, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-                except NumericError:
-                    # Divergence: stop with the last finite parameters intact.
-                    aborted = True
+    done = False
+    while not done:
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
+            step += 1
+            lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor)
+            model.store.zero_grad()
+            try:
+                out = model.forward_batch([u.features for u in batch])
+                summed, _ = batch_loss(
+                    out, [u.char_ids for u in batch], [u.syl_ids for u in batch], cfg.mix_weight
+                )
+                loss = dc.scale(summed, 1.0 / len(batch))
+                if not np.isfinite(loss.value):
+                    raise NumericError(f"non-finite loss at step {step}")
+                dc.backward(loss)
+                clip_global_norm(model.store, cfg.grad_clip)
+                adam_step(model.store, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            except NumericError:
+                # Divergence: stop with the last finite parameters intact.
+                aborted = True
+                done = True
+                break
+            if step % cfg.eval_interval == 0 or step >= step_budget:
+                train_error = evaluate_now(lr)
+                if (
+                    cfg.early_stop_train_cer is not None
+                    and train_error <= cfg.early_stop_train_cer
+                ):
                     done = True
                     break
-                if step % cfg.eval_interval == 0 or step >= step_budget:
-                    row = evaluate_now(lr)
-                    if (
-                        cfg.early_stop_train_cer is not None
-                        and row.cer_train <= cfg.early_stop_train_cer
-                    ):
-                        done = True
-                        break
-                if step >= step_budget:
-                    done = True
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            if step >= step_budget:
+                done = True
+                break
 
     if not metrics and not aborted:
         evaluate_now(noam_lr(max(step, 1), model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor))

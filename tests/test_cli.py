@@ -244,6 +244,66 @@ class TestDecodeEval:
                     "--out", str(tmp_path / "h.jsonl")]) == 3
 
 
+class TestBadInputFiles:
+    """Damaged checkpoints and records exit 3 with a one-line message."""
+
+    def decode(self, model, data, tmp_path, capsys):
+        code = run(["decode", "--model", str(model), "--data", str(data),
+                    "--out", str(tmp_path / "h.jsonl")])
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        return code
+
+    def damaged_model(self, trained_dir, tmp_path, edit):
+        path = tmp_path / "damaged.ntc"
+        path.write_bytes(edit((trained_dir / "model_avg.ntc").read_bytes()))
+        return path
+
+    def damaged_record(self, data_dir, tmp_path, edit):
+        record = json.loads((data_dir / "valid.jsonl").read_text().splitlines()[0])
+        edit(record)
+        path = tmp_path / "damaged.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        return path
+
+    def test_truncated_checkpoint_exits_3(self, trained_dir, data_dir, tmp_path, capsys):
+        model = self.damaged_model(trained_dir, tmp_path, lambda b: b[:-8])
+        assert self.decode(model, data_dir / "valid.jsonl", tmp_path, capsys) == 3
+
+    def test_checkpoint_with_trailing_bytes_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                    capsys):
+        model = self.damaged_model(trained_dir, tmp_path, lambda b: b + b"\0" * 8)
+        assert self.decode(model, data_dir / "valid.jsonl", tmp_path, capsys) == 3
+
+    def test_checkpoint_with_bad_magic_exits_3(self, trained_dir, data_dir, tmp_path, capsys):
+        model = self.damaged_model(trained_dir, tmp_path, lambda b: b"X" + b[1:])
+        assert self.decode(model, data_dir / "valid.jsonl", tmp_path, capsys) == 3
+
+    def test_record_with_mismatched_shape_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                  capsys):
+        def edit(record):
+            record["features"]["shape"][0] += 1
+
+        data = self.damaged_record(data_dir, tmp_path, edit)
+        assert self.decode(trained_dir / "model_avg.ntc", data, tmp_path, capsys) == 3
+
+    def test_record_of_other_feature_width_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                   capsys):
+        def edit(record):
+            rows, cols = record["features"]["shape"]
+            record["features"]["shape"] = [rows * 2, cols // 2]
+
+        data = self.damaged_record(data_dir, tmp_path, edit)
+        assert self.decode(trained_dir / "model_avg.ntc", data, tmp_path, capsys) == 3
+
+    def test_record_with_unknown_token_exits_3(self, trained_dir, data_dir, tmp_path, capsys):
+        def edit(record):
+            record["chars"][0] = "no-such-char"
+
+        data = self.damaged_record(data_dir, tmp_path, edit)
+        assert self.decode(trained_dir / "model_avg.ntc", data, tmp_path, capsys) == 3
+
+
 class TestEndToEndOverfit:
     def test_single_utterance_decode_equals_reference(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from condctc import diffcore as dc
-from condctc.diffcore import ContractError, ParamStore, ShapeError, Tensor
+from condctc.diffcore import ContractError, FormatError, ParamStore, ShapeError, Tensor
 
 
 RNG = np.random.default_rng(42)
@@ -31,15 +31,13 @@ class TestOpGradients:
         w = make((4, 3))
         self.check(lambda: weighted_mean(dc.matmul(a, b), w), [a, b])
 
-    def test_matmul_nt(self):
-        a, b = make((4, 5)), make((6, 5))
-        w = make((4, 6))
-        self.check(lambda: weighted_mean(dc.matmul_nt(a, b, 0.37), w), [a, b])
-
-    def test_transpose(self):
-        a = make((3, 5))
-        w = make((5, 3))
-        self.check(lambda: weighted_mean(dc.transpose(a), w), [a])
+    def test_multi_head_attention(self):
+        q, k, v = make((7, 6)), make((7, 6)), make((7, 6))
+        w = make((7, 6))
+        for lengths in (None, [7], [3, 1, 3]):
+            self.check(
+                lambda: weighted_mean(dc.multi_head_attention(q, k, v, 2, lengths), w), [q, k, v]
+            )
 
     def test_add_and_mul(self):
         a, b = make((4, 4)), make((4, 4))
@@ -51,11 +49,6 @@ class TestOpGradients:
         a = make((3, 3))
         w = make((3, 3))
         self.check(lambda: weighted_mean(dc.scale(a, -1.7), w), [a])
-
-    def test_add_bias(self):
-        x, b = make((5, 4)), make((4,))
-        w = make((5, 4))
-        self.check(lambda: weighted_mean(dc.add_bias(x, b), w), [x, b])
 
     def test_affine_rows(self):
         x, g, b = make((5, 4)), make((4,)), make((4,))
@@ -92,20 +85,11 @@ class TestOpGradients:
         w = make((7, 5))
         self.check(lambda: weighted_mean(dc.depthwise_conv_rows(x, k), w), [x, k])
 
-    def test_slice_and_concat_cols(self):
-        x = make((4, 6))
-        w = make((4, 3))
-        self.check(lambda: weighted_mean(dc.slice_cols(x, 1, 4), w), [x])
-        w2 = make((4, 12))
-        self.check(lambda: weighted_mean(dc.concat_cols([x, x]), w2), [x])
-
-    def test_concat_rows_and_mask(self):
-        x = make((4, 5))
-        w = make((8, 5))
-        self.check(lambda: weighted_mean(dc.concat_rows([x, x]), w), [x])
-        mask = np.array([1.0, 0.0, 1.0, 1.0])
-        w3 = make((4, 5))
-        self.check(lambda: weighted_mean(dc.mask_rows(x, mask), w3), [x])
+    def test_depthwise_conv_rows_segments(self):
+        # segments shorter than the kernel, including a one-row segment
+        x, k = make((9, 5)), make((5, 5))
+        w = make((9, 5))
+        self.check(lambda: weighted_mean(dc.depthwise_conv_rows(x, k, [4, 1, 2, 2]), w), [x, k])
 
     def test_mean_reduce(self):
         x = make((4, 5))
@@ -183,8 +167,10 @@ class TestBackwardSemantics:
             dc.add(make((2, 3)), make((3, 2)))
         with pytest.raises(ShapeError, match="depthwise"):
             dc.depthwise_conv_rows(make((4, 3)), make((2, 3)))
-        with pytest.raises(ShapeError, match="add_bias"):
-            dc.add_bias(make((2, 3)), make((2,)))
+        with pytest.raises(ShapeError, match="multi_head_attention"):
+            dc.multi_head_attention(make((2, 3)), make((2, 3)), make((2, 3)), 2)
+        with pytest.raises(ShapeError, match="depthwise"):
+            dc.depthwise_conv_rows(make((4, 3)), make((3, 3)), [2, 1])
 
     def test_determinism_bitwise(self):
         def run():
@@ -201,6 +187,33 @@ class TestBackwardSemantics:
         assert l1 == l2
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
+
+
+class TestSegments:
+    """Rows packed from several segments: each segment's output is bitwise
+    the output of that segment alone."""
+
+    def test_conv_and_attention_keep_segments_apart(self):
+        lengths = [4, 1, 2, 6]
+        x, k = make((13, 6)), make((5, 6))
+        conv = dc.depthwise_conv_rows(x, k, lengths).value
+        att = dc.multi_head_attention(x, x, x, 3, lengths).value
+        start = 0
+        for n in lengths:
+            alone = Tensor(x.value[start : start + n])
+            assert np.array_equal(conv[start : start + n], dc.depthwise_conv_rows(alone, k).value)
+            assert np.array_equal(
+                att[start : start + n], dc.multi_head_attention(alone, alone, alone, 3).value
+            )
+            start += n
+
+    def test_bad_lengths_rejected(self):
+        x, k = make((5, 4)), make((3, 4))
+        for lengths in ([2, 2], [3, 0, 2], []):
+            with pytest.raises(ShapeError, match="segment lengths"):
+                dc.depthwise_conv_rows(x, k, lengths)
+            with pytest.raises(ShapeError, match="segment lengths"):
+                dc.multi_head_attention(x, x, x, 2, lengths)
 
 
 class TestGradCheckHarness:
@@ -268,6 +281,25 @@ class TestParamStore:
         store.save(a)
         store.save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_load_rejects_damaged_files(self, tmp_path):
+        store = ParamStore()
+        store.add("w", RNG.normal(size=(3, 4)))
+        store.add("b", RNG.normal(size=4))
+        good = tmp_path / "good.ntc"
+        store.save(good)
+        data = good.read_bytes()
+        damaged = {
+            "truncated": (data[:-1], "truncated"),
+            "trailing": (data + b"\0", "trailing bytes"),
+            "magic": (b"XTC1" + data[4:], "not a named-tensor container"),
+            "index": (data.replace(b'"shape"', b'"shapo"', 1), "unreadable index"),
+        }
+        for name, (payload, message) in damaged.items():
+            path = tmp_path / f"{name}.ntc"
+            path.write_bytes(payload)
+            with pytest.raises(FormatError, match=message):
+                ParamStore.load(path)
 
     def test_load_values_validates(self):
         store = ParamStore()

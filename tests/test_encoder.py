@@ -304,6 +304,10 @@ class TestForward:
             model.forward(np.zeros((0, 4)))
         with pytest.raises(NumericError):
             model.forward(np.full((3, 4), np.nan))
+        with pytest.raises(ShapeError):
+            model.forward_batch([])
+        with pytest.raises(ShapeError):
+            model.forward_batch([np.zeros((3, 4)), np.zeros((0, 4))])
 
     def test_full_model_gradient_check(self):
         model = small_model(seed=7)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from condctc.trainer import (
     TrainConfig,
     adam_step,
     average_checkpoints,
+    batch_loss,
     clip_global_norm,
     ctc_loss_node,
     metrics_columns,
@@ -112,14 +114,99 @@ class TestTotalLoss:
         rng = np.random.default_rng(8)
         logits = Tensor(rng.normal(size=(6, 4)))
         probs = dc.softmax_rows(logits)
-        node = ctc_loss_node(probs, [1, 2])
+        node = ctc_loss_node(probs, [[1, 2]], [slice(0, 6)])
 
         def loss():
-            return ctc_loss_node(dc.softmax_rows(logits), [1, 2])
+            return ctc_loss_node(dc.softmax_rows(logits), [[1, 2]], [slice(0, 6)])
 
         err = dc.grad_check(loss, [logits], eps=1e-6)
         assert err < 1e-4
         assert float(node.value) == ctc.ctc_loss(probs.value, [1, 2]).loss
+
+    def test_ctc_loss_node_sums_segments(self):
+        rng = np.random.default_rng(9)
+        logits = Tensor(rng.normal(size=(7, 4)))
+        targets, segments = [[1, 2], [3], []], [slice(0, 4), slice(4, 5), slice(5, 7)]
+
+        def loss():
+            return ctc_loss_node(dc.softmax_rows(logits), targets, segments)
+
+        probs = dc.softmax_rows(logits).value
+        expected = sum(ctc.ctc_loss(probs[rows], t).loss for rows, t in zip(segments, targets))
+        assert float(loss().value) == pytest.approx(expected, rel=1e-15)
+        assert dc.grad_check(loss, [logits], eps=1e-6) < 1e-4
+
+
+class TestPackedBatch:
+    """One packed forward over a batch against one forward per utterance."""
+
+    CFG = ModelConfig(d_in=4, d_model=8, n_heads=2, d_ff=12, conv_kernel=5)
+    # 1 frame, and several segments shorter than the 5-tap convolution
+    LENGTHS = (1, 2, 7, 4, 3, 9)
+    CHARS = ([1], [2], [1, 2, 3], [3, 1], [2], [1, 3, 2, 1])
+    SYLS = ([2], [1], [1, 2, 3], [3], [1, 2], [2, 2, 1])
+
+    def build(self):
+        model = EncoderModel(self.CFG, PlacementConfig.from_strategy("alternate", 6), 4, 4,
+                             seed=4)
+        rng = np.random.default_rng(4)
+        feats = [rng.normal(size=(n, 4)) for n in self.LENGTHS]
+        return model, feats
+
+    @staticmethod
+    def points(out):
+        return {"final": out.final.value,
+                **{("char", n): t.value for n, t in out.char_inters.items()},
+                **{("syl", n): t.value for n, t in out.syl_inters.items()}}
+
+    def test_matches_one_segment_path(self):
+        model, feats = self.build()
+        packed = model.forward_batch(feats)
+        node, parts = batch_loss(packed, self.CHARS, self.SYLS, 0.5)
+        model.store.zero_grad()
+        dc.backward(node)
+        packed_grads = {n: model.store[n].grad.copy() for n in model.store.names()}
+
+        grads = {n: np.zeros_like(g) for n, g in packed_grads.items()}
+        loss_sum = 0.0
+        part_sums: dict = {}
+        for i, rows in enumerate(packed.segments()):
+            single = model.forward(feats[i])
+            for key, probs in self.points(single).items():
+                np.testing.assert_allclose(self.points(packed)[key][rows], probs,
+                                           rtol=1e-12, atol=0)
+            one, one_parts = total_loss(single, self.CHARS[i], self.SYLS[i], 0.5)
+            loss_sum += float(one.value)
+            for key, val in one_parts.items():
+                part_sums[key] = part_sums.get(key, 0.0) + val
+            model.store.zero_grad()
+            dc.backward(one)
+            for n in grads:
+                grads[n] += model.store[n].grad
+
+        assert float(node.value) == pytest.approx(loss_sum, rel=1e-12)
+        assert parts.keys() == part_sums.keys()
+        for key in parts:
+            assert parts[key] == pytest.approx(part_sums[key], rel=1e-12)
+        for n, g in packed_grads.items():
+            assert (np.abs(g - grads[n]) <= 1e-12 * np.maximum(1.0, np.abs(grads[n]))).all(), n
+
+    def test_segments_do_not_see_each_other(self):
+        model, feats = self.build()
+        before = model.forward_batch(feats)
+        changed = list(feats)
+        changed[2] = feats[2] + 1.0
+        after = model.forward_batch(changed)
+        rows = after.segments()
+        for key, probs in self.points(after).items():
+            for i, segment in enumerate(rows):
+                same = np.array_equal(probs[segment], self.points(before)[key][segment])
+                assert same == (i != 2), (key, i)
+
+    def test_total_loss_takes_one_utterance(self):
+        model, feats = self.build()
+        with pytest.raises(ContractError):
+            total_loss(model.forward_batch(feats[:2]), [1], [1], 0.5)
 
 
 class TestNoamSchedule:
@@ -165,6 +252,19 @@ class TestAdam:
         store.zero_grad()
         adam_step(store, lr=0.1)
         assert p.value[0] == 1.5
+
+    def test_nonfinite_grad_changes_nothing(self):
+        store = ParamStore()
+        good = store.add("a", np.array([1.0]))
+        bad = store.add("b", np.array([2.0]))
+        store.zero_grad()
+        good.grad[...] = 0.5
+        bad.grad[...] = np.nan
+        with pytest.raises(NumericError, match="'b'"):
+            adam_step(store, lr=0.1)
+        assert good.value[0] == 1.0 and bad.value[0] == 2.0
+        assert store.step_count == 0
+        assert not any(m.any() or v.any() for m, v in map(store.moments, store.names()))
 
     def test_nonfinite_grad_names_parameter(self):
         store = ParamStore()
@@ -351,18 +451,27 @@ class TestTrainLoop:
         assert result.aborted
         assert result.best_checkpoints  # last finite parameters were kept
 
-    def test_thread_sharded_forward_matches_single_thread(self, tiny_data):
+    def test_graphs_leave_no_reference_cycles(self, tiny_data):
+        # Every tape must be freed by reference counting alone.
         lang, train_set, valid_set = tiny_data
-        results = []
-        for workers in (1, 3):
+        gc.collect()
+        gc.disable()
+        try:
             model = EncoderModel(SMALL, PlacementConfig.from_strategy("alternate", 2),
                                  lang.char_vocab().size, lang.syl_vocab().size, seed=3)
-            cfg = TrainConfig(mix_weight=0.5, epochs=4, batch_size=3, warmup_steps=20,
-                              lr_factor=0.5, seed=2, average_k=2, max_steps=8,
-                              eval_interval=4, n_workers=workers)
-            res = train(model, train_set, valid_set, cfg)
-            results.append([(r.step, r.loss_total, r.cer_valid) for r in res.metrics])
-        assert results[0] == results[1]
+            cfg = TrainConfig(mix_weight=0.5, batch_size=3, warmup_steps=20, seed=2,
+                              average_k=1, max_steps=1)
+            result = train(model, train_set, valid_set, cfg)
+            out = model.forward(train_set[0].features)
+            del model, result, out
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if isinstance(obj, Tensor)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not leaked
 
     def test_validation_required(self, tiny_data):
         lang, train_set, _ = tiny_data
