@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,10 +109,9 @@ def _parse_value(raw: str, kind: type):
 
 def resolve_config(cls, config_path: str | None, overrides: dict):
     """Defaults <- config file <- command-line flags, rejecting unknown keys."""
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    kinds = {
-        name: type(getattr(cls(), name))  # resolved runtime type of the default
-        for name in fields
+    defaults = cls()
+    kinds = {  # resolved runtime type of each default
+        f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(cls)
     }
     values: dict = {}
     if config_path:
@@ -303,13 +303,49 @@ def cmd_decode(cfg: DecodeConfig) -> int:
     return EXIT_OK
 
 
+def _tokens_problem(value) -> str | None:
+    if isinstance(value, list) and all(isinstance(tok, str) for tok in value):
+        return None
+    return f"expected a list of token strings, got {json.dumps(value)[:40]}"
+
+
+def _record_problem(rec) -> str | None:
+    """Why a reference or hypothesis record cannot be scored, or None."""
+    if not isinstance(rec, dict):
+        return f"expected a JSON object, got a {type(rec).__name__}"
+    if not isinstance(rec.get("id"), str):
+        return "record needs a string 'id'"
+    if "chars" not in rec:
+        return f"record {rec['id']!r} has no 'chars'"
+    for key in ("chars", "syllables"):
+        if key in rec and (problem := _tokens_problem(rec[key])):
+            return f"record {rec['id']!r} '{key}': {problem}"
+    if "layers" not in rec:
+        return None
+    layers = rec["layers"]
+    levels = ("char", "syl")
+    if not isinstance(layers, dict) or not all(isinstance(layers.get(k), dict) for k in levels):
+        return f"record {rec['id']!r} 'layers' needs 'char' and 'syl' objects"
+    for level in levels:
+        for key, tokens in layers[level].items():
+            if not re.fullmatch(r"[1-9][0-9]*", key):
+                return f"record {rec['id']!r} layers.{level} key {key!r} is not a layer number"
+            if problem := _tokens_problem(tokens):
+                return f"record {rec['id']!r} layers.{level}.{key}: {problem}"
+    return None
+
+
 def _read_records(path: Path) -> dict[str, dict]:
+    """Records of a JSONL file by id; a line that is not a well-formed record
+    raises DataError naming the line."""
     records: dict[str, dict] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 rec = json.loads(line)
+                if problem := _record_problem(rec):
+                    raise DataError(f"{path}:{lineno}: {problem}")
                 records[rec["id"]] = rec
     return records
 

@@ -1,5 +1,7 @@
-"""CTC loss via log-domain forward-backward, its analytic gradient, greedy
-decoding, and an exhaustive path-enumeration oracle for tests."""
+"""CTC loss via log-domain forward-backward: the batched loss on
+log-probabilities that training uses, the per-utterance loss on probabilities
+with its analytic gradient, greedy decoding, and an exhaustive
+path-enumeration oracle for tests."""
 
 from __future__ import annotations
 
@@ -18,7 +20,13 @@ ORACLE_MAX_PATHS = 1_000_000
 
 
 class InfeasibleAlignmentError(ValueError):
-    """The target cannot be aligned within the frame count (loss would be +inf)."""
+    """The target cannot be aligned within the frame count (loss would be +inf).
+
+    `ctc_loss_batch` sets `point` to the index of the prediction point whose
+    lattice failed; the message names the segment.
+    """
+
+    point: int | None = None
 
 
 class OracleSizeError(ValueError):
@@ -155,6 +163,156 @@ def ctc_loss(probs: np.ndarray, target: Sequence[int]) -> CtcResult:
     grad += 0.0  # normalize -0.0 entries
 
     return CtcResult(loss=float(-log_p), grad=grad, log_alpha=log_alpha, log_beta=log_beta)
+
+
+@dataclass
+class CtcBatchResult:
+    """Loss of each (prediction point, segment) lattice, and per point the
+    gradient of its summed loss w.r.t. its log-probabilities: minus the
+    alpha/beta occupancy of each class at each frame."""
+
+    losses: np.ndarray  # (n_points, n_segments)
+    grads: list[np.ndarray]  # one per point, shaped like its log-probabilities
+
+
+def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    top = np.maximum(a, b)
+    np.maximum(top, c, out=top)
+    top[top == -np.inf] = 0.0  # all three are -inf: exp() gives 0, log() gives -inf
+    np.exp(np.subtract(a, top, out=out), out=out)
+    out += np.exp(b - top)
+    out += np.exp(c - top)
+    np.log(out, out=out)
+    out += top
+
+
+def _log_alpha(em: np.ndarray, ext: np.ndarray, state: np.ndarray, running: np.ndarray) -> np.ndarray:
+    """Forward recursion of many lattices at once, one step per frame.
+
+    The lattices lie side by side along the columns: two guard columns, then
+    one column per state.  `em` is (T, columns): frame t's log-probability of
+    each column's state, -inf on the guards, which so stay -inf and keep the
+    one- and two-state moves, plain column shifts, inside a lattice.  `ext`
+    and `state` give each column's label and state index.  At frame t only
+    the first `running[t]` columns are still running; the rest keep -inf.
+    Returns log-alpha, which includes the emission at t.
+    """
+    t_max, width = em.shape
+    skip = np.full(width, -np.inf)
+    skip[2:][(state[2:] >= 2) & (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])] = 0.0
+    alpha = np.full((t_max, width), -np.inf)
+    first = (state == 0) | (state == 1)
+    alpha[0, first] = em[0, first]
+    for t in range(1, t_max):
+        w = running[t]
+        prev, out = alpha[t - 1], alpha[t, 2:w]
+        _logsumexp3(prev[2:w], prev[1 : w - 1], prev[: w - 2] + skip[2:w], out)
+        out += em[t, 2:w]
+    return alpha
+
+
+def ctc_loss_batch(
+    log_probs: Sequence[np.ndarray],
+    lengths: Sequence[int],
+    targets: Sequence[Sequence[Sequence[int]]],
+) -> CtcBatchResult:
+    """CTC negative log-likelihoods of every (prediction point, segment)
+    lattice in one log-domain forward-backward sweep.
+
+    `log_probs[p]` is point p's (rows, classes) matrix of finite per-frame
+    log-probabilities, its rows split into segments of `lengths`;
+    `targets[p][i]` is segment i's target at point p.  The states of all
+    lattices lie side by side in one row that advances one frame per step,
+    each lattice stopping at its own last frame.  The backward pass is the
+    forward recursion over each lattice reversed in time and in state order,
+    run in the same sweep.  No probability floor applies.  Matches
+    `ctc_loss` on `exp(log_probs)` rows wherever no probability falls below
+    its floor.  An infeasible target raises InfeasibleAlignmentError with
+    `point` set.
+    """
+    sizes = [int(n) for n in lengths]
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"segment lengths must be >= 1, got {sizes}")
+    if len(log_probs) != len(targets):
+        raise ValueError(f"{len(log_probs)} log-probability matrices but {len(targets)} target lists")
+    rows = sum(sizes)
+    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    mats = [np.asarray(m, dtype=np.float64) for m in log_probs]
+
+    # One entry per lattice, point-major: its extended labels, the flat offset
+    # of its first frame in the concatenated matrices, its row stride, frames.
+    exts: list[np.ndarray] = []
+    offsets, strides, frames = [], [], []
+    base = 0
+    for p, (mat, point_targets) in enumerate(zip(mats, targets)):
+        if mat.ndim != 2 or mat.shape[0] != rows or mat.shape[1] < 2:
+            raise ValueError(
+                f"log-probability matrix {p} must be ({rows}, >=2), got shape {mat.shape}"
+            )
+        if len(point_targets) != len(sizes):
+            raise ValueError(f"point {p}: {len(point_targets)} targets for {len(sizes)} segments")
+        n_classes = mat.shape[1]
+        for i, (start, n, target) in enumerate(zip(starts, sizes, point_targets)):
+            y = _check_target(target, n_classes)
+            need = min_frames(y)
+            if n < need:
+                err = InfeasibleAlignmentError(
+                    f"segment {i}: target of length {len(y)} needs at least {need} frames, got {n}"
+                )
+                err.point = p
+                raise err
+            exts.append(extended_labels(y))
+            offsets.append(base + start * n_classes)
+            strides.append(n_classes)
+            frames.append(n)
+        base += mat.size
+    flat = np.concatenate([m.ravel() for m in mats])
+
+    # The sweep: lattices longest first, each followed by its reversal (labels
+    # and frames in reverse order), so the lattices still running at a frame
+    # are a prefix of the columns.  A reversal's log-alpha at (T-1-t, S-1-s)
+    # is its lattice's log-beta at (t, s) plus the emission at t.
+    order = np.argsort(-np.array(frames), kind="stable")
+    lane_ext = [e for b in order for e in (exts[b], exts[b][::-1])]
+    lane_t = np.repeat(np.array(frames)[order], 2)
+    widths = np.array([e.size + 2 for e in lane_ext])
+    first_col = np.cumsum(widths) - widths
+    lane = np.repeat(np.arange(widths.size), widths)
+    state = np.arange(widths.sum()) - first_col[lane] - 2  # -2 and -1 on the guards
+    ext = np.zeros(widths.sum(), dtype=np.int64)
+    ext[state >= 0] = np.concatenate(lane_ext)
+
+    step = np.arange(lane_t[0])[:, None]
+    lane_frame = np.minimum(step, lane_t - 1)  # rows past a lattice's end are read, never used
+    lane_frame[:, 1::2] = lane_t[1::2] - 1 - lane_frame[:, 1::2]
+    row_base = np.repeat(np.asarray(offsets)[order], 2)
+    stride = np.repeat(np.asarray(strides)[order], 2)
+    index = (row_base + lane_frame * stride)[:, lane]
+    index += ext  # (T, columns)
+    running = np.append(first_col, widths.sum())[(lane_t > step).sum(axis=1)]
+
+    with np.errstate(divide="ignore"):
+        em = flat[index]
+        em[:, state < 0] = -np.inf
+        alpha = _log_alpha(em, ext, state, running)
+        fwd = np.arange(0, widths.size, 2)
+        last_col = first_col[fwd] + widths[fwd] - 1  # the guard before a 1-state lattice is -inf
+        log_p = np.logaddexp(alpha[lane_t[fwd] - 1, last_col], alpha[lane_t[fwd] - 1, last_col - 1])
+        # Occupancy of each lattice state; alpha is -inf past a lattice's end.
+        cols = np.flatnonzero((state >= 0) & (lane % 2 == 0))
+        partner = first_col[lane[cols] + 1] + widths[lane[cols]] - 1 - state[cols]
+        expo = alpha[:, cols] + alpha[lane_frame[:, lane[cols] + 1], partner]
+        expo -= em[:, cols]
+        expo -= log_p[lane[cols] // 2]
+        occupancy = np.exp(expo, out=expo)
+
+    grad_flat = np.bincount(index[:, cols].ravel(), weights=occupancy.ravel(), minlength=flat.size)
+    np.subtract(0.0, grad_flat, out=grad_flat)  # negate, keeping zeros +0.0
+    bounds = np.cumsum([0, *[m.size for m in mats]]).tolist()
+    grads = [grad_flat[a:b].reshape(m.shape) for a, b, m in zip(bounds, bounds[1:], mats)]
+    losses = np.empty(order.size)
+    losses[order] = -log_p
+    return CtcBatchResult(losses=losses.reshape(len(mats), len(sizes)), grads=grads)
 
 
 def ctc_grad_wrt_probs(probs: np.ndarray, target: Sequence[int]) -> np.ndarray:

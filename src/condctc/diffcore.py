@@ -7,10 +7,12 @@ execution is bitwise deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,20 +118,6 @@ def _require_2d(name: str, *tensors: Tensor) -> None:
     for t in tensors:
         if t.value.ndim != 2:
             raise ShapeError(f"{name}: expected a 2-D operand, got shape {t.value.shape}")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_2d("matmul", a, b)
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.value.shape} @ {b.value.shape}")
-    out = Tensor(a.value @ b.value, (a, b), "matmul")
-
-    def _bwd(g: np.ndarray) -> None:
-        _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
-
-    out._backward = _bwd
-    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -400,6 +388,24 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 _CONTAINER_MAGIC = b"NTC1\n"
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator:
+    """Open a temporary file beside `path` for writing.  When the block ends
+    normally it is flushed to disk and replaces `path`; when it raises, it is
+    removed and `path` keeps whatever it held before."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ParamStore:
     """Named trainable tensors with per-parameter Adam moment buffers."""
 
@@ -458,7 +464,8 @@ class ParamStore:
     def save(self, path: str | Path, meta: dict | None = None) -> None:
         """Write a named-tensor container: an index of (name, shape, dtype)
         records followed by the row-major float64 payloads.  Byte-deterministic
-        for identical contents."""
+        for identical contents; written through `atomic_write`, so a failed
+        save leaves an existing file unchanged."""
         names = self.names()
         index = {
             "meta": meta or {},
@@ -467,7 +474,7 @@ class ParamStore:
                 for n in names
             ],
         }
-        with open(path, "wb") as fh:
+        with atomic_write(path) as fh:
             fh.write(_CONTAINER_MAGIC)
             fh.write(json.dumps(index, sort_keys=True).encode("utf-8") + b"\n")
             for n in names:

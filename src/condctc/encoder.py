@@ -134,13 +134,16 @@ class ForwardOutput:
     """Final posteriors plus the intermediate posteriors keyed by layer.
 
     Each matrix stacks the rows of the input segments in order; `lengths`
-    holds the segments' frame counts.
+    holds the segments' frame counts.  `logits` holds the head logits each
+    posterior matrix is the softmax of, keyed "final", ("char", layer) and
+    ("syl", layer).
     """
 
     final: Tensor
     char_inters: dict[int, Tensor]
     syl_inters: dict[int, Tensor]
     lengths: tuple[int, ...]
+    logits: dict
 
     def segments(self) -> list[slice]:
         """Row range of each segment, in input order."""
@@ -292,12 +295,16 @@ class EncoderModel:
             raise NumericError(f"block {layer} produced non-finite values")
         return x
 
-    def predict_head(self, x: Tensor, level: str) -> Tensor:
-        """Row-stochastic posteriors from the shared head for `level`."""
+    def head_logits(self, x: Tensor, level: str) -> Tensor:
+        """Unnormalized scores of the shared head for `level`."""
         if level not in ("char", "syl"):
             raise ContractError(f"unknown head level {level!r}")
         p = self.store
-        return dc.softmax_rows(dc.linear(x, p[f"{level}_head.w"], p[f"{level}_head.b"]))
+        return dc.linear(x, p[f"{level}_head.w"], p[f"{level}_head.b"])
+
+    def predict_head(self, x: Tensor, level: str) -> Tensor:
+        """Row-stochastic posteriors from the shared head for `level`."""
+        return dc.softmax_rows(self.head_logits(x, level))
 
     def condition(self, x: Tensor, z: Tensor | None, r: Tensor | None, layer: int) -> Tensor:
         """Add the projected posteriors for the next block's input.
@@ -358,21 +365,21 @@ class EncoderModel:
             pos = [sinusoidal_positions(n, self.cfg.d_model) for n in lengths]
             x = dc.add(x, Tensor(np.concatenate(pos)))
 
-        char_inters: dict[int, Tensor] = {}
-        syl_inters: dict[int, Tensor] = {}
+        inters: dict[str, dict[int, Tensor]] = {"char": {}, "syl": {}}
+        logits: dict = {}
         last = self.placement.n_layers
         for layer in range(1, last + 1):
             x = self.block_forward(x, layer, lengths)
-            z = self.predict_head(x, "char") if layer in self.placement.char_layers else None
-            r = self.predict_head(x, "syl") if layer in self.placement.syl_layers else None
-            if z is not None:
-                char_inters[layer] = z
-            if r is not None:
-                syl_inters[layer] = r
+            for level, layers in (("char", self.placement.char_layers),
+                                  ("syl", self.placement.syl_layers)):
+                if layer in layers:
+                    logits[(level, layer)] = self.head_logits(x, level)
+                    inters[level][layer] = dc.softmax_rows(logits[(level, layer)])
             if layer < last:
-                x = self.condition(x, z, r, layer)
-        final = self.predict_head(x, "char")
-        return ForwardOutput(final, char_inters, syl_inters, lengths)
+                x = self.condition(x, inters["char"].get(layer), inters["syl"].get(layer), layer)
+        logits["final"] = self.head_logits(x, "char")
+        final = dc.softmax_rows(logits["final"])
+        return ForwardOutput(final, inters["char"], inters["syl"], lengths, logits)
 
     # -- persistence --------------------------------------------------------
 

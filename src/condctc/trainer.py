@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ctc, diffcore as dc
-from .diffcore import ContractError, NumericError, ParamStore, Tensor
+from .diffcore import ContractError, NumericError, ParamStore, Tensor, atomic_write
 from .encoder import EncoderModel, ForwardOutput
 from .labels import error_rate
 from .synthdata import Utterance
@@ -78,22 +78,37 @@ class TrainResult:
     steps_run: int
 
 
-def ctc_loss_node(
-    probs: Tensor, targets: Sequence[Sequence[int]], segments: Sequence[slice]
-) -> Tensor:
-    """Summed CTC negative log-likelihood of each segment's rows of a
-    posterior matrix against that segment's target, as one graph node."""
-    results = [ctc.ctc_loss(probs.value[rows], t) for rows, t in zip(segments, targets)]
-    out = Tensor(np.float64(sum(r.loss for r in results)), parents=(probs,), op="ctc_nll")
+def ctc_node(
+    log_probs: Sequence[Tensor],
+    lengths: Sequence[int],
+    targets: Sequence[Sequence[Sequence[int]]],
+    weights: Sequence[float],
+) -> tuple[Tensor, list[float]]:
+    """Weighted sum over prediction points of each point's summed per-segment
+    CTC losses, as one graph node over all points' log-softmax outputs.
+
+    `log_probs[p]` stacks the segments' rows of point p and `targets[p][i]`
+    is segment i's target there.  Also returns each point's summed loss.
+    The gradient at each log-probability is minus its weighted occupancy,
+    which `log_softmax_rows` turns into softmax minus occupancy.
+    """
+    result = ctc.ctc_loss_batch([lp.value for lp in log_probs], lengths, targets)
+    sums = [float(s) for s in result.losses.sum(axis=1)]
+    total = 0.0
+    for weight, point_sum in zip(weights, sums):
+        total += weight * point_sum
+    # Points of weight 0 only report their loss and stay off the graph.
+    live = [(lp, g, w) for lp, g, w in zip(log_probs, result.grads, weights) if w]
+    out = Tensor(np.float64(total), parents=tuple(lp for lp, _, _ in live), op="ctc_nll")
 
     def _bwd(g: np.ndarray) -> None:
-        if probs.grad is None:
-            probs.grad = np.zeros_like(probs.value)
-        for rows, result in zip(segments, results):
-            probs.grad[rows] += float(g) * result.grad
+        for lp, grad, weight in live:
+            if lp.grad is None:
+                lp.grad = np.zeros_like(lp.value)
+            lp.grad += (float(g) * weight) * grad
 
     out._backward = _bwd
-    return out
+    return out, sums
 
 
 def total_loss(
@@ -121,33 +136,32 @@ def batch_loss(
     syl_targets: Sequence[Sequence[int]],
     mix_weight: float,
 ) -> tuple[Tensor, dict]:
-    """Sum over the segments of `out` of each one's `total_loss`, built with
-    one CTC node per prediction point; the parts are summed the same way."""
+    """Sum over the segments of `out` of each one's `total_loss`, built as
+    one `log_softmax_rows` per prediction point feeding one CTC node; the
+    parts are summed the same way.  An infeasible target names its head,
+    layer and segment."""
     if not len(char_targets) == len(syl_targets) == len(out.lengths):
         raise ContractError(
             f"{len(out.lengths)} segments but {len(char_targets)} character and "
             f"{len(syl_targets)} syllable targets"
         )
-    segments = out.segments()
-    final_node = ctc_loss_node(out.final, char_targets, segments)
-    parts: dict = {"final": float(final_node.value)}
-    inter_nodes: list[Tensor] = []
-    points = [("char", n, out.char_inters[n], char_targets) for n in sorted(out.char_inters)]
-    points += [("syl", n, out.syl_inters[n], syl_targets) for n in sorted(out.syl_inters)]
-    for level, layer, probs, targets in points:
-        try:
-            node = ctc_loss_node(probs, targets, segments)
-        except ctc.InfeasibleAlignmentError as exc:
-            raise ctc.InfeasibleAlignmentError(f"{level} head at layer {layer}: {exc}") from exc
-        parts[(level, layer)] = float(node.value)
-        inter_nodes.append(node)
-    if mix_weight == 0.0 or not inter_nodes:
-        return final_node, parts
-    per_layer = mix_weight / len(inter_nodes)
-    total = dc.scale(final_node, 1.0 - mix_weight)
-    for node in inter_nodes:
-        total = dc.add(total, dc.scale(node, per_layer))
-    return total, parts
+    points = [("final", char_targets)]
+    points += [(("char", n), char_targets) for n in sorted(out.char_inters)]
+    points += [(("syl", n), syl_targets) for n in sorted(out.syl_inters)]
+    keys, targets = zip(*points)
+    n_inter = len(points) - 1
+    if mix_weight == 0.0 or not n_inter:
+        weights = [1.0] + [0.0] * n_inter
+    else:
+        weights = [1.0 - mix_weight] + [mix_weight / n_inter] * n_inter
+    log_probs = [dc.log_softmax_rows(out.logits[key]) for key in keys]
+    try:
+        node, sums = ctc_node(log_probs, out.lengths, targets, weights)
+    except ctc.InfeasibleAlignmentError as exc:
+        key = keys[exc.point]
+        head = "final char head" if key == "final" else f"{key[0]} head at layer {key[1]}"
+        raise ctc.InfeasibleAlignmentError(f"{head}, {exc}") from exc
+    return node, dict(zip(keys, sums))
 
 
 def noam_lr(step: int, d_model: int, warmup_steps: int, factor: float) -> float:
@@ -272,27 +286,29 @@ def _evaluate(
     return loss_sum / len(utts), rates, part_means
 
 
-def metrics_columns(placement) -> list[str]:
-    inter = sorted(
-        [("char", n) for n in placement.char_layers]
-        + [("syl", n) for n in placement.syl_layers],
+def _inter_points(placement) -> list[tuple[str, int]]:
+    """Intermediate prediction points in metrics-column order: by layer,
+    then level."""
+    return sorted(
+        [("char", n) for n in placement.char_layers] + [("syl", n) for n in placement.syl_layers],
         key=lambda kv: (kv[1], kv[0]),
     )
+
+
+def metrics_columns(placement) -> list[str]:
     cols = ["step", "lr", "loss_total", "loss_final"]
-    cols += [f"loss_layer_{n}_{level}" for level, n in inter]
+    cols += [f"loss_layer_{n}_{level}" for level, n in _inter_points(placement)]
     cols += ["cer_valid"]
     cols += [f"ser_valid_{n}" for n in sorted(placement.syl_layers)]
     return cols
 
 
 def write_metrics_csv(rows: Sequence[MetricsRow], placement, path: str | Path) -> None:
-    """Fixed-header CSV: step, lr, losses per layer, then validation rates."""
-    inter = sorted(
-        [("char", n) for n in placement.char_layers]
-        + [("syl", n) for n in placement.syl_layers],
-        key=lambda kv: (kv[1], kv[0]),
-    )
-    with open(path, "w", newline="") as fh:
+    """Fixed-header CSV: step, lr, losses per layer, then validation rates.
+    Written to a temporary file beside `path` and renamed over it, so `path`
+    holds either its old contents or the whole new file."""
+    inter = _inter_points(placement)
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(metrics_columns(placement))
         for row in rows:

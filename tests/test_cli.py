@@ -304,6 +304,32 @@ class TestBadInputFiles:
         assert self.decode(trained_dir / "model_avg.ntc", data, tmp_path, capsys) == 3
 
 
+class TestBadEvalRecords:
+    """Malformed hypothesis records make `eval` exit 3 with one line."""
+
+    def evaluate(self, tmp_path, capsys, hyp_record):
+        ref = tmp_path / "r.jsonl"
+        hyp = tmp_path / "h.jsonl"
+        ref.write_text(json.dumps({"id": "u1", "chars": ["a"], "syllables": ["s"]}) + "\n")
+        hyp.write_text(json.dumps(hyp_record) + "\n")
+        capsys.readouterr()
+        code = run(["eval", "--ref", str(ref), "--hyp", str(hyp)])
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        return code
+
+    def test_record_that_is_a_list_exits_3(self, tmp_path, capsys):
+        assert self.evaluate(tmp_path, capsys, ["a"]) == 3
+
+    def test_null_chars_exit_3(self, tmp_path, capsys):
+        assert self.evaluate(tmp_path, capsys, {"id": "u1", "chars": None}) == 3
+
+    def test_non_integer_layer_key_exits_3(self, tmp_path, capsys):
+        record = {"id": "u1", "chars": ["a"],
+                  "layers": {"char": {"top": ["a"]}, "syl": {"1": ["s"]}}}
+        assert self.evaluate(tmp_path, capsys, record) == 3
+
+
 class TestEndToEndOverfit:
     def test_single_utterance_decode_equals_reference(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -12,6 +12,7 @@ from condctc.ctc import (
     brute_force_loss,
     ctc_grad_wrt_probs,
     ctc_loss,
+    ctc_loss_batch,
     greedy_decode,
     min_frames,
     validate_prob_matrix,
@@ -184,6 +185,52 @@ class TestBruteForce:
         probs = np.full((30, 4), 0.25)
         with pytest.raises(OracleSizeError):
             brute_force_loss(probs, [1])
+
+
+class TestCtcLossBatch:
+    """The batched sweep against `ctc_loss`, lattice by lattice."""
+
+    def test_random_batches_match_per_lattice_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            lengths = rng.integers(1, 9, size=int(rng.integers(1, 5))).tolist()
+            classes = rng.integers(2, 6, size=int(rng.integers(1, 4))).tolist()
+            probs, targets = [], []
+            for k in classes:
+                probs.append(rng.dirichlet(np.ones(k), size=sum(lengths)))
+                point = []
+                for n in lengths:
+                    while True:
+                        target = rng.integers(1, k, size=int(rng.integers(0, 4))).tolist()
+                        if min_frames(target) <= n:
+                            break
+                    point.append(target)
+                targets.append(point)
+            result = ctc_loss_batch([np.log(z) for z in probs], lengths, targets)
+            bounds = np.cumsum([0, *lengths])
+            for p, (z, point) in enumerate(zip(probs, targets)):
+                for i, target in enumerate(point):
+                    rows = slice(bounds[i], bounds[i + 1])
+                    ref = ctc_loss(z[rows], target)
+                    assert result.losses[p, i] == pytest.approx(ref.loss, rel=1e-12, abs=1e-14)
+                    # d loss / d log z = z * d loss / d z
+                    np.testing.assert_allclose(result.grads[p][rows], z[rows] * ref.grad,
+                                               rtol=0, atol=1e-12)
+
+    def test_infeasible_lattice_names_point_and_segment(self):
+        logz = np.log(np.full((5, 3), 1 / 3))
+        with pytest.raises(InfeasibleAlignmentError, match="segment 1") as info:
+            ctc_loss_batch([logz, logz], [3, 2], [[[1], [2]], [[1], [2, 2]]])
+        assert info.value.point == 1
+
+    def test_inputs_validated(self):
+        logz = np.log(np.full((4, 3), 1 / 3))
+        with pytest.raises(InvalidTokenError):
+            ctc_loss_batch([logz], [4], [[[3]]])
+        with pytest.raises(ValueError):
+            ctc_loss_batch([logz], [3], [[[1]]])  # lengths do not cover the rows
+        with pytest.raises(ValueError):
+            ctc_loss_batch([logz], [2, 2], [[[1]]])  # one target for two segments
 
 
 class TestProbMatrix:

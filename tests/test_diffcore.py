@@ -26,11 +26,6 @@ class TestOpGradients:
         err = dc.grad_check(build, params, eps=1e-5)
         assert err < tol, f"grad check failed: {err}"
 
-    def test_matmul(self):
-        a, b = make((4, 5)), make((5, 3))
-        w = make((4, 3))
-        self.check(lambda: weighted_mean(dc.matmul(a, b), w), [a, b])
-
     def test_multi_head_attention(self):
         q, k, v = make((7, 6)), make((7, 6)), make((7, 6))
         w = make((7, 6))
@@ -161,8 +156,6 @@ class TestBackwardSemantics:
         assert np.allclose(out.value, 0.0)
 
     def test_shape_errors_name_the_op(self):
-        with pytest.raises(ShapeError, match="matmul"):
-            dc.matmul(make((2, 3)), make((2, 3)))
         with pytest.raises(ShapeError, match="add"):
             dc.add(make((2, 3)), make((3, 2)))
         with pytest.raises(ShapeError, match="depthwise"):
@@ -300,6 +293,25 @@ class TestParamStore:
             path.write_bytes(payload)
             with pytest.raises(FormatError, match=message):
                 ParamStore.load(path)
+
+    def test_failed_save_leaves_old_file(self, tmp_path):
+        class Unwritable:
+            shape = (2,)
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        store = ParamStore()
+        store.add("a", np.arange(3.0))
+        store.add("b", np.ones(2))
+        path = tmp_path / "params.ntc"
+        store.save(path)
+        before = path.read_bytes()
+        store["b"].value = Unwritable()  # fails after the index and tensor "a" are written
+        with pytest.raises(OSError, match="disk full"):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["params.ntc"]
 
     def test_load_values_validates(self):
         store = ParamStore()

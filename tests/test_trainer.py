@@ -17,7 +17,7 @@ from condctc.trainer import (
     average_checkpoints,
     batch_loss,
     clip_global_norm,
-    ctc_loss_node,
+    ctc_node,
     metrics_columns,
     noam_lr,
     total_loss,
@@ -31,6 +31,12 @@ SMALL = ModelConfig(d_in=4, d_model=8, n_heads=2, d_ff=12, conv_kernel=3)
 def small_model(strategy="alternate", n_layers=6, seed=0, chars=5, syls=4):
     placement = PlacementConfig.from_strategy(strategy, n_layers)
     return EncoderModel(SMALL, placement, chars, syls, seed=seed)
+
+
+def final_point_alone(out, target):
+    """CTC loss of the final point of a one-utterance output, run by itself."""
+    log_probs = dc.log_softmax_rows(out.logits["final"]).value
+    return ctc.ctc_loss_batch([log_probs], out.lengths, [[target]]).losses[0, 0]
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +57,18 @@ class TestTotalLoss:
         model = small_model()
         out = self.forward(model)
         node, parts = total_loss(out, [1, 2], [1], 0.0)
-        direct = ctc.ctc_loss(out.final.value, [1, 2]).loss
-        assert float(node.value) == direct
-        assert parts["final"] == direct
+        alone = final_point_alone(out, [1, 2])
+        assert float(node.value) == alone
+        assert parts["final"] == alone
+        assert alone == pytest.approx(ctc.ctc_loss(out.final.value, [1, 2]).loss, rel=1e-12)
 
     def test_empty_placement_returns_final_loss(self):
         model = small_model("baseline")
         out = self.forward(model)
         node, _ = total_loss(out, [1, 2], [1], 0.5)
-        assert float(node.value) == ctc.ctc_loss(out.final.value, [1, 2]).loss
+        alone = final_point_alone(out, [1, 2])
+        assert float(node.value) == alone
+        assert alone == pytest.approx(ctc.ctc_loss(out.final.value, [1, 2]).loss, rel=1e-12)
 
     def test_mixing_weights_per_layer(self):
         # alternate at depth 6: 2 char + 3 syl layers -> final 0.5, each 0.1
@@ -110,31 +119,83 @@ class TestTotalLoss:
         assert np.abs(model.store["char_cond.w"].grad).max() > 0.0
         assert np.abs(model.store["syl_cond.w"].grad).max() > 0.0
 
-    def test_ctc_loss_node_matches_direct_grad(self):
-        rng = np.random.default_rng(8)
-        logits = Tensor(rng.normal(size=(6, 4)))
-        probs = dc.softmax_rows(logits)
-        node = ctc_loss_node(probs, [[1, 2]], [slice(0, 6)])
+    def test_infeasible_target_names_the_segment(self):
+        model = small_model()
+        out = model.forward_batch([np.zeros((8, 4)), np.zeros((3, 4))])
+        with pytest.raises(InfeasibleAlignmentError, match="syl head at layer 1, segment 1"):
+            batch_loss(out, [[1], [1]], [[1], [1, 1, 2, 2, 3, 3]], 0.5)
 
-        def loss():
-            return ctc_loss_node(dc.softmax_rows(logits), [[1, 2]], [slice(0, 6)])
 
-        err = dc.grad_check(loss, [logits], eps=1e-6)
-        assert err < 1e-4
-        assert float(node.value) == ctc.ctc_loss(probs.value, [1, 2]).loss
+class TestFusedCtc:
+    """The fused node on log-softmax against `ctc.ctc_loss` per segment."""
 
-    def test_ctc_loss_node_sums_segments(self):
-        rng = np.random.default_rng(9)
-        logits = Tensor(rng.normal(size=(7, 4)))
-        targets, segments = [[1, 2], [3], []], [slice(0, 4), slice(4, 5), slice(5, 7)]
+    # a 1-frame segment, T == min_frames with repeated labels, empty targets
+    LENGTHS = (1, 5, 3, 7, 2)
+    TARGETS = (
+        [[1], [1, 2, 1], [2, 2], [1, 2, 3, 4], []],
+        [[], [3], [1], [2, 2, 1], [3, 1]],
+    )
+    CLASSES = (5, 4)
+    WEIGHTS = (0.7, 0.3)
 
-        def loss():
-            return ctc_loss_node(dc.softmax_rows(logits), targets, segments)
+    def logits(self, scale=1.0, seed=6):
+        rng = np.random.default_rng(seed)
+        rows = sum(self.LENGTHS)
+        return [Tensor(scale * rng.normal(size=(rows, c))) for c in self.CLASSES]
 
-        probs = dc.softmax_rows(logits).value
-        expected = sum(ctc.ctc_loss(probs[rows], t).loss for rows, t in zip(segments, targets))
-        assert float(loss().value) == pytest.approx(expected, rel=1e-15)
-        assert dc.grad_check(loss, [logits], eps=1e-6) < 1e-4
+    def node(self, logits):
+        log_probs = [dc.log_softmax_rows(x) for x in logits]
+        return ctc_node(log_probs, self.LENGTHS, self.TARGETS, self.WEIGHTS)
+
+    def oracle(self, logits):
+        """Per-point summed losses and logits gradients of the weighted total."""
+        bounds = np.cumsum([0, *self.LENGTHS])
+        sums, grads = [], []
+        for x, targets, weight in zip(logits, self.TARGETS, self.WEIGHTS):
+            z = dc.softmax_rows(x).value
+            grad = np.zeros_like(z)
+            total = 0.0
+            for start, stop, target in zip(bounds, bounds[1:], targets):
+                result = ctc.ctc_loss(z[start:stop], target)
+                total += result.loss
+                zs, gz = z[start:stop], result.grad
+                grad[start:stop] = weight * zs * (gz - (gz * zs).sum(axis=1, keepdims=True))
+            sums.append(total)
+            grads.append(grad)
+        return sums, grads
+
+    def test_losses_match_oracle(self):
+        logits = self.logits()
+        node, sums = self.node(logits)
+        expected, _ = self.oracle(logits)
+        for got, want in zip(sums, expected):
+            assert got == pytest.approx(want, rel=1e-12)
+        total = sum(w * s for w, s in zip(self.WEIGHTS, expected))
+        assert float(node.value) == pytest.approx(total, rel=1e-12)
+
+    def test_gradients_match_oracle(self):
+        logits = self.logits()
+        node, _ = self.node(logits)
+        dc.backward(node)
+        _, expected = self.oracle(logits)
+        for x, g in zip(logits, expected):
+            assert (np.abs(x.grad - g) <= 1e-12 * np.maximum(1.0, np.abs(g))).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 20.0])
+    def test_grad_check(self, scale):
+        # At x20 some posteriors fall far below the old 1e-30 floor.
+        logits = self.logits(scale)
+        if scale > 1.0:
+            assert dc.softmax_rows(logits[0]).value.min() < 1e-30
+        assert dc.grad_check(lambda: self.node(logits)[0], logits, eps=1e-6) < 1e-6
+
+    def test_zero_weight_point_stays_off_the_graph(self):
+        logits = self.logits()
+        log_probs = [dc.log_softmax_rows(x) for x in logits]
+        node, sums = ctc_node(log_probs, self.LENGTHS, self.TARGETS, (1.0, 0.0))
+        assert float(node.value) == sums[0]
+        dc.backward(node)
+        assert logits[0].grad is not None and logits[1].grad is None
 
 
 class TestPackedBatch:
@@ -506,3 +567,20 @@ def test_write_metrics_csv_roundtrips_values(tmp_path):
         row = next(reader)
     assert float(row["loss_layer_1_char"]) == 3.0
     assert float(row["ser_valid_1"]) == 0.25
+
+
+def test_failed_metrics_write_leaves_old_file(tmp_path):
+    placement = PlacementConfig(n_layers=2, char_layers={1}, syl_layers={1}, condition=True)
+    row = trainer.MetricsRow(
+        step=5, lr=1e-3, loss_total=2.5, loss_final=2.0,
+        inter_losses={("char", 1): 3.0, ("syl", 1): 1.25},
+        cer_train=0.5, cer_valid=0.75, ser_valid={1: 0.25},
+    )
+    path = tmp_path / "m.csv"
+    write_metrics_csv([row], placement, path)
+    before = path.read_bytes()
+    broken = trainer.MetricsRow(**{**vars(row), "inter_losses": {("char", 1): 3.0}})
+    with pytest.raises(KeyError):
+        write_metrics_csv([row, broken], placement, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
