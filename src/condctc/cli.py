@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import synthdata, trainer
 from .ctc import InfeasibleAlignmentError, greedy_decode
-from .diffcore import FormatError, NumericError
+from .diffcore import FormatError, NumericError, atomic_write, no_grad
 from .encoder import EncoderModel, ModelConfig, PlacementConfig, strategy_names
 from .labels import Vocabulary, error_rate
 from .synthdata import LanguageSpecError
@@ -283,7 +283,8 @@ def cmd_decode(cfg: DecodeConfig) -> int:
                 f"the model takes T>=1 frames of {model.cfg.d_in}"
             )
 
-    with open(cfg.out, "w", encoding="utf-8") as fh:
+    # Decoding needs no graph; the output replaces cfg.out only once complete.
+    with atomic_write(cfg.out, "w", encoding="utf-8") as fh, no_grad():
         for utt in utts:
             out = model.forward(utt.features)
             record: dict = {

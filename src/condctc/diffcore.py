@@ -1,16 +1,19 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Ops build a tape of `Tensor` nodes; `backward` walks the tape in reverse
-topological order.  Everything runs in 64-bit on the CPU, and single-threaded
-execution is bitwise deterministic.
+topological order.  Inside a `no_grad` block ops record nothing, so each
+intermediate is freed as soon as nothing refers to it.  Everything runs in
+64-bit on the CPU, and single-threaded execution is bitwise deterministic.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
 import math
 import os
+import zlib
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -37,6 +40,8 @@ class Tensor:
     """A value plus a same-shape gradient accumulator in the tape.
 
     `grad` is None until something accumulates into it; None means zero.
+    An op's output made inside `no_grad` has no parents and no backward
+    function: it is a leaf that `backward` cannot see past.
     """
 
     __slots__ = ("value", "grad", "op", "parents", "_backward")
@@ -60,6 +65,33 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
+
+
+# False inside `no_grad`; a context variable, so each thread starts recording.
+_recording: contextvars.ContextVar[bool] = contextvars.ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the block without recording a graph: op outputs keep no parents
+    and no backward function, so every intermediate is freed as soon as the
+    next op has used it.  Values are bitwise those of a recorded run.
+    Recording resumes when the block ends, also when it raises."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
+def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """Give an op's output its backward function, or, inside `no_grad`, make
+    it a leaf that holds neither its parents nor `backward_fn`."""
+    if _recording.get():
+        out._backward = backward_fn
+    else:
+        out.parents = ()
+    return out
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
@@ -101,7 +133,8 @@ def backward(loss: Tensor) -> None:
     The gradients of all reachable nodes are reset first, so calling backward
     twice on the same graph yields identical gradients.  Tensors not in the
     graph (e.g. unused parameters) are left untouched; callers zero those
-    through `ParamStore.zero_grad`.
+    through `ParamStore.zero_grad`.  A graph built inside `no_grad` ends at
+    each op output made there, so no gradient reaches the parameters.
     """
     if loss.value.ndim != 0:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
@@ -129,8 +162,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, g)
         _acc(b, g)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -142,8 +174,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, g * b.value)
         _acc(b, g * a.value)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -152,8 +183,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
     def _bwd(g: np.ndarray) -> None:
         _acc(a, g * factor)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def affine_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -171,8 +201,7 @@ def affine_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _acc(gain, (g * x.value).sum(axis=0))
         _acc(bias, g.sum(axis=0))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -190,8 +219,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         _acc(weight, x.value.T @ g)
         _acc(bias, g.sum(axis=0))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -204,8 +232,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     def _bwd(g: np.ndarray) -> None:
         _acc(x, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -218,8 +245,7 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     def _bwd(g: np.ndarray) -> None:
         _acc(x, g - np.exp(y) * g.sum(axis=1, keepdims=True))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -237,8 +263,7 @@ def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
             inv * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True)),
         )
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def swish(x: Tensor) -> Tensor:
@@ -248,8 +273,7 @@ def swish(x: Tensor) -> Tensor:
     def _bwd(g: np.ndarray) -> None:
         _acc(x, g * sig * (1.0 + x.value * (1.0 - sig)))
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def _segment_bounds(name: str, rows: int, lengths: Sequence[int] | None) -> list[tuple[int, int]]:
@@ -301,8 +325,7 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int] | None
             gxp[j : j + width] += gyp * kernel.value[j]
         _acc(x, gxp[at])
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def multi_head_attention(
@@ -337,9 +360,12 @@ def multi_head_attention(
     weights = []
     for start, stop in bounds:
         qh, kh, vh = (heads(t.value, start, stop) for t in (q, k, v))
-        scores = (qh @ kh.transpose(0, 2, 1)) * factor
-        e = np.exp(scores - scores.max(axis=2, keepdims=True))
-        w = e / e.sum(axis=2, keepdims=True)
+        # The softmax runs in place in the one (heads, T, T) score buffer.
+        w = qh @ kh.transpose(0, 2, 1)
+        w *= factor
+        w -= w.max(axis=2, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=2, keepdims=True)
         weights.append(w)
         y[start:stop] = merge(w @ vh)
     out = Tensor(y, (q, k, v), "multi_head_attention")
@@ -358,8 +384,7 @@ def multi_head_attention(
         _acc(k, gk)
         _acc(v, gv)
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def mean_reduce(x: Tensor) -> Tensor:
@@ -371,8 +396,7 @@ def mean_reduce(x: Tensor) -> Tensor:
         _acc_zeros(x)
         x.grad += float(g) / size
 
-    out._backward = _bwd
-    return out
+    return _record(out, _bwd)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -462,28 +486,33 @@ class ParamStore:
             t.value[...] = arr
 
     def save(self, path: str | Path, meta: dict | None = None) -> None:
-        """Write a named-tensor container: an index of (name, shape, dtype)
-        records followed by the row-major float64 payloads.  Byte-deterministic
-        for identical contents; written through `atomic_write`, so a failed
-        save leaves an existing file unchanged."""
+        """Write a named-tensor container: an index of (name, shape, dtype,
+        crc32) records followed by the row-major float64 payloads, the crc32
+        being zlib's checksum of the payload.  Byte-deterministic for identical
+        contents; written through `atomic_write`, so a failed save leaves an
+        existing file unchanged."""
         names = self.names()
+        payloads = [np.ascontiguousarray(self._tensors[n].value).tobytes() for n in names]
         index = {
             "meta": meta or {},
             "tensors": [
-                {"name": n, "shape": list(self._tensors[n].value.shape), "dtype": "float64"}
-                for n in names
+                {"name": n, "shape": list(self._tensors[n].value.shape), "dtype": "float64",
+                 "crc32": zlib.crc32(payload)}
+                for n, payload in zip(names, payloads)
             ],
         }
         with atomic_write(path) as fh:
             fh.write(_CONTAINER_MAGIC)
             fh.write(json.dumps(index, sort_keys=True).encode("utf-8") + b"\n")
-            for n in names:
-                fh.write(np.ascontiguousarray(self._tensors[n].value).tobytes())
+            for payload in payloads:
+                fh.write(payload)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:
-        """Read a container written by `save`; a file that is not exactly one
-        raises FormatError."""
+        """Read a container written by `save`; a file that is not exactly one,
+        or a payload that does not match its checksum, raises FormatError.
+        Index records without a checksum, as written before checksums were
+        added, load unchecked."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_CONTAINER_MAGIC))
             if magic != _CONTAINER_MAGIC:
@@ -491,20 +520,23 @@ class ParamStore:
             try:
                 index = json.loads(fh.readline().decode("utf-8"))
                 records = [
-                    (str(rec["name"]), tuple(int(n) for n in rec["shape"]))
+                    (str(rec["name"]), tuple(int(n) for n in rec["shape"]),
+                     int(rec["crc32"]) if "crc32" in rec else None)
                     for rec in index["tensors"]
                 ]
                 meta = index["meta"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: unreadable index ({exc})") from None
             store = cls()
-            for name, shape in records:
+            for name, shape, crc in records:
                 if min(shape, default=0) < 0 or name in store:
                     raise FormatError(f"{path}: bad index record for {name!r}")
                 size = 8 * math.prod(shape)
                 payload = fh.read(size)
                 if len(payload) != size:
                     raise FormatError(f"{path}: truncated payload for {name!r}")
+                if crc is not None and zlib.crc32(payload) != crc:
+                    raise FormatError(f"{path}: checksum mismatch for {name!r}")
                 store.add(name, np.frombuffer(payload, dtype=np.float64).reshape(shape))
             if fh.read(1):
                 raise FormatError(f"{path}: trailing bytes after the last payload")

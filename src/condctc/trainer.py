@@ -107,8 +107,7 @@ def ctc_node(
                 lp.grad = np.zeros_like(lp.value)
             lp.grad += (float(g) * weight) * grad
 
-    out._backward = _bwd
-    return out, sums
+    return dc._record(out, _bwd), sums
 
 
 def total_loss(
@@ -242,11 +241,12 @@ def layerwise_error_rates(
     """Greedy-decoding error rate per prediction point over a dataset.
 
     Keys are ("char", layer) and ("syl", layer); the final character output
-    appears under layer n_layers.
+    appears under layer n_layers.  The forwards record no graph.
     """
     pairs: dict[tuple[str, int], list] = {}
-    for utt in utts:
-        _collect_pairs(pairs, model.forward(utt.features), [utt], model.n_layers)
+    with dc.no_grad():
+        for utt in utts:
+            _collect_pairs(pairs, model.forward(utt.features), [utt], model.n_layers)
     return {key: error_rate(vals) for key, vals in sorted(pairs.items())}
 
 
@@ -267,16 +267,18 @@ def _evaluate(
     model: EncoderModel, utts: Sequence[Utterance], mix_weight: float, batch_size: int
 ) -> tuple[float, dict[tuple[str, int], float], dict]:
     """Mean total loss, per-point error rates, and mean per-part losses in one
-    pass over `utts`, one packed forward per `batch_size` utterances."""
+    pass over `utts`, one packed forward per `batch_size` utterances, none of
+    which records a graph."""
     pairs: dict[tuple[str, int], list] = {}
     loss_sum = 0.0
     part_sums: dict = {}
     for start in range(0, len(utts), batch_size):
         chunk = utts[start : start + batch_size]
-        out = model.forward_batch([u.features for u in chunk])
-        node, parts = batch_loss(
-            out, [u.char_ids for u in chunk], [u.syl_ids for u in chunk], mix_weight
-        )
+        with dc.no_grad():
+            out = model.forward_batch([u.features for u in chunk])
+            node, parts = batch_loss(
+                out, [u.char_ids for u in chunk], [u.syl_ids for u in chunk], mix_weight
+            )
         loss_sum += float(node.value)
         for key, val in parts.items():
             part_sums[key] = part_sums.get(key, 0.0) + val

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from condctc import synthdata
 from condctc.cli import main
-from condctc.labels import BLANK_TOKEN
+from condctc.ctc import greedy_decode
+from condctc.encoder import EncoderModel
+from condctc.labels import BLANK_TOKEN, Vocabulary
 
 
 def run(argv):
@@ -187,6 +190,61 @@ class TestDecodeEval:
         assert sorted(rec["layers"]["char"]) == ["1", "2"]
         assert sorted(rec["layers"]["syl"]) == ["1", "2"]
 
+    def test_dump_equals_taped_forward(self, trained_dir, data_dir, tmp_path):
+        # Decoding runs without a graph; its file must be byte for byte the
+        # one a recorded forward and greedy decoding give.
+        model_path, data = trained_dir / "model_avg.ntc", data_dir / "valid.jsonl"
+        hyp = tmp_path / "hyp.jsonl"
+        assert run(["decode", "--model", str(model_path), "--data", str(data),
+                    "--out", str(hyp), "--dump-intermediate", "true"]) == 0
+        model, extra = EncoderModel.load(model_path)
+        chars = Vocabulary(tuple(extra["char_tokens"]))
+        syls = Vocabulary(tuple(extra["syl_tokens"]))
+        lines = []
+        for utt in synthdata.read_jsonl(data, chars, syls):
+            out = model.forward(utt.features)
+            assert out.final.parents  # recorded
+            layers = {
+                "char": {str(n): chars.decode(greedy_decode(p.value))
+                         for n, p in sorted(out.char_inters.items())},
+                "syl": {str(n): syls.decode(greedy_decode(p.value))
+                        for n, p in sorted(out.syl_inters.items())},
+            }
+            final = chars.decode(greedy_decode(out.final.value))
+            layers["char"][str(model.n_layers)] = final
+            record = {"id": utt.utt_id, "chars": final, "layers": layers}
+            lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+        assert hyp.read_text(encoding="utf-8") == "".join(lines)
+
+    def test_decode_records_no_graph(self, trained_dir, data_dir, tmp_path, monkeypatch):
+        outs = []
+        forward = EncoderModel.forward
+
+        def spy(self, features):
+            outs.append(forward(self, features))
+            return outs[-1]
+
+        monkeypatch.setattr(EncoderModel, "forward", spy)
+        assert run(["decode", "--model", str(trained_dir / "model_avg.ntc"),
+                    "--data", str(data_dir / "valid.jsonl"),
+                    "--out", str(tmp_path / "h.jsonl")]) == 0
+        assert len(outs) == 4
+        assert all(out.final.parents == () for out in outs)
+
+    def test_failed_decode_leaves_old_output(self, trained_dir, data_dir, tmp_path, capsys):
+        records = [json.loads(l) for l in (data_dir / "valid.jsonl").read_text().splitlines()]
+        records[2]["features"]["data"][0] = float("nan")
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text("previous contents\n")
+        code = run(["decode", "--model", str(trained_dir / "model_avg.ntc"),
+                    "--data", str(data), "--out", str(hyp)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert hyp.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hyp.jsonl"]
+
     def test_eval_with_layers_reports_per_layer(self, trained_dir, data_dir, tmp_path, capsys):
         hyp = tmp_path / "hyp2.jsonl"
         run(["decode", "--model", str(trained_dir / "model_avg.ntc"),
@@ -277,6 +335,14 @@ class TestBadInputFiles:
 
     def test_checkpoint_with_bad_magic_exits_3(self, trained_dir, data_dir, tmp_path, capsys):
         model = self.damaged_model(trained_dir, tmp_path, lambda b: b"X" + b[1:])
+        assert self.decode(model, data_dir / "valid.jsonl", tmp_path, capsys) == 3
+
+    def test_checkpoint_with_flipped_payload_byte_exits_3(self, trained_dir, data_dir,
+                                                          tmp_path, capsys):
+        def flip(data):  # one bit of the last parameter's payload
+            return data[:-3] + bytes([data[-3] ^ 1]) + data[-2:]
+
+        model = self.damaged_model(trained_dir, tmp_path, flip)
         assert self.decode(model, data_dir / "valid.jsonl", tmp_path, capsys) == 3
 
     def test_record_with_mismatched_shape_exits_3(self, trained_dir, data_dir, tmp_path,

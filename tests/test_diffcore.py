@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -209,6 +212,40 @@ class TestSegments:
                 dc.multi_head_attention(x, x, x, 2, lengths)
 
 
+class TestNoGrad:
+    def test_outputs_are_leaves(self):
+        a, b, kernel = make((5, 4)), make((5, 4)), make((3, 4))
+        with dc.no_grad():
+            outs = [dc.add(a, b), dc.depthwise_conv_rows(a, kernel, [2, 3]),
+                    dc.multi_head_attention(a, b, a, 2, [4, 1]), dc.mean_reduce(a)]
+        for out in outs:
+            assert out.parents == () and out._backward is None, out.op
+
+    def test_values_match_recorded_ops(self):
+        q, k, v = make((6, 4)), make((6, 4)), make((6, 4))
+        taped = dc.softmax_rows(dc.multi_head_attention(q, k, v, 2, [2, 4]))
+        with dc.no_grad():
+            free = dc.softmax_rows(dc.multi_head_attention(q, k, v, 2, [2, 4]))
+        assert np.array_equal(free.value, taped.value)
+
+    def test_recording_resumes_after_exception(self):
+        a, b = make((2, 2)), make((3, 3))
+        with pytest.raises(ShapeError):
+            with dc.no_grad():
+                dc.add(a, a)
+                dc.add(a, b)
+        out = dc.add(a, a)
+        assert out.parents == (a, a) and out._backward is not None
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        a = make((2, 2))
+        with dc.no_grad():
+            with dc.no_grad():
+                pass
+            assert dc.scale(a, 2.0).parents == ()
+        assert dc.scale(a, 2.0).parents == (a,)
+
+
 class TestGradCheckHarness:
     def test_quadratic_form(self):
         x = Tensor(RNG.normal(size=(3, 3)))
@@ -287,12 +324,40 @@ class TestParamStore:
             "trailing": (data + b"\0", "trailing bytes"),
             "magic": (b"XTC1" + data[4:], "not a named-tensor container"),
             "index": (data.replace(b'"shape"', b'"shapo"', 1), "unreadable index"),
+            "payload": (data[:-1] + bytes([data[-1] ^ 1]), "checksum mismatch for 'w'"),
         }
         for name, (payload, message) in damaged.items():
             path = tmp_path / f"{name}.ntc"
             path.write_bytes(payload)
             with pytest.raises(FormatError, match=message):
                 ParamStore.load(path)
+
+    def test_index_records_carry_payload_checksums(self, tmp_path):
+        store = ParamStore()
+        store.add("b", RNG.normal(size=4))
+        store.add("w", RNG.normal(size=(3, 4)))
+        path = tmp_path / "params.ntc"
+        store.save(path)
+        with open(path, "rb") as fh:
+            fh.readline()
+            records = json.loads(fh.readline())["tensors"]
+        assert [rec["crc32"] for rec in records] == [
+            zlib.crc32(store[name].value.tobytes()) for name in ("b", "w")
+        ]
+
+    def test_records_without_checksum_still_load(self, tmp_path):
+        # The layout written before index records carried a checksum.
+        values = {"b": RNG.normal(size=4), "w": RNG.normal(size=(3, 4))}
+        index = {"meta": {"note": "old"},
+                 "tensors": [{"name": n, "shape": list(v.shape), "dtype": "float64"}
+                             for n, v in values.items()]}
+        path = tmp_path / "old.ntc"
+        path.write_bytes(b"NTC1\n" + json.dumps(index, sort_keys=True).encode() + b"\n"
+                         + b"".join(v.tobytes() for v in values.values()))
+        loaded, meta = ParamStore.load(path)
+        assert meta == {"note": "old"}
+        for name, value in values.items():
+            assert np.array_equal(loaded[name].value, value)
 
     def test_failed_save_leaves_old_file(self, tmp_path):
         class Unwritable:
@@ -307,7 +372,10 @@ class TestParamStore:
         path = tmp_path / "params.ntc"
         store.save(path)
         before = path.read_bytes()
-        store["b"].value = Unwritable()  # fails after the index and tensor "a" are written
+        with pytest.raises(TypeError):  # fails after the magic is written
+            store.save(path, meta={"bad": object()})
+        assert path.read_bytes() == before
+        store["b"].value = Unwritable()  # fails while the payloads are read
         with pytest.raises(OSError, match="disk full"):
             store.save(path)
         assert path.read_bytes() == before

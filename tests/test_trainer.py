@@ -270,6 +270,45 @@ class TestPackedBatch:
             total_loss(model.forward_batch(feats[:2]), [1], [1], 0.5)
 
 
+class TestNoGradForward:
+    """A forward inside `dc.no_grad` against the recorded one."""
+
+    @staticmethod
+    def tensors(out):
+        return [out.final, *out.char_inters.values(), *out.syl_inters.values(),
+                *out.logits.values()]
+
+    @pytest.mark.parametrize("strategy", ["baseline", "selfcond", "hierarchical", "alternate"])
+    def test_bitwise_equal_to_taped_forward(self, strategy):
+        model = EncoderModel(TestPackedBatch.CFG, PlacementConfig.from_strategy(strategy, 6),
+                             4, 4, seed=4)
+        feats = TestPackedBatch().build()[1]
+        taped = model.forward_batch(feats)
+        with dc.no_grad():
+            free = model.forward_batch(feats)
+        assert free.logits.keys() == taped.logits.keys()
+        for key in taped.logits:
+            assert np.array_equal(free.logits[key].value, taped.logits[key].value), key
+        for key, probs in TestPackedBatch.points(taped).items():
+            assert np.array_equal(TestPackedBatch.points(free)[key], probs), key
+
+    def test_leaves_alive_only_the_output_tensors(self):
+        model, feats = TestPackedBatch().build()
+        gc.collect()
+        gc.disable()
+        try:
+            before = [obj for obj in gc.get_objects() if isinstance(obj, Tensor)]
+            known = {id(obj) for obj in before}
+            with dc.no_grad():
+                out = model.forward_batch(feats)
+            alive = {id(obj) for obj in gc.get_objects()
+                     if isinstance(obj, Tensor) and id(obj) not in known}
+        finally:
+            gc.enable()
+        assert alive == {id(t) for t in self.tensors(out)}
+        assert all(t.parents == () for t in self.tensors(out))
+
+
 class TestNoamSchedule:
     def test_reference_value(self):
         # factor * d^-0.5 * warmup^-0.5 evaluated by hand
@@ -533,6 +572,51 @@ class TestTrainLoop:
             gc.garbage.clear()
             gc.enable()
         assert not leaked
+
+    def test_evaluation_records_no_graph(self, tiny_data, monkeypatch):
+        lang, train_set, valid_set = tiny_data
+        model = EncoderModel(SMALL, PlacementConfig.from_strategy("alternate", 2),
+                             lang.char_vocab().size, lang.syl_vocab().size, seed=3)
+        made = []
+        forward_batch, loss = EncoderModel.forward_batch, trainer.batch_loss
+
+        def spy_forward(self, features):
+            out = forward_batch(self, features)
+            made.extend([out.final, *out.logits.values()])
+            return out
+
+        def spy_loss(*args):
+            node, parts = loss(*args)
+            made.append(node)
+            return node, parts
+
+        monkeypatch.setattr(EncoderModel, "forward_batch", spy_forward)
+        monkeypatch.setattr(trainer, "batch_loss", spy_loss)
+        trainer._evaluate(model, valid_set, 0.5, 2)
+        trainer.layerwise_error_rates(model, valid_set)
+        # 5 tensors per forward: 2 chunk forwards, 3 one-utterance ones; 2 chunk losses
+        assert len(made) == 5 * (2 + 3) + 2
+        assert all(t.parents == () and t._backward is None for t in made)
+
+    def test_steps_after_evaluation_record_the_full_tape(self, tiny_data, monkeypatch):
+        # Evaluation runs tape-free after every step; each step's tape must
+        # still hold all 289 nodes of a 6-layer `alternate` step.
+        lang, train_set, valid_set = tiny_data
+        sizes = []
+        backward = dc.backward
+
+        def counting_backward(loss):
+            sizes.append(len(dc._topo_order(loss)))
+            backward(loss)
+
+        monkeypatch.setattr(dc, "backward", counting_backward)
+        model = EncoderModel(SMALL, PlacementConfig.from_strategy("alternate", 6),
+                             lang.char_vocab().size, lang.syl_vocab().size, seed=3)
+        cfg = TrainConfig(batch_size=3, warmup_steps=20, seed=2, average_k=1, max_steps=3,
+                          eval_interval=1)
+        result = train(model, train_set, valid_set, cfg)
+        assert len(result.metrics) == 3
+        assert sizes == [289, 289, 289]
 
     def test_validation_required(self, tiny_data):
         lang, train_set, _ = tiny_data
