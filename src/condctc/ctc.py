@@ -87,16 +87,6 @@ def extended_labels(target: Sequence[int]) -> np.ndarray:
     return ext
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    top = a.max(axis=1)
-    safe = np.isfinite(top)
-    out = np.full(a.shape[0], -np.inf)
-    if safe.any():
-        shifted = a[safe] - top[safe, None]
-        out[safe] = top[safe] + np.log(np.exp(shifted).sum(axis=1))
-    return out
-
-
 def ctc_loss(probs: np.ndarray, target: Sequence[int]) -> CtcResult:
     """Negative log-likelihood of `target` under per-frame posteriors `probs`.
 
@@ -169,10 +159,11 @@ def ctc_loss(probs: np.ndarray, target: Sequence[int]) -> CtcResult:
 class CtcBatchResult:
     """Loss of each (prediction point, segment) lattice, and per point the
     gradient of its summed loss w.r.t. its log-probabilities: minus the
-    alpha/beta occupancy of each class at each frame."""
+    alpha/beta occupancy of each class at each frame.  `grads` is None when
+    only the losses were asked for."""
 
     losses: np.ndarray  # (n_points, n_segments)
-    grads: list[np.ndarray]  # one per point, shaped like its log-probabilities
+    grads: list[np.ndarray] | None  # one per point, shaped like its log-probabilities
 
 
 def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
@@ -215,6 +206,7 @@ def ctc_loss_batch(
     log_probs: Sequence[np.ndarray],
     lengths: Sequence[int],
     targets: Sequence[Sequence[Sequence[int]]],
+    with_grads: bool = True,
 ) -> CtcBatchResult:
     """CTC negative log-likelihoods of every (prediction point, segment)
     lattice in one log-domain forward-backward sweep.
@@ -228,7 +220,9 @@ def ctc_loss_batch(
     run in the same sweep.  No probability floor applies.  Matches
     `ctc_loss` on `exp(log_probs)` rows wherever no probability falls below
     its floor.  An infeasible target raises InfeasibleAlignmentError with
-    `point` set.
+    `point` set.  With `with_grads` False the sweep runs the forward
+    lattices alone and returns no gradients; each lattice's columns are
+    computed elementwise, so the losses are bitwise the same either way.
     """
     sizes = [int(n) for n in lengths]
     if not sizes or min(sizes) < 1:
@@ -268,13 +262,15 @@ def ctc_loss_batch(
         base += mat.size
     flat = np.concatenate([m.ravel() for m in mats])
 
-    # The sweep: lattices longest first, each followed by its reversal (labels
-    # and frames in reverse order), so the lattices still running at a frame
-    # are a prefix of the columns.  A reversal's log-alpha at (T-1-t, S-1-s)
-    # is its lattice's log-beta at (t, s) plus the emission at t.
+    # The sweep: lattices longest first, each followed, when gradients are
+    # asked for, by its reversal (labels and frames in reverse order), so the
+    # lattices still running at a frame are a prefix of the columns.  A
+    # reversal's log-alpha at (T-1-t, S-1-s) is its lattice's log-beta at
+    # (t, s) plus the emission at t.
     order = np.argsort(-np.array(frames), kind="stable")
-    lane_ext = [e for b in order for e in (exts[b], exts[b][::-1])]
-    lane_t = np.repeat(np.array(frames)[order], 2)
+    lanes = 2 if with_grads else 1  # lanes per lattice
+    lane_ext = [e for b in order for e in (exts[b], exts[b][::-1])[:lanes]]
+    lane_t = np.repeat(np.array(frames)[order], lanes)
     widths = np.array([e.size + 2 for e in lane_ext])
     first_col = np.cumsum(widths) - widths
     lane = np.repeat(np.arange(widths.size), widths)
@@ -284,9 +280,10 @@ def ctc_loss_batch(
 
     step = np.arange(lane_t[0])[:, None]
     lane_frame = np.minimum(step, lane_t - 1)  # rows past a lattice's end are read, never used
-    lane_frame[:, 1::2] = lane_t[1::2] - 1 - lane_frame[:, 1::2]
-    row_base = np.repeat(np.asarray(offsets)[order], 2)
-    stride = np.repeat(np.asarray(strides)[order], 2)
+    if with_grads:
+        lane_frame[:, 1::2] = lane_t[1::2] - 1 - lane_frame[:, 1::2]
+    row_base = np.repeat(np.asarray(offsets)[order], lanes)
+    stride = np.repeat(np.asarray(strides)[order], lanes)
     index = (row_base + lane_frame * stride)[:, lane]
     index += ext  # (T, columns)
     running = np.append(first_col, widths.sum())[(lane_t > step).sum(axis=1)]
@@ -295,9 +292,14 @@ def ctc_loss_batch(
         em = flat[index]
         em[:, state < 0] = -np.inf
         alpha = _log_alpha(em, ext, state, running)
-        fwd = np.arange(0, widths.size, 2)
+        fwd = np.arange(0, widths.size, lanes)
         last_col = first_col[fwd] + widths[fwd] - 1  # the guard before a 1-state lattice is -inf
         log_p = np.logaddexp(alpha[lane_t[fwd] - 1, last_col], alpha[lane_t[fwd] - 1, last_col - 1])
+        losses = np.empty(order.size)
+        losses[order] = -log_p
+        losses = losses.reshape(len(mats), len(sizes))
+        if not with_grads:
+            return CtcBatchResult(losses=losses, grads=None)
         # Occupancy of each lattice state; alpha is -inf past a lattice's end.
         cols = np.flatnonzero((state >= 0) & (lane % 2 == 0))
         partner = first_col[lane[cols] + 1] + widths[lane[cols]] - 1 - state[cols]
@@ -310,9 +312,7 @@ def ctc_loss_batch(
     np.subtract(0.0, grad_flat, out=grad_flat)  # negate, keeping zeros +0.0
     bounds = np.cumsum([0, *[m.size for m in mats]]).tolist()
     grads = [grad_flat[a:b].reshape(m.shape) for a, b, m in zip(bounds, bounds[1:], mats)]
-    losses = np.empty(order.size)
-    losses[order] = -log_p
-    return CtcBatchResult(losses=losses.reshape(len(mats), len(sizes)), grads=grads)
+    return CtcBatchResult(losses=losses, grads=grads)
 
 
 def ctc_grad_wrt_probs(probs: np.ndarray, target: Sequence[int]) -> np.ndarray:

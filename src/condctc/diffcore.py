@@ -40,7 +40,7 @@ class Tensor:
     """A value plus a same-shape gradient accumulator in the tape.
 
     `grad` is None until something accumulates into it; None means zero.
-    An op's output made inside `no_grad` has no parents and no backward
+    `backward` leaves a gradient on leaves only (see there).  An op's output made inside `no_grad` has no parents and no backward
     function: it is a leaf that `backward` cannot see past.
     """
 
@@ -82,6 +82,11 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _recording.reset(token)
+
+
+def is_recording() -> bool:
+    """Whether ops record a graph here: False inside `no_grad`."""
+    return _recording.get()
 
 
 def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
@@ -128,8 +133,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(node) into `.grad` for every node reachable from `loss`.
+    """Accumulate d(loss)/d(node) into `.grad` of every leaf reachable from `loss`.
 
+    Leaves are the tensors no recorded op made: parameters, inputs, and op
+    outputs made inside `no_grad`.  Only they keep `.grad` afterwards; an
+    interior node's gradient is dropped as soon as its backward function has
+    used it, `loss` included, so a step holds only the gradients still needed.
     The gradients of all reachable nodes are reset first, so calling backward
     twice on the same graph yields identical gradients.  Tensors not in the
     graph (e.g. unused parameters) are left untouched; callers zero those
@@ -145,6 +154,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def _require_2d(name: str, *tensors: Tensor) -> None:

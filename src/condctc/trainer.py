@@ -90,15 +90,21 @@ def ctc_node(
     `log_probs[p]` stacks the segments' rows of point p and `targets[p][i]`
     is segment i's target there.  Also returns each point's summed loss.
     The gradient at each log-probability is minus its weighted occupancy,
-    which `log_softmax_rows` turns into softmax minus occupancy.
+    which `log_softmax_rows` turns into softmax minus occupancy.  Inside
+    `no_grad` only the losses are computed: the forward lattices alone.
     """
-    result = ctc.ctc_loss_batch([lp.value for lp in log_probs], lengths, targets)
+    recording = dc.is_recording()
+    result = ctc.ctc_loss_batch(
+        [lp.value for lp in log_probs], lengths, targets, with_grads=recording
+    )
     sums = [float(s) for s in result.losses.sum(axis=1)]
     total = 0.0
     for weight, point_sum in zip(weights, sums):
         total += weight * point_sum
     # Points of weight 0 only report their loss and stay off the graph.
-    live = [(lp, g, w) for lp, g, w in zip(log_probs, result.grads, weights) if w]
+    live = []
+    if recording:
+        live = [(lp, g, w) for lp, g, w in zip(log_probs, result.grads, weights) if w]
     out = Tensor(np.float64(total), parents=tuple(lp for lp, _, _ in live), op="ctc_nll")
 
     def _bwd(g: np.ndarray) -> None:
@@ -321,6 +327,23 @@ def write_metrics_csv(rows: Sequence[MetricsRow], placement, path: str | Path) -
             writer.writerow(record)
 
 
+def _step_gradients(
+    model: EncoderModel, batch: Sequence[Utterance], mix_weight: float, step: int
+) -> None:
+    """Forward, loss and backward of one training batch, leaving the
+    gradient of the batch's mean total loss in the parameters' `.grad`.  The
+    step's graph is freed when this returns, before clipping, Adam,
+    evaluation and the next step's forward."""
+    out = model.forward_batch([u.features for u in batch])
+    summed, _ = batch_loss(
+        out, [u.char_ids for u in batch], [u.syl_ids for u in batch], mix_weight
+    )
+    loss = dc.scale(summed, 1.0 / len(batch))
+    if not np.isfinite(loss.value):
+        raise NumericError(f"non-finite loss at step {step}")
+    dc.backward(loss)
+
+
 @dataclass
 class _Checkpoint:
     step: int
@@ -346,12 +369,15 @@ def train(
     `eval_interval` steps and records a metrics row and a checkpoint candidate;
     the `average_k` best checkpoints by validation total loss are averaged
     into the final parameter set.  A non-finite loss or gradient aborts the
-    run, returning the last finite parameters.
+    run, returning the last finite parameters.  An `out_dir` that is not an
+    existing directory raises ContractError before the first step.
     """
     if not train_set:
         raise ContractError("training set is empty")
     if not valid_set:
         raise ContractError("validation set is empty")
+    if out_dir is not None and not Path(out_dir).is_dir():
+        raise ContractError(f"output directory does not exist: {out_dir}")
     rng = np.random.default_rng(cfg.seed)
     n_train = len(train_set)
     steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
@@ -397,14 +423,7 @@ def train(
             lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor)
             model.store.zero_grad()
             try:
-                out = model.forward_batch([u.features for u in batch])
-                summed, _ = batch_loss(
-                    out, [u.char_ids for u in batch], [u.syl_ids for u in batch], cfg.mix_weight
-                )
-                loss = dc.scale(summed, 1.0 / len(batch))
-                if not np.isfinite(loss.value):
-                    raise NumericError(f"non-finite loss at step {step}")
-                dc.backward(loss)
+                _step_gradients(model, batch, cfg.mix_weight, step)
                 clip_global_norm(model.store, cfg.grad_clip)
                 adam_step(model.store, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             except NumericError:

@@ -2,7 +2,8 @@
 
 Criteria 6-8 share six training runs (three seeds x two strategies) built in
 session fixtures; run with `-s` to watch progress.  The whole module takes
-roughly 15-20 minutes on one CPU core.
+roughly 15-20 minutes on one CPU core; criteria 6-8 carry the `slow` marker,
+so `pytest -m "not slow"` leaves them out.
 """
 
 from __future__ import annotations
@@ -281,6 +282,7 @@ def baseline_runs(toy_corpus):
     return [run_training(toy_corpus, "baseline", seed) for seed in SEEDS]
 
 
+@pytest.mark.slow
 def test_criterion_6_overfit_experiment(alternate_runs):
     run = alternate_runs[0]
     top_syl_layer = max(run["model"].placement.syl_layers)
@@ -298,6 +300,7 @@ def test_criterion_6_overfit_experiment(alternate_runs):
                   f"{run['seconds']:.0f}s (<600s), all losses decreased={losses_dropped}")
 
 
+@pytest.mark.slow
 def test_criterion_7_layerwise_monotonicity(alternate_runs):
     placement = alternate_runs[0]["model"].placement
     low_char = min(placement.char_layers)
@@ -317,6 +320,7 @@ def test_criterion_7_layerwise_monotonicity(alternate_runs):
                   f"SER layer{top_syl} {ser_top:.4f} <= SER layer{low_syl} {ser_low:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_8_directional_comparison_reported(alternate_runs, baseline_runs):
     alt = [r["homo_cer"] for r in alternate_runs]
     base = [r["homo_cer"] for r in baseline_runs]

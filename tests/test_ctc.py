@@ -188,7 +188,8 @@ class TestBruteForce:
 
 
 class TestCtcLossBatch:
-    """The batched sweep against `ctc_loss`, lattice by lattice."""
+    """The batched sweep against `ctc_loss`, lattice by lattice; the
+    loss-only sweep against the full one, bitwise."""
 
     def test_random_batches_match_per_lattice_oracle(self):
         rng = np.random.default_rng(17)
@@ -207,6 +208,8 @@ class TestCtcLossBatch:
                     point.append(target)
                 targets.append(point)
             result = ctc_loss_batch([np.log(z) for z in probs], lengths, targets)
+            alone = ctc_loss_batch([np.log(z) for z in probs], lengths, targets, with_grads=False)
+            assert alone.grads is None and np.array_equal(alone.losses, result.losses)
             bounds = np.cumsum([0, *lengths])
             for p, (z, point) in enumerate(zip(probs, targets)):
                 for i, target in enumerate(point):

@@ -130,6 +130,21 @@ class TestBackwardSemantics:
         dc.backward(loss)
         assert np.array_equal(first, x.grad)
 
+    def test_only_leaves_keep_gradients(self):
+        rng = np.random.default_rng(5)
+        store = ParamStore()
+        w = store.add("w", rng.normal(size=(3, 2)))
+        b = store.add("b", np.zeros(2))
+        x = Tensor(rng.normal(size=(4, 3)))
+        with dc.no_grad():
+            gain = dc.scale(Tensor(np.ones((4, 2))), 2.0)
+        hidden = dc.swish(dc.linear(x, w, b))
+        scaled = dc.mul(hidden, gain)
+        loss = dc.mean_reduce(scaled)
+        dc.backward(loss)
+        assert all(t.grad is not None for t in (w, b, x, gain))
+        assert all(t.grad is None for t in (hidden, hidden.parents[0], scaled, loss))
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
             dc.backward(Tensor(np.ones((2, 2))))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -196,6 +197,23 @@ class TestFusedCtc:
         assert float(node.value) == sums[0]
         dc.backward(node)
         assert logits[0].grad is not None and logits[1].grad is None
+
+    def test_no_grad_computes_losses_only(self, monkeypatch):
+        logits = self.logits()
+        node, sums = self.node(logits)
+        with_grads = []
+        loss_batch = ctc.ctc_loss_batch
+
+        def spy(*args, **kwargs):
+            result = loss_batch(*args, **kwargs)
+            with_grads.append(result.grads is not None)
+            return result
+
+        monkeypatch.setattr(ctc, "ctc_loss_batch", spy)
+        with dc.no_grad():
+            free, free_sums = self.node(logits)
+        assert with_grads == [False]
+        assert free_sums == sums and free.value == node.value
 
 
 class TestPackedBatch:
@@ -617,6 +635,46 @@ class TestTrainLoop:
         result = train(model, train_set, valid_set, cfg)
         assert len(result.metrics) == 3
         assert sizes == [289, 289, 289]
+
+    def test_no_step_graph_outlives_the_step(self, tiny_data, monkeypatch):
+        # When a step's forward starts, reference counting alone must have
+        # freed the previous step's graph, which holds its forward's logits.
+        lang, train_set, valid_set = tiny_data
+        forward_batch = EncoderModel.forward_batch
+        previous, alive, steps = [], [], []
+
+        def watched_forward(self, features):
+            if not dc.is_recording():  # an evaluation chunk
+                return forward_batch(self, features)
+            steps.append(len(steps) + 1)
+            if any(ref() is not None for ref in previous):
+                alive.append(steps[-1])
+            out = forward_batch(self, features)
+            previous[:] = [weakref.ref(t.value) for t in out.logits.values()]
+            return out
+
+        monkeypatch.setattr(EncoderModel, "forward_batch", watched_forward)
+        model = EncoderModel(SMALL, PlacementConfig.from_strategy("alternate", 6),
+                             lang.char_vocab().size, lang.syl_vocab().size, seed=3)
+        cfg = TrainConfig(batch_size=3, warmup_steps=20, seed=2, average_k=1, max_steps=4,
+                          eval_interval=2)
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, train_set, valid_set, cfg)
+        finally:
+            gc.enable()
+        assert steps == [1, 2, 3, 4]
+        assert alive == []
+
+    def test_missing_output_directory_fails_before_the_first_step(self, tiny_data, tmp_path):
+        lang, train_set, valid_set = tiny_data
+        model = small_model(chars=lang.char_vocab().size, syls=lang.syl_vocab().size)
+        cfg = TrainConfig(batch_size=3, warmup_steps=20, max_steps=2)
+        with pytest.raises(ContractError, match="output directory"):
+            train(model, train_set, valid_set, cfg, out_dir=tmp_path / "missing")
+        assert model.store.step_count == 0
+        assert not (tmp_path / "missing").exists()
 
     def test_validation_required(self, tiny_data):
         lang, train_set, _ = tiny_data
