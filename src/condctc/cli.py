@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 from . import synthdata, trainer
-from .ctc import InfeasibleAlignmentError, greedy_decode
-from .diffcore import FormatError, NumericError, atomic_write, no_grad
+from .ctc import InfeasibleAlignmentError
+from .diffcore import FormatError, NumericError, atomic_write
 from .encoder import EncoderModel, ModelConfig, PlacementConfig, strategy_names
 from .labels import Vocabulary, error_rate
 from .synthdata import LanguageSpecError
@@ -247,7 +247,8 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
     print(f"placement char_layers={sorted(placement.char_layers)} "
           f"syl_layers={sorted(placement.syl_layers)} condition={placement.condition}")
     if result.aborted:
-        print("training aborted on non-finite values; last finite checkpoint kept")
+        print(f"training aborted on non-finite values ({result.abort_reason}); "
+              "last finite checkpoint kept")
         return EXIT_NUMERIC
     last = result.metrics[-1]
     print(f"steps {result.steps_run}  valid cer {last.cer_valid:.4f}")
@@ -283,21 +284,18 @@ def cmd_decode(cfg: DecodeConfig) -> int:
                 f"the model takes T>=1 frames of {model.cfg.d_in}"
             )
 
-    # Decoding needs no graph; the output replaces cfg.out only once complete.
-    with atomic_write(cfg.out, "w", encoding="utf-8") as fh, no_grad():
-        for utt in utts:
-            out = model.forward(utt.features)
-            record: dict = {
-                "id": utt.utt_id,
-                "chars": char_vocab.decode(greedy_decode(out.final.value)),
-            }
+    # One utterance per forward decodes long utterances fastest.  The output
+    # replaces cfg.out only once complete.
+    hyps = trainer.decode_points(model, utts, 1)[0]
+    with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
+        for utt, hyp in zip(utts, hyps):
+            chars = char_vocab.decode(hyp[("char", model.n_layers)])
+            record: dict = {"id": utt.utt_id, "chars": chars}
             if cfg.dump_intermediate:
                 layers: dict = {"char": {}, "syl": {}}
-                for layer, probs in sorted(out.char_inters.items()):
-                    layers["char"][str(layer)] = char_vocab.decode(greedy_decode(probs.value))
-                layers["char"][str(model.n_layers)] = record["chars"]
-                for layer, probs in sorted(out.syl_inters.items()):
-                    layers["syl"][str(layer)] = syl_vocab.decode(greedy_decode(probs.value))
+                for (level, layer), ids in sorted(hyp.items()):
+                    vocab = char_vocab if level == "char" else syl_vocab
+                    layers[level][str(layer)] = vocab.decode(ids)
                 record["layers"] = layers
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
     print(f"decoded {len(utts)} utterances -> {cfg.out}")
@@ -368,37 +366,32 @@ def cmd_eval(cfg: EvalConfig) -> int:
         return EXIT_OK
 
     ids = sorted(refs)
-    final_pairs = [(refs[i]["chars"], hyps[i]["chars"]) for i in ids]
+    cer = error_rate([(refs[i]["chars"], hyps[i]["chars"]) for i in ids])
     rows: list[tuple[str, int, float]] = []
     with_layers = [i for i in ids if "layers" in hyps[i]]
-    if with_layers:
-        char_layers = sorted({int(n) for i in with_layers for n in hyps[i]["layers"]["char"]})
-        syl_layers = sorted({int(n) for i in with_layers for n in hyps[i]["layers"]["syl"]})
-        for layer in char_layers:
-            pairs = [
-                (refs[i]["chars"], hyps[i]["layers"]["char"][str(layer)]) for i in with_layers
-            ]
-            rows.append(("char", layer, error_rate(pairs)))
-        for layer in syl_layers:
-            pairs = [
-                (refs[i]["syllables"], hyps[i]["layers"]["syl"][str(layer)]) for i in with_layers
-            ]
-            rows.append(("syl", layer, error_rate(pairs)))
-    else:
-        rows.append(("char", 0, error_rate(final_pairs)))
+    for level, ref_key in (("char", "chars"), ("syl", "syllables")):
+        for layer in sorted({int(n) for i in with_layers for n in hyps[i]["layers"][level]}):
+            pairs = []
+            for i in with_layers:
+                if ref_key not in refs[i]:
+                    raise DataError(
+                        f"{ref_path}: record {i!r} has no {ref_key!r} to score "
+                        f"layer {level} {layer} against"
+                    )
+                if str(layer) not in hyps[i]["layers"][level]:
+                    raise DataError(f"{hyp_path}: record {i!r} has no layers.{level}.{layer}")
+                pairs.append((refs[i][ref_key], hyps[i]["layers"][level][str(layer)]))
+            rows.append((level, layer, error_rate(pairs)))
 
-    cer = error_rate(final_pairs)
     print(f"cer {cer:.6f} over {len(ids)} utterances")
     for level, layer, rate in rows:
-        if layer:
-            name = "cer" if level == "char" else "ser"
-            print(f"layer {level} {layer} {name} {rate:.6f}")
+        name = "cer" if level == "char" else "ser"
+        print(f"layer {level} {layer} {name} {rate:.6f}")
     if cfg.csv:
-        with open(cfg.csv, "w", encoding="utf-8") as fh:
+        with atomic_write(cfg.csv, "w", encoding="utf-8") as fh:
             fh.write("level,layer,rate\n")
             for level, layer, rate in rows:
-                if layer:
-                    fh.write(f"{level},{layer},{rate!r}\n")
+                fh.write(f"{level},{layer},{rate!r}\n")
             if not with_layers:
                 fh.write(f"char,final,{cer!r}\n")
     return EXIT_OK

@@ -76,6 +76,9 @@ class TrainResult:
     averaged_store: ParamStore
     aborted: bool
     steps_run: int
+    # The NumericError message that aborted the run, e.g. which block first
+    # produced non-finite values; empty when the run was not aborted.
+    abort_reason: str = ""
 
 
 def ctc_node(
@@ -241,57 +244,59 @@ def average_checkpoints(stores: Sequence[ParamStore]) -> ParamStore:
     return out
 
 
+def decode_points(
+    model: EncoderModel, utts: Sequence[Utterance], chunk: int, mix_weight: float | None = None
+) -> tuple[list[dict[tuple[str, int], list[int]]], float, dict]:
+    """Each utterance's greedy hypothesis at every prediction point, keyed
+    ("char", layer) and ("syl", layer) with the final output at layer
+    n_layers, from one packed forward per `chunk` utterances that records no
+    graph.  With a `mix_weight`, also the summed `batch_loss` totals and
+    per-point losses; without one, 0.0 and an empty dict."""
+    hyps: list[dict[tuple[str, int], list[int]]] = []
+    loss_sum = 0.0
+    part_sums: dict = {}
+    with dc.no_grad():
+        for start in range(0, len(utts), chunk):
+            batch = utts[start : start + chunk]
+            out = model.forward_batch([u.features for u in batch])
+            if mix_weight is not None:
+                node, parts = batch_loss(
+                    out, [u.char_ids for u in batch], [u.syl_ids for u in batch], mix_weight
+                )
+                loss_sum += float(node.value)
+                for key, val in parts.items():
+                    part_sums[key] = part_sums.get(key, 0.0) + val
+            points = [(("char", model.n_layers), out.final)]
+            points += [(("char", layer), probs) for layer, probs in out.char_inters.items()]
+            points += [(("syl", layer), probs) for layer, probs in out.syl_inters.items()]
+            for rows in out.segments():
+                hyps.append({key: ctc.greedy_decode(p.value[rows]) for key, p in points})
+    return hyps, loss_sum, part_sums
+
+
+def _error_rates(utts: Sequence[Utterance], hyps: list[dict]) -> dict[tuple[str, int], float]:
+    """Corpus error rate per prediction point of `decode_points` hypotheses."""
+    refs = {"char": [u.char_ids for u in utts], "syl": [u.syl_ids for u in utts]}
+    keys = sorted({key for hyp in hyps for key in hyp})
+    return {key: error_rate(zip(refs[key[0]], [hyp[key] for hyp in hyps])) for key in keys}
+
+
 def layerwise_error_rates(
     model: EncoderModel, utts: Sequence[Utterance]
 ) -> dict[tuple[str, int], float]:
-    """Greedy-decoding error rate per prediction point over a dataset.
-
-    Keys are ("char", layer) and ("syl", layer); the final character output
-    appears under layer n_layers.  The forwards record no graph.
-    """
-    pairs: dict[tuple[str, int], list] = {}
-    with dc.no_grad():
-        for utt in utts:
-            _collect_pairs(pairs, model.forward(utt.features), [utt], model.n_layers)
-    return {key: error_rate(vals) for key, vals in sorted(pairs.items())}
-
-
-def _collect_pairs(
-    pairs: dict, out: ForwardOutput, utts: Sequence[Utterance], last_layer: int
-) -> None:
-    """Append each segment's (reference, greedy hypothesis) pair per point."""
-    points = [(("char", last_layer), out.final)]
-    points += [(("char", layer), probs) for layer, probs in out.char_inters.items()]
-    points += [(("syl", layer), probs) for layer, probs in out.syl_inters.items()]
-    for rows, utt in zip(out.segments(), utts):
-        for key, probs in points:
-            ref = utt.char_ids if key[0] == "char" else utt.syl_ids
-            pairs.setdefault(key, []).append((ref, ctc.greedy_decode(probs.value[rows])))
+    """Greedy-decoding error rate per prediction point over a dataset, keyed
+    as in `decode_points`, one utterance per forward."""
+    return _error_rates(utts, decode_points(model, utts, 1)[0])
 
 
 def _evaluate(
     model: EncoderModel, utts: Sequence[Utterance], mix_weight: float, batch_size: int
 ) -> tuple[float, dict[tuple[str, int], float], dict]:
     """Mean total loss, per-point error rates, and mean per-part losses in one
-    pass over `utts`, one packed forward per `batch_size` utterances, none of
-    which records a graph."""
-    pairs: dict[tuple[str, int], list] = {}
-    loss_sum = 0.0
-    part_sums: dict = {}
-    for start in range(0, len(utts), batch_size):
-        chunk = utts[start : start + batch_size]
-        with dc.no_grad():
-            out = model.forward_batch([u.features for u in chunk])
-            node, parts = batch_loss(
-                out, [u.char_ids for u in chunk], [u.syl_ids for u in chunk], mix_weight
-            )
-        loss_sum += float(node.value)
-        for key, val in parts.items():
-            part_sums[key] = part_sums.get(key, 0.0) + val
-        _collect_pairs(pairs, out, chunk, model.n_layers)
-    rates = {key: error_rate(vals) for key, vals in sorted(pairs.items())}
+    `decode_points` pass over `utts`, `batch_size` utterances per forward."""
+    hyps, loss_sum, part_sums = decode_points(model, utts, batch_size, mix_weight)
     part_means = {key: val / len(utts) for key, val in part_sums.items()}
-    return loss_sum / len(utts), rates, part_means
+    return loss_sum / len(utts), _error_rates(utts, hyps), part_means
 
 
 def _inter_points(placement) -> list[tuple[str, int]]:
@@ -364,13 +369,14 @@ def train(
     Each step runs one forward and one backward over the batch's frames
     stacked as rows, one segment per utterance (see
     `EncoderModel.forward_batch`), so no frame padding is needed; the batch
-    loss is the mean of the utterances' total losses.  Evaluation, which
-    packs `batch_size` utterances per forward too, runs every
+    loss is the mean of the utterances' total losses.  Evaluation, a
+    `decode_points` pass of `batch_size` utterances per forward, runs every
     `eval_interval` steps and records a metrics row and a checkpoint candidate;
     the `average_k` best checkpoints by validation total loss are averaged
     into the final parameter set.  A non-finite loss or gradient aborts the
-    run, returning the last finite parameters.  An `out_dir` that is not an
-    existing directory raises ContractError before the first step.
+    run, returning the last finite parameters and the error's message in
+    `abort_reason`.  An `out_dir` that is not an existing directory raises
+    ContractError before the first step.
     """
     if not train_set:
         raise ContractError("training set is empty")
@@ -386,6 +392,7 @@ def train(
     metrics: list[MetricsRow] = []
     best: list[_Checkpoint] = []
     aborted = False
+    abort_reason = ""
     step = 0
 
     def evaluate_now(lr: float) -> float:
@@ -426,9 +433,10 @@ def train(
                 _step_gradients(model, batch, cfg.mix_weight, step)
                 clip_global_norm(model.store, cfg.grad_clip)
                 adam_step(model.store, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            except NumericError:
+            except NumericError as exc:
                 # Divergence: stop with the last finite parameters intact.
                 aborted = True
+                abort_reason = str(exc)
                 done = True
                 break
             if step % cfg.eval_interval == 0 or step >= step_budget:
@@ -465,4 +473,5 @@ def train(
         averaged_store=averaged,
         aborted=aborted,
         steps_run=step,
+        abort_reason=abort_reason,
     )

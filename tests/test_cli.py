@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from condctc import synthdata
+from condctc import synthdata, trainer
 from condctc.cli import main
 from condctc.ctc import greedy_decode
+from condctc.diffcore import NumericError
 from condctc.encoder import EncoderModel
 from condctc.labels import BLANK_TOKEN, Vocabulary
 
@@ -164,6 +166,18 @@ class TestTrain:
         assert run(["train", "--data-dir", str(tmp_path / "void"),
                     "--out-dir", str(tmp_path)]) == 3
 
+    def test_abort_prints_the_reason(self, data_dir, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite gradient for parameter 'input.w'")
+
+        monkeypatch.setattr(trainer, "adam_step", diverge)
+        code = run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                    "--n-layers", "2", "--d-model", "16", "--n-heads", "2", "--d-ff", "24",
+                    "--conv-kernel", "3", "--max-steps", "2", "--batch-size", "4"])
+        assert code == 4
+        assert ("training aborted on non-finite values (non-finite gradient for parameter "
+                "'input.w'); last finite checkpoint kept") in capsys.readouterr().out
+
 
 class TestDecodeEval:
     def test_decode_then_eval_roundtrip(self, trained_dir, data_dir, tmp_path, capsys):
@@ -218,13 +232,13 @@ class TestDecodeEval:
 
     def test_decode_records_no_graph(self, trained_dir, data_dir, tmp_path, monkeypatch):
         outs = []
-        forward = EncoderModel.forward
+        forward_batch = EncoderModel.forward_batch
 
         def spy(self, features):
-            outs.append(forward(self, features))
+            outs.append(forward_batch(self, features))
             return outs[-1]
 
-        monkeypatch.setattr(EncoderModel, "forward", spy)
+        monkeypatch.setattr(EncoderModel, "forward_batch", spy)
         assert run(["decode", "--model", str(trained_dir / "model_avg.ntc"),
                     "--data", str(data_dir / "valid.jsonl"),
                     "--out", str(tmp_path / "h.jsonl")]) == 0
@@ -260,6 +274,25 @@ class TestDecodeEval:
         rows = csv_out.read_text().splitlines()
         assert rows[0] == "level,layer,rate"
         assert len(rows) >= 4
+
+    def test_failed_csv_write_leaves_old_file(self, tmp_path, capsys, monkeypatch):
+        ref, hyp, csv_out = tmp_path / "r.jsonl", tmp_path / "h.jsonl", tmp_path / "rates.csv"
+        ref.write_text(json.dumps({"id": "u1", "chars": list("kitten")}) + "\n")
+        hyp.write_text(json.dumps({"id": "u1", "chars": list("sitting")}) + "\n")
+        argv = ["eval", "--ref", str(ref), "--hyp", str(hyp), "--csv", str(csv_out)]
+        assert run(argv) == 0
+        assert csv_out.read_text() == "level,layer,rate\nchar,final,0.5\n"
+        hyp.write_text(json.dumps({"id": "u1", "chars": list("kitten")}) + "\n")
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "data error: disk full\n"
+        assert csv_out.read_text() == "level,layer,rate\nchar,final,0.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.jsonl", "r.jsonl", "rates.csv"]
 
     def test_exact_hypothesis_scores_zero(self, data_dir, tmp_path, capsys):
         refs = [json.loads(l) for l in (data_dir / "valid.jsonl").read_text().splitlines()]
@@ -394,6 +427,33 @@ class TestBadEvalRecords:
         record = {"id": "u1", "chars": ["a"],
                   "layers": {"char": {"top": ["a"]}, "syl": {"1": ["s"]}}}
         assert self.evaluate(tmp_path, capsys, record) == 3
+
+    def test_records_with_other_layer_sets_name_the_missing_layer(self, tmp_path, capsys):
+        ref = tmp_path / "r.jsonl"
+        hyp = tmp_path / "h.jsonl"
+        ref.write_text("".join(json.dumps({"id": u, "chars": ["a"], "syllables": ["s"]}) + "\n"
+                               for u in ("u1", "u2")))
+        hyp.write_text(
+            json.dumps({"id": "u1", "chars": ["a"], "layers": {"char": {"1": ["a"]}, "syl": {}}})
+            + "\n"
+            + json.dumps({"id": "u2", "chars": ["a"], "layers": {"char": {}, "syl": {}}})
+            + "\n"
+        )
+        capsys.readouterr()
+        assert run(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 3
+        assert capsys.readouterr().err == f"data error: {hyp}: record 'u2' has no layers.char.1\n"
+
+    def test_reference_without_syllables_names_the_record(self, tmp_path, capsys):
+        ref = tmp_path / "r.jsonl"
+        hyp = tmp_path / "h.jsonl"
+        ref.write_text(json.dumps({"id": "u1", "chars": ["a"]}) + "\n")
+        hyp.write_text(json.dumps({"id": "u1", "chars": ["a"],
+                                   "layers": {"char": {}, "syl": {"2": ["s"]}}}) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {ref}: record 'u1' has no 'syllables' to score layer syl 2 against\n"
+        )
 
 
 class TestEndToEndOverfit:

@@ -327,6 +327,60 @@ class TestNoGradForward:
         assert all(t.parents == () for t in self.tensors(out))
 
 
+class TestDecodePoints:
+    """`decode_points` gives the same hypotheses and losses for any chunking."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        lang = synthdata.make_language(seed=3, n_syllables=4, n_characters=8,
+                                       max_pronunciations=2, d_in=4)
+        utts = synthdata.sample_utterances(lang, 7, (1, 4), seed=4, stream=0, prefix="dp")
+        return lang, utts
+
+    @staticmethod
+    def model(lang, strategy):
+        return EncoderModel(SMALL, PlacementConfig.from_strategy(strategy, 6),
+                            lang.char_vocab().size, lang.syl_vocab().size, seed=5)
+
+    @pytest.mark.parametrize("strategy", ["alternate", "baseline", "parallel"])
+    def test_chunking_changes_nothing(self, corpus, strategy):
+        lang, utts = corpus
+        model = self.model(lang, strategy)
+        hyps, loss, parts = trainer.decode_points(model, utts, 1, 0.5)
+        points = [("char", 6)] + [("char", n) for n in model.placement.char_layers]
+        points += [("syl", n) for n in model.placement.syl_layers]
+        assert len(hyps) == len(utts)
+        assert all(sorted(hyp) == sorted(points) for hyp in hyps)
+        assert parts.keys() == {"final", *[k for k in points if k != ("char", 6)]}
+        for chunk in (3, len(utts)):
+            chunked, chunk_loss, chunk_parts = trainer.decode_points(model, utts, chunk, 0.5)
+            assert chunked == hyps
+            assert chunk_loss == pytest.approx(loss, rel=1e-12)
+            assert chunk_parts.keys() == parts.keys()
+            for key, val in parts.items():
+                assert chunk_parts[key] == pytest.approx(val, rel=1e-12), key
+        assert trainer.decode_points(model, utts, 3) == (hyps, 0.0, {})
+
+    def test_hypotheses_are_greedy_decodes_of_a_recorded_forward(self, corpus):
+        lang, utts = corpus
+        model = self.model(lang, "alternate")
+        hyps = trainer.decode_points(model, utts, 3)[0]
+        for utt, hyp in zip(utts, hyps):
+            out = model.forward(utt.features)
+            assert hyp.pop(("char", 6)) == ctc.greedy_decode(out.final.value)
+            assert hyp == {**{("char", n): ctc.greedy_decode(p.value)
+                              for n, p in out.char_inters.items()},
+                           **{("syl", n): ctc.greedy_decode(p.value)
+                              for n, p in out.syl_inters.items()}}
+
+    def test_evaluation_and_layerwise_rates_agree(self, corpus):
+        lang, utts = corpus
+        model = self.model(lang, "alternate")
+        _, rates, _ = trainer._evaluate(model, utts, 0.5, 3)
+        assert rates == trainer.layerwise_error_rates(model, utts)
+        assert trainer.layerwise_error_rates(model, []) == {}
+
+
 class TestNoamSchedule:
     def test_reference_value(self):
         # factor * d^-0.5 * warmup^-0.5 evaluated by hand
@@ -567,6 +621,7 @@ class TestTrainLoop:
                           seed=1, average_k=2, mix_weight=0.0)
         result = train(model, train_set, valid_set, cfg)
         assert result.aborted
+        assert result.abort_reason == "block 1 produced non-finite values"
         assert result.best_checkpoints  # last finite parameters were kept
 
     def test_graphs_leave_no_reference_cycles(self, tiny_data):
