@@ -6,7 +6,9 @@ from .ctc import CtcResult, brute_force_loss, ctc_grad_wrt_probs, ctc_loss, gree
 from .diffcore import ParamStore, Tensor, backward, grad_check
 from .encoder import EncoderModel, ForwardOutput, ModelConfig, PlacementConfig
 from .synthdata import ToyLanguage, Utterance, generate_dataset, make_language, synthesize_utterance
-from .trainer import TrainConfig, TrainResult, adam_step, average_checkpoints, noam_lr, total_loss, train
+from .trainer import (
+    TrainConfig, TrainResult, adam_moments, adam_step, average_checkpoints, noam_lr, total_loss, train,
+)
 
 __version__ = "0.1.0"
 
@@ -26,6 +28,7 @@ __all__ = [
     "TrainResult",
     "Utterance",
     "Vocabulary",
+    "adam_moments",
     "adam_step",
     "average_checkpoints",
     "backward",

@@ -18,9 +18,9 @@ from typing import Sequence
 
 from . import synthdata, trainer
 from .ctc import InfeasibleAlignmentError
-from .diffcore import FormatError, NumericError, atomic_write
-from .encoder import EncoderModel, ModelConfig, PlacementConfig, strategy_names
-from .labels import Vocabulary, error_rate
+from .diffcore import ContractError, FormatError, NumericError, atomic_write
+from .encoder import EncoderModel, ModelConfig, PlacementConfig
+from .labels import UndefinedRateError, Vocabulary, error_rate
 from .synthdata import LanguageSpecError
 from .trainer import TrainConfig
 
@@ -195,10 +195,16 @@ def _load_vocabs(data_dir: Path) -> tuple[Vocabulary, Vocabulary]:
 
 
 def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vocabulary):
+    """A split's utterances; an empty split, or one with no characters to score, is a DataError."""
     path = data_dir / name
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
-    return synthdata.read_jsonl(path, char_vocab, syl_vocab)
+    utts = synthdata.read_jsonl(path, char_vocab, syl_vocab)
+    if not utts:
+        raise DataError(f"{path}: no records")
+    if not any(u.char_ids for u in utts):
+        raise DataError(f"{path}: no reference characters to score")
+    return utts
 
 
 def cmd_train(cfg: TrainCmdConfig) -> int:
@@ -210,37 +216,42 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
         raise DataError(f"data directory does not exist: {data_dir}")
     if not out_dir.is_dir():
         raise DataError(f"output directory does not exist: {out_dir}")
-    if cfg.strategy not in strategy_names():
-        raise ConfigError(f"unknown strategy {cfg.strategy!r}; expected one of {strategy_names()}")
 
     char_vocab, syl_vocab = _load_vocabs(data_dir)
     train_set = _load_split(data_dir, "train.jsonl", char_vocab, syl_vocab)
     valid_set = _load_split(data_dir, "valid.jsonl", char_vocab, syl_vocab)
 
-    placement = PlacementConfig.from_strategy(cfg.strategy, cfg.n_layers)
-    model_cfg = ModelConfig(
-        d_in=train_set[0].features.shape[1] if train_set else 16,
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        d_ff=cfg.d_ff,
-        conv_kernel=cfg.conv_kernel,
-        use_pos_enc=cfg.pos_enc,
-        cond_layer_norm=cfg.cond_layer_norm,
-    )
+    try:  # out-of-range values are config errors
+        placement = PlacementConfig.from_strategy(cfg.strategy, cfg.n_layers)
+        model_cfg = ModelConfig(
+            d_in=train_set[0].features.shape[1],
+            d_model=cfg.d_model,
+            n_heads=cfg.n_heads,
+            d_ff=cfg.d_ff,
+            conv_kernel=cfg.conv_kernel,
+            use_pos_enc=cfg.pos_enc,
+            cond_layer_norm=cfg.cond_layer_norm,
+        )
+        train_cfg = TrainConfig(
+            mix_weight=cfg.mix_weight,
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            warmup_steps=cfg.warmup_steps,
+            lr_factor=cfg.lr_factor,
+            seed=cfg.seed + 1,
+            average_k=cfg.average_k,
+            max_steps=cfg.max_steps or None,
+            eval_interval=cfg.eval_interval,
+            grad_clip=cfg.grad_clip,
+            early_stop_train_cer=None if cfg.early_stop_train_cer < 0 else cfg.early_stop_train_cer,
+        )
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from None
+    if placement.syl_layers:  # the syllable heads are scored too
+        for name, utts in (("train.jsonl", train_set), ("valid.jsonl", valid_set)):
+            if not any(u.syl_ids for u in utts):
+                raise DataError(f"{data_dir / name}: no reference syllables to score")
     model = EncoderModel(model_cfg, placement, char_vocab.size, syl_vocab.size, seed=cfg.seed)
-    train_cfg = TrainConfig(
-        mix_weight=cfg.mix_weight,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        warmup_steps=cfg.warmup_steps,
-        lr_factor=cfg.lr_factor,
-        seed=cfg.seed + 1,
-        average_k=cfg.average_k,
-        max_steps=cfg.max_steps or None,
-        eval_interval=cfg.eval_interval,
-        grad_clip=cfg.grad_clip,
-        early_stop_train_cer=None if cfg.early_stop_train_cer < 0 else cfg.early_stop_train_cer,
-    )
     meta = {"char_tokens": list(char_vocab.tokens), "syl_tokens": list(syl_vocab.tokens)}
     result = trainer.train(model, train_set, valid_set, train_cfg, out_dir, checkpoint_meta=meta)
 
@@ -365,8 +376,14 @@ def cmd_eval(cfg: EvalConfig) -> int:
         print("no utterances to score")
         return EXIT_OK
 
+    def score(pairs, point: str) -> float:
+        try:
+            return error_rate(pairs)
+        except UndefinedRateError:
+            raise DataError(f"{ref_path}: no reference tokens to score {point} against") from None
+
     ids = sorted(refs)
-    cer = error_rate([(refs[i]["chars"], hyps[i]["chars"]) for i in ids])
+    cer = score([(refs[i]["chars"], hyps[i]["chars"]) for i in ids], "chars")
     rows: list[tuple[str, int, float]] = []
     with_layers = [i for i in ids if "layers" in hyps[i]]
     for level, ref_key in (("char", "chars"), ("syl", "syllables")):
@@ -381,7 +398,7 @@ def cmd_eval(cfg: EvalConfig) -> int:
                 if str(layer) not in hyps[i]["layers"][level]:
                     raise DataError(f"{hyp_path}: record {i!r} has no layers.{level}.{layer}")
                 pairs.append((refs[i][ref_key], hyps[i]["layers"][level][str(layer)]))
-            rows.append((level, layer, error_rate(pairs)))
+            rows.append((level, layer, score(pairs, f"layer {level} {layer}")))
 
     print(f"cer {cer:.6f} over {len(ids)} utterances")
     for level, layer, rate in rows:

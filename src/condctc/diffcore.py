@@ -441,19 +441,16 @@ def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator:
 
 
 class ParamStore:
-    """Named trainable tensors with per-parameter Adam moment buffers."""
+    """Named trainable tensors; optimizer state lives with the training loop."""
 
     def __init__(self) -> None:
         self._tensors: dict[str, Tensor] = {}
-        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.step_count = 0
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._tensors:
             raise ContractError(f"parameter {name!r} already exists")
         t = Tensor(np.array(value, dtype=np.float64))
         self._tensors[name] = t
-        self._moments[name] = (np.zeros_like(t.value), np.zeros_like(t.value))
         return t
 
     def __contains__(self, name: str) -> bool:
@@ -465,9 +462,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return sorted(self._tensors)
 
-    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self._moments[name]
-
     @property
     def total_parameters(self) -> int:
         return sum(t.value.size for t in self._tensors.values())
@@ -477,23 +471,14 @@ class ParamStore:
             t.grad = np.zeros_like(t.value)
 
     def clone(self) -> "ParamStore":
-        """Copy of the parameter values; moment buffers start fresh."""
+        """Copy of the parameter values."""
         out = ParamStore()
         for name in self.names():
-            out.add(name, self._tensors[name].value.copy())
+            out.add(name, self._tensors[name].value)
         return out
 
     def values(self) -> dict[str, np.ndarray]:
         return {name: self._tensors[name].value.copy() for name in self.names()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        if sorted(values) != self.names():
-            raise ContractError("parameter names do not match the store")
-        for name, arr in values.items():
-            t = self._tensors[name]
-            if arr.shape != t.value.shape:
-                raise ContractError(f"shape mismatch for {name!r}: {arr.shape} vs {t.value.shape}")
-            t.value[...] = arr
 
     def save(self, path: str | Path, meta: dict | None = None) -> None:
         """Write a named-tensor container: an index of (name, shape, dtype,

@@ -123,8 +123,10 @@ class ModelConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ContractError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        if min(self.d_model, self.n_heads) < 1 or self.d_model % self.n_heads != 0:
+            raise ContractError(
+                f"d_model {self.d_model} must be a positive multiple of n_heads {self.n_heads}"
+            )
         if self.conv_kernel % 2 != 1 or self.conv_kernel < 1:
             raise ContractError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
 

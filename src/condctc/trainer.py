@@ -40,9 +40,6 @@ class TrainConfig:
     eval_interval: int = 50
     grad_clip: float = 5.0
     early_stop_train_cer: float | None = None
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mix_weight < 1.0:
@@ -179,29 +176,36 @@ def noam_lr(step: int, d_model: int, warmup_steps: int, factor: float) -> float:
     return factor * d_model ** (-0.5) * min(step ** (-0.5), step * warmup_steps ** (-1.5))
 
 
+def adam_moments(store: ParamStore) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Zeroed first and second Adam moments for every parameter of `store`."""
+    return {name: (np.zeros_like(store[name].value), np.zeros_like(store[name].value))
+            for name in store.names()}
+
+
 def adam_step(
     store: ParamStore,
+    moments: dict[str, tuple[np.ndarray, np.ndarray]],
+    step: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.98,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam update over every parameter in the store.
+    """Bias-corrected Adam update, the `step`-th (from 1), over every
+    parameter in the store, with `moments` from `adam_moments`.
 
-    All or nothing: every gradient is checked before any parameter, moment or
-    the step count changes, so a non-finite gradient leaves the store intact.
+    All or nothing: every gradient is checked before any parameter or moment
+    changes, so a non-finite gradient leaves the store and `moments` intact.
     """
     grads = {name: store[name].grad_or_zeros() for name in store.names()}
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
-    store.step_count += 1
-    t = store.step_count
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
     for name, g in grads.items():
         tensor = store[name]
-        m, v = store.moments(name)
+        m, v = moments[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -210,18 +214,13 @@ def adam_step(
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most `max_norm`."""
-    total = 0.0
-    for name in store.names():
-        g = store[name].grad
-        if g is not None:
-            total += float((g * g).sum())
-    norm = math.sqrt(total)
+    """Scale all gradients so their joint L2 norm is at most `max_norm`;
+    returns the norm before scaling."""
+    grads = [store[name].grad for name in store.names() if store[name].grad is not None]
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if norm > max_norm > 0.0:
-        factor = max_norm / norm
-        for name in store.names():
-            if store[name].grad is not None:
-                store[name].grad *= factor
+        for g in grads:
+            g *= max_norm / norm
     return norm
 
 
@@ -235,12 +234,9 @@ def average_checkpoints(stores: Sequence[ParamStore]) -> ParamStore:
             raise ContractError("checkpoint parameter names do not match")
     out = ParamStore()
     for name in names:
-        shape = stores[0][name].value.shape
-        for other in stores[1:]:
-            if other[name].value.shape != shape:
-                raise ContractError(f"checkpoint shapes differ for {name!r}")
-        stack = np.stack([s[name].value for s in stores])
-        out.add(name, stack.mean(axis=0))
+        if any(s[name].value.shape != stores[0][name].value.shape for s in stores):
+            raise ContractError(f"checkpoint shapes differ for {name!r}")
+        out.add(name, np.stack([s[name].value for s in stores]).mean(axis=0))
     return out
 
 
@@ -386,9 +382,10 @@ def train(
         raise ContractError(f"output directory does not exist: {out_dir}")
     rng = np.random.default_rng(cfg.seed)
     n_train = len(train_set)
-    steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
+    steps_per_epoch = math.ceil(n_train / cfg.batch_size)
     step_budget = cfg.max_steps if cfg.max_steps else cfg.epochs * steps_per_epoch
 
+    moments = adam_moments(model.store)
     metrics: list[MetricsRow] = []
     best: list[_Checkpoint] = []
     aborted = False
@@ -432,7 +429,8 @@ def train(
             try:
                 _step_gradients(model, batch, cfg.mix_weight, step)
                 clip_global_norm(model.store, cfg.grad_clip)
-                adam_step(model.store, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                # Each step makes exactly one update or aborts the run.
+                adam_step(model.store, moments, step, lr)
             except NumericError as exc:
                 # Divergence: stop with the last finite parameters intact.
                 aborted = True
@@ -440,19 +438,13 @@ def train(
                 done = True
                 break
             if step % cfg.eval_interval == 0 or step >= step_budget:
+                # The run ends only after an evaluation, or on abort.
                 train_error = evaluate_now(lr)
-                if (
-                    cfg.early_stop_train_cer is not None
-                    and train_error <= cfg.early_stop_train_cer
-                ):
+                target = cfg.early_stop_train_cer
+                if step >= step_budget or (target is not None and train_error <= target):
                     done = True
                     break
-            if step >= step_budget:
-                done = True
-                break
 
-    if not metrics and not aborted:
-        evaluate_now(noam_lr(max(step, 1), model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor))
     if not best:
         # Aborted before the first evaluation: keep the last finite parameters.
         best.append(_Checkpoint(step, math.inf, model.store.clone()))

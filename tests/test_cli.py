@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -15,6 +16,16 @@ from condctc.labels import BLANK_TOKEN, Vocabulary
 
 def run(argv):
     return main(argv)
+
+
+SMALL_TRAIN = ["--n-layers", "2", "--d-model", "16", "--n-heads", "2", "--d-ff", "24",
+               "--conv-kernel", "3", "--max-steps", "2", "--batch-size", "4"]
+
+
+def rewrite_records(path, **fields):
+    """Set `fields` in every record of a JSONL file."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps({**rec, **fields}) + "\n" for rec in records))
 
 
 @pytest.fixture(scope="module")
@@ -166,14 +177,55 @@ class TestTrain:
         assert run(["train", "--data-dir", str(tmp_path / "void"),
                     "--out-dir", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch-size", "0"), ("--mix-weight", "1.5"), ("--n-heads", "3"), ("--n-heads", "0"),
+        ("--d-model", "0"),
+        ("--conv-kernel", "4"), ("--n-layers", "0"), ("--warmup-steps", "0"),
+    ])
+    def test_out_of_range_value_exits_2(self, data_dir, tmp_path, capsys, flag, value):
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path), flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl"])
+    def test_empty_split_exits_3_naming_the_file(self, data_dir, tmp_path, capsys, split):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        (data / split).write_text("")
+        capsys.readouterr()
+        assert run(["train", "--data-dir", str(data), "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"data error: {data / split}: no records\n"
+
+    @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl"])
+    def test_split_without_reference_tokens_exits_3(self, data_dir, tmp_path, capsys, split):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        out = tmp_path / "run"
+        out.mkdir()
+        train = ["train", "--data-dir", str(data), "--out-dir", str(out), *SMALL_TRAIN]
+        rewrite_records(data / split, syllables=[])
+        capsys.readouterr()
+        assert run(train) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data / split}: no reference syllables to score\n"
+        )
+        # Without syllable heads, syllables are not scored.
+        assert run([*train, "--strategy", "baseline", "--mix-weight", "0"]) == 0
+        rewrite_records(data / split, chars=[])
+        capsys.readouterr()
+        assert run(train) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data / split}: no reference characters to score\n"
+        )
+
     def test_abort_prints_the_reason(self, data_dir, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
             raise NumericError("non-finite gradient for parameter 'input.w'")
 
         monkeypatch.setattr(trainer, "adam_step", diverge)
         code = run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
-                    "--n-layers", "2", "--d-model", "16", "--n-heads", "2", "--d-ff", "24",
-                    "--conv-kernel", "3", "--max-steps", "2", "--batch-size", "4"])
+                    *SMALL_TRAIN])
         assert code == 4
         assert ("training aborted on non-finite values (non-finite gradient for parameter "
                 "'input.w'); last finite checkpoint kept") in capsys.readouterr().out
@@ -314,6 +366,24 @@ class TestDecodeEval:
         code = run(["eval", "--ref", str(ref), "--hyp", str(hyp)])
         assert code == 0
         assert "cer 0.500000" in capsys.readouterr().out  # 3 edits / 6 ref chars
+
+    def test_reference_without_tokens_exits_3_naming_it(self, tmp_path, capsys):
+        ref = tmp_path / "r.jsonl"
+        hyp = tmp_path / "h.jsonl"
+        ref.write_text(json.dumps({"id": "u1", "chars": [], "syllables": ["s"]}) + "\n")
+        hyp.write_text(json.dumps({"id": "u1", "chars": ["a"]}) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {ref}: no reference tokens to score chars against\n"
+        )
+        ref.write_text(json.dumps({"id": "u1", "chars": ["a"], "syllables": []}) + "\n")
+        hyp.write_text(json.dumps({"id": "u1", "chars": ["a"],
+                                   "layers": {"char": {}, "syl": {"1": ["s"]}}}) + "\n")
+        assert run(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {ref}: no reference tokens to score layer syl 1 against\n"
+        )
 
     def test_mismatched_ids_exit_3(self, data_dir, tmp_path):
         hyp = tmp_path / "bad.jsonl"

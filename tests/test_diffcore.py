@@ -292,12 +292,6 @@ class TestParamStore:
         with pytest.raises(ContractError):
             store.add("w", np.ones(3))
 
-    def test_moment_shapes_match(self):
-        store = ParamStore()
-        store.add("w", np.ones((2, 3)))
-        m, v = store.moments("w")
-        assert m.shape == v.shape == (2, 3)
-        assert not m.any() and not v.any()
 
     def test_clone_is_independent(self):
         store = ParamStore()
@@ -395,11 +389,3 @@ class TestParamStore:
             store.save(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["params.ntc"]
-
-    def test_load_values_validates(self):
-        store = ParamStore()
-        store.add("w", np.ones((2, 2)))
-        with pytest.raises(ContractError):
-            store.load_values({"x": np.ones((2, 2))})
-        with pytest.raises(ContractError):
-            store.load_values({"w": np.ones(3)})

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from condctc.diffcore import ContractError, NumericError, ParamStore, Tensor
 from condctc.encoder import EncoderModel, ModelConfig, PlacementConfig
 from condctc.trainer import (
     TrainConfig,
+    adam_moments,
     adam_step,
     average_checkpoints,
     batch_loss,
@@ -408,12 +410,19 @@ class TestNoamSchedule:
 
 
 class TestAdam:
+    def test_moment_shapes_match(self):
+        store = ParamStore()
+        store.add("w", np.ones((2, 3)))
+        m, v = adam_moments(store)["w"]
+        assert m.shape == v.shape == (2, 3)
+        assert not m.any() and not v.any()
+
     def test_first_step_is_signed_unit_direction(self):
         store = ParamStore()
         p = store.add("w", np.array([1.0, -2.0]))
         store.zero_grad()
         p.grad[...] = np.array([0.3, -0.7])
-        adam_step(store, lr=0.1, eps=1e-8)
+        adam_step(store, adam_moments(store), 1, lr=0.1, eps=1e-8)
         # bias-corrected first step moves by ~lr against the gradient sign
         assert p.value[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
         assert p.value[1] == pytest.approx(-2.0 + 0.1, abs=1e-6)
@@ -422,7 +431,7 @@ class TestAdam:
         store = ParamStore()
         p = store.add("w", np.array([1.5]))
         store.zero_grad()
-        adam_step(store, lr=0.1)
+        adam_step(store, adam_moments(store), 1, lr=0.1)
         assert p.value[0] == 1.5
 
     def test_nonfinite_grad_changes_nothing(self):
@@ -432,11 +441,14 @@ class TestAdam:
         store.zero_grad()
         good.grad[...] = 0.5
         bad.grad[...] = np.nan
+        moments = adam_moments(store)
+        arrays = [arr for pair in moments.values() for arr in pair]
         with pytest.raises(NumericError, match="'b'"):
-            adam_step(store, lr=0.1)
+            adam_step(store, moments, 1, lr=0.1)
         assert good.value[0] == 1.0 and bad.value[0] == 2.0
-        assert store.step_count == 0
-        assert not any(m.any() or v.any() for m, v in map(store.moments, store.names()))
+        after = [arr for pair in moments.values() for arr in pair]
+        assert len(after) == len(arrays) and all(a is b for a, b in zip(after, arrays))
+        assert not any(arr.any() for arr in arrays)
 
     def test_nonfinite_grad_names_parameter(self):
         store = ParamStore()
@@ -444,12 +456,13 @@ class TestAdam:
         store.zero_grad()
         p.grad[...] = np.nan
         with pytest.raises(NumericError, match="bad.weight"):
-            adam_step(store, lr=0.1)
+            adam_step(store, adam_moments(store), 1, lr=0.1)
 
     def test_quadratic_descent_matches_scalar_oracle(self):
         # independent plain-float Adam next to the store implementation
         store = ParamStore()
         p = store.add("x", np.array([1.0]))
+        moments = adam_moments(store)
         x = 1.0
         m = v = 0.0
         beta1, beta2, eps, lr = 0.9, 0.98, 1e-8, 0.1
@@ -461,7 +474,7 @@ class TestAdam:
 
             store.zero_grad()
             p.grad[...] = 2.0 * p.value
-            adam_step(store, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            adam_step(store, moments, t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
         assert abs(x) < 0.1
         assert p.value[0] == pytest.approx(x, abs=1e-12)
 
@@ -523,6 +536,29 @@ class TestClipAndAverage:
             average_checkpoints([a, b])
         with pytest.raises(ContractError):
             average_checkpoints([])
+
+
+class TestParameterMemory:
+    def test_checkpoint_stores_hold_only_their_values(self, tmp_path):
+        """A loaded, cloned or averaged store keeps its parameter values and
+        little else: no optimizer state."""
+        model = EncoderModel(ModelConfig(), PlacementConfig.from_strategy("alternate", 6), 30, 20)
+        path = tmp_path / "params.ntc"
+        model.store.save(path)
+        param_bytes = 8 * model.store.total_parameters
+
+        def held(make) -> float:
+            tracemalloc.start()
+            try:
+                kept = make()  # noqa: F841 - alive while the traced size is read
+                size, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return size / param_bytes
+
+        assert held(lambda: ParamStore.load(path)) <= 1.1
+        assert held(model.store.clone) <= 1.1
+        assert held(lambda: average_checkpoints([model.store, model.store])) <= 1.1
 
 
 class TestTrainLoop:
@@ -726,9 +762,11 @@ class TestTrainLoop:
         lang, train_set, valid_set = tiny_data
         model = small_model(chars=lang.char_vocab().size, syls=lang.syl_vocab().size)
         cfg = TrainConfig(batch_size=3, warmup_steps=20, max_steps=2)
+        before = model.store.values()
         with pytest.raises(ContractError, match="output directory"):
             train(model, train_set, valid_set, cfg, out_dir=tmp_path / "missing")
-        assert model.store.step_count == 0
+        after = model.store.values()
+        assert all(np.array_equal(before[name], after[name]) for name in before)
         assert not (tmp_path / "missing").exists()
 
     def test_validation_required(self, tiny_data):
