@@ -222,6 +222,8 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
     valid_set = _load_split(data_dir, "valid.jsonl", char_vocab, syl_vocab)
 
     try:  # out-of-range values are config errors
+        if cfg.seed < 0:  # the model's seed; the training loop's is cfg.seed + 1
+            raise ContractError(f"seed must be >= 0, got {cfg.seed}")
         placement = PlacementConfig.from_strategy(cfg.strategy, cfg.n_layers)
         model_cfg = ModelConfig(
             d_in=train_set[0].features.shape[1],

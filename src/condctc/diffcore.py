@@ -196,24 +196,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _record(out, _bwd)
 
 
-def affine_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-column gain and bias applied to every row: x * gain + bias."""
-    _require_2d("affine_rows", x)
-    n = x.value.shape[1]
-    if gain.value.shape != (n,) or bias.value.shape != (n,):
-        raise ShapeError(
-            f"affine_rows: gain {gain.value.shape} / bias {bias.value.shape} do not fit {x.value.shape}"
-        )
-    out = Tensor(x.value * gain.value + bias.value, (x, gain, bias), "affine_rows")
-
-    def _bwd(g: np.ndarray) -> None:
-        _acc(x, g * gain.value)
-        _acc(gain, (g * x.value).sum(axis=0))
-        _acc(bias, g.sum(axis=0))
-
-    return _record(out, _bwd)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one node; the workhorse projection (also the
     embedding-free input projection)."""
@@ -222,7 +204,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: inner dims differ, {x.value.shape} @ {weight.value.shape}")
     if bias.value.ndim != 1 or bias.value.shape[0] != weight.value.shape[1]:
         raise ShapeError(f"linear: bias {bias.value.shape} does not fit {weight.value.shape}")
-    out = Tensor(x.value @ weight.value + bias.value, (x, weight, bias), "linear")
+    y = x.value @ weight.value
+    y += bias.value
+    out = Tensor(y, (x, weight, bias), "linear")
 
     def _bwd(g: np.ndarray) -> None:
         _acc(x, g @ weight.value.T)
@@ -258,30 +242,78 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _record(out, _bwd)
 
 
+def _normalize_rows(a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `a` at zero mean and unit variance, and each row's 1/std.  The
+    row sums divided by the width are what np.mean and np.var compute."""
+    n = a.shape[1]
+    y = a - a.sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((y * y).sum(axis=1, keepdims=True) / n + eps)
+    y *= inv
+    return y, inv
+
+
+def _normalize_rows_grad(gy: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gradient at the input of `_normalize_rows`, given the gradient `gy`
+    at its output: inv * (gy - mean(gy) - y * mean(gy * y)), computed in
+    `gy`'s buffer, which the caller hands over."""
+    tmp = gy * y
+    proj = tmp.mean(axis=1, keepdims=True)
+    gy -= gy.mean(axis=1, keepdims=True)
+    gy -= np.multiply(y, proj, out=tmp)
+    gy *= inv
+    return gy
+
+
 def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Rowwise normalization to zero mean / unit variance (no affine part)."""
     _require_2d("layer_norm_rows", x)
-    mean = x.value.mean(axis=1, keepdims=True)
-    var = x.value.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x.value - mean) * inv
+    y, inv = _normalize_rows(x.value, eps)
     out = Tensor(y, (x,), "layer_norm_rows")
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(
-            x,
-            inv * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True)),
+        _acc(x, _normalize_rows_grad(g.copy(), y, inv))
+
+    return _record(out, _bwd)
+
+
+def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """`layer_norm_rows(x)` times a per-column gain plus a per-column bias, as
+    one node; bitwise equal to the two steps done apart."""
+    _require_2d("layer_norm_affine", x)
+    n = x.value.shape[1]
+    if gain.value.shape != (n,) or bias.value.shape != (n,):
+        raise ShapeError(
+            f"layer_norm_affine: gain {gain.value.shape} / bias {bias.value.shape} do not fit {x.value.shape}"
         )
+    y, inv = _normalize_rows(x.value, eps)
+    out_value = y * gain.value
+    out_value += bias.value
+    out = Tensor(out_value, (x, gain, bias), "layer_norm_affine")
+
+    def _bwd(g: np.ndarray) -> None:
+        _acc(gain, (g * y).sum(axis=0))
+        _acc(bias, g.sum(axis=0))
+        _acc(x, _normalize_rows_grad(g * gain.value, y, inv))
 
     return _record(out, _bwd)
 
 
 def swish(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.value))
+    # The sigmoid is built in one buffer; `out=` keeps it an array for 0-d x.
+    sig = np.negative(x.value, out=np.empty_like(x.value))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     out = Tensor(x.value * sig, (x,), "swish")
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(x, g * sig * (1.0 + x.value * (1.0 - sig)))
+        # g * sig * (1 + x * (1 - sig)), in two buffers
+        gx = g * sig
+        slope = np.subtract(1.0, sig, out=np.empty_like(sig))
+        slope *= x.value
+        slope += 1.0
+        gx *= slope
+        _acc(x, gx)
 
     return _record(out, _bwd)
 
@@ -321,8 +353,9 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int] | None
     xp = np.zeros((width + 2 * pad, n))
     xp[at] = x.value
     yp = np.zeros((width, n))
+    tap = np.empty((width, n))  # each tap's product, reused across the k taps
     for j in range(k):
-        yp += kernel.value[j] * xp[j : j + width]
+        yp += np.multiply(kernel.value[j], xp[j : j + width], out=tap)
     out = Tensor(yp[at - pad], (x, kernel), "depthwise_conv_rows")
 
     def _bwd(g: np.ndarray) -> None:
@@ -359,37 +392,43 @@ def multi_head_attention(
     factor = 1.0 / math.sqrt(d_head)
     bounds = _segment_bounds("multi_head_attention", rows, lengths)
 
-    def heads(a: np.ndarray, start: int, stop: int) -> np.ndarray:
-        # (T, d) rows -> (n_heads, T, d_head) view
-        return a[start:stop].reshape(stop - start, n_heads, d_head).transpose(1, 0, 2)
+    def heads(a: np.ndarray) -> np.ndarray:
+        # (rows, d) -> (n_heads, rows, d_head) view
+        return a.reshape(rows, n_heads, d_head).transpose(1, 0, 2)
 
-    def merge(a: np.ndarray) -> np.ndarray:
-        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
-
-    y = np.empty_like(q.value)
+    # Scaling q, not the (heads, T, T) scores, is bitwise the same when the
+    # factor is a power of two (d_head 4, 16, 64, ...).
+    qh, kh, vh = heads(q.value * factor), heads(k.value), heads(v.value)
+    y = np.empty((rows, d))  # C order, so that `heads` of it is a view
+    yh = heads(y)
     weights = []
     for start, stop in bounds:
-        qh, kh, vh = (heads(t.value, start, stop) for t in (q, k, v))
+        seg = slice(start, stop)
         # The softmax runs in place in the one (heads, T, T) score buffer.
-        w = qh @ kh.transpose(0, 2, 1)
-        w *= factor
+        w = qh[:, seg] @ kh[:, seg].transpose(0, 2, 1)
         w -= w.max(axis=2, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=2, keepdims=True)
         weights.append(w)
-        y[start:stop] = merge(w @ vh)
+        np.matmul(w, vh[:, seg], out=yh[:, seg])
     out = Tensor(y, (q, k, v), "multi_head_attention")
 
     def _bwd(g: np.ndarray) -> None:
-        gq, gk, gv = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+        gq, gk, gv = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
+        gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
+        qh = heads(q.value)  # unscaled: the scaled copy is not kept for backward
         for (start, stop), w in zip(bounds, weights):
-            qh, kh, vh = (heads(t.value, start, stop) for t in (q, k, v))
-            gh = heads(g, start, stop)
-            gw = gh @ vh.transpose(0, 2, 1)
-            gs = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * factor
-            gq[start:stop] = merge(gs @ kh)
-            gk[start:stop] = merge(gs.transpose(0, 2, 1) @ qh)
-            gv[start:stop] = merge(w.transpose(0, 2, 1) @ gh)
+            seg = slice(start, stop)
+            # Score gradient before the scale, w * (gw - rowsum(gw * w)) with
+            # gw = g @ v^T, computed in gw's buffer.
+            gs = gh[:, seg] @ vh[:, seg].transpose(0, 2, 1)
+            gs -= (gs * w).sum(axis=2, keepdims=True)
+            gs *= w
+            np.matmul(gs, kh[:, seg], out=gqh[:, seg])
+            np.matmul(gs.transpose(0, 2, 1), qh[:, seg], out=gkh[:, seg])
+            np.matmul(w.transpose(0, 2, 1), gh[:, seg], out=gvh[:, seg])
+        gq *= factor
+        gk *= factor
         _acc(q, gq)
         _acc(k, gk)
         _acc(v, gv)

@@ -259,8 +259,8 @@ class EncoderModel:
     # -- forward pieces -----------------------------------------------------
 
     def _normed(self, x: Tensor, prefix: str) -> Tensor:
-        normed = dc.layer_norm_rows(x, self.cfg.ln_eps)
-        return dc.affine_rows(normed, self.store[f"{prefix}.gain"], self.store[f"{prefix}.bias"])
+        return dc.layer_norm_affine(x, self.store[f"{prefix}.gain"], self.store[f"{prefix}.bias"],
+                                    self.cfg.ln_eps)
 
     def _attention(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
         p = self.store
@@ -364,8 +364,8 @@ class EncoderModel:
 
         x = dc.linear(Tensor(np.concatenate(feats)), self.store["input.w"], self.store["input.b"])
         if self.cfg.use_pos_enc:
-            pos = [sinusoidal_positions(n, self.cfg.d_model) for n in lengths]
-            x = dc.add(x, Tensor(np.concatenate(pos)))
+            table = sinusoidal_positions(max(lengths), self.cfg.d_model)
+            x = dc.add(x, Tensor(np.concatenate([table[:n] for n in lengths])))
 
         inters: dict[str, dict[int, Tensor]] = {"char": {}, "syl": {}}
         logits: dict = {}

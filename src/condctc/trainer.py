@@ -50,6 +50,10 @@ class TrainConfig:
             raise ContractError("batch_size, epochs, and eval_interval must be >= 1")
         if self.warmup_steps < 1:
             raise ContractError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ContractError(f"max_steps must be >= 1 when given, got {self.max_steps}")
 
 
 @dataclass

@@ -107,7 +107,7 @@ def test_criterion_3_autodiff_gradients():
         "add": (lambda: wmean(dc.add(x, w), w), [x, w]),
         "mul": (lambda: wmean(dc.mul(x, w), w), [x, w]),
         "scale": (lambda: wmean(dc.scale(x, -2.2), w), [x]),
-        "affine_rows": (lambda: wmean(dc.affine_rows(x, gain, b), w), [x, gain, b]),
+        "layer_norm_affine": (lambda: wmean(dc.layer_norm_affine(x, gain, b), w), [x, gain, b]),
         "linear": (lambda: wmean(dc.linear(x, w56, b6), w66), [x, w56, b6]),
         "softmax_rows": (lambda: wmean(dc.softmax_rows(x), w), [x]),
         "log_softmax_rows": (lambda: wmean(dc.log_softmax_rows(x), w), [x]),

@@ -181,6 +181,7 @@ class TestTrain:
         ("--batch-size", "0"), ("--mix-weight", "1.5"), ("--n-heads", "3"), ("--n-heads", "0"),
         ("--d-model", "0"),
         ("--conv-kernel", "4"), ("--n-layers", "0"), ("--warmup-steps", "0"),
+        ("--seed", "-1"), ("--max-steps", "-1"),
     ])
     def test_out_of_range_value_exits_2(self, data_dir, tmp_path, capsys, flag, value):
         capsys.readouterr()

@@ -48,10 +48,10 @@ class TestOpGradients:
         w = make((3, 3))
         self.check(lambda: weighted_mean(dc.scale(a, -1.7), w), [a])
 
-    def test_affine_rows(self):
+    def test_layer_norm_affine(self):
         x, g, b = make((5, 4)), make((4,)), make((4,))
         w = make((5, 4))
-        self.check(lambda: weighted_mean(dc.affine_rows(x, g, b), w), [x, g, b])
+        self.check(lambda: weighted_mean(dc.layer_norm_affine(x, g, b), w), [x, g, b])
 
     def test_linear(self):
         x, wgt, b = make((5, 4)), make((4, 6)), make((6,))
@@ -225,6 +225,124 @@ class TestSegments:
                 dc.depthwise_conv_rows(x, k, lengths)
             with pytest.raises(ShapeError, match="segment lengths"):
                 dc.multi_head_attention(x, x, x, 2, lengths)
+
+
+def reference_layer_norm_rows(x: Tensor, eps: float) -> Tensor:
+    """Rowwise normalization from np.mean and np.var, as its own node."""
+    inv = 1.0 / np.sqrt(x.value.var(axis=1, keepdims=True) + eps)
+    y = (x.value - x.value.mean(axis=1, keepdims=True)) * inv
+    out = Tensor(y, (x,), "layer_norm_rows")
+
+    def _bwd(g):
+        dc._acc(x, inv * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True)))
+
+    return dc._record(out, _bwd)
+
+
+def reference_affine_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """x * gain + bias per row as its own node: the step `layer_norm_affine`
+    fuses into the normalization."""
+    out = Tensor(x.value * gain.value + bias.value, (x, gain, bias), "affine_rows")
+
+    def _bwd(g):
+        dc._acc(x, g * gain.value)
+        dc._acc(gain, (g * x.value).sum(axis=0))
+        dc._acc(bias, g.sum(axis=0))
+
+    return dc._record(out, _bwd)
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths) -> Tensor:
+    """Attention one segment at a time, scaling the (heads, T, T) scores and
+    merging each segment's heads back into its rows."""
+    rows, d = q.value.shape
+    d_head = d // n_heads
+    factor = 1.0 / np.sqrt(d_head)
+    stops = np.cumsum(lengths).tolist()
+    bounds = list(zip([0, *stops[:-1]], stops))
+
+    def heads(a, start, stop):
+        return a[start:stop].reshape(stop - start, n_heads, d_head).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
+
+    y, weights = np.empty((rows, d)), []
+    for start, stop in bounds:
+        qh, kh, vh = (heads(t.value, start, stop) for t in (q, k, v))
+        s = qh @ kh.transpose(0, 2, 1) * factor
+        e = np.exp(s - s.max(axis=2, keepdims=True))
+        w = e / e.sum(axis=2, keepdims=True)
+        weights.append(w)
+        y[start:stop] = merge(w @ vh)
+    out = Tensor(y, (q, k, v), "attention")
+
+    def _bwd(g):
+        grads = [np.empty((rows, d)) for _ in range(3)]
+        for (start, stop), w in zip(bounds, weights):
+            qh, kh, vh = (heads(t.value, start, stop) for t in (q, k, v))
+            gh = heads(g, start, stop)
+            gw = gh @ vh.transpose(0, 2, 1)
+            gs = w * (gw - (gw * w).sum(axis=2, keepdims=True)) * factor
+            grads[0][start:stop] = merge(gs @ kh)
+            grads[1][start:stop] = merge(gs.transpose(0, 2, 1) @ qh)
+            grads[2][start:stop] = merge(w.transpose(0, 2, 1) @ gh)
+        for t, grad in zip((q, k, v), grads):
+            dc._acc(t, grad)
+
+    return dc._record(out, _bwd)
+
+
+def value_and_grads(build, inputs, weights):
+    out = build(*inputs)
+    dc.backward(weighted_mean(out, weights))
+    return [out.value] + [t.grad.copy() for t in inputs]
+
+
+class TestFusedKernels:
+    """Ops that do their work in fewer array passes match the plain formulas
+    they replace: bitwise where the arithmetic is the same."""
+
+    def test_layer_norms_are_bitwise_the_plain_formulas(self):
+        rng = np.random.default_rng(7)
+        for rows, cols in ((1, 4), (6, 5), (30, 64)):
+            x = Tensor(3.0 * rng.normal(size=(rows, cols)) + 1.5)
+            gain, bias = Tensor(rng.normal(size=cols)), Tensor(rng.normal(size=cols))
+            w = Tensor(rng.normal(size=(rows, cols)))
+            fused = value_and_grads(lambda a, g, b: dc.layer_norm_affine(a, g, b, 1e-5),
+                                    [x, gain, bias], w)
+            apart = value_and_grads(
+                lambda a, g, b: reference_affine_rows(reference_layer_norm_rows(a, 1e-5), g, b),
+                [x, gain, bias], w)
+            for got, want in zip(fused, apart):
+                assert np.array_equal(got, want)
+            got = value_and_grads(lambda a: dc.layer_norm_rows(a, 1e-5), [x], w)
+            want = value_and_grads(lambda a: reference_layer_norm_rows(a, 1e-5), [x], w)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("d_head,n_heads,exact", [(4, 2, True), (16, 4, True), (8, 3, False)])
+    @pytest.mark.parametrize("lengths", [[9], [5, 1, 12, 3]])
+    def test_attention_matches_the_per_segment_formula(self, d_head, n_heads, exact, lengths):
+        # The scale on q is bitwise the scale on the scores only when
+        # 1 / sqrt(d_head) is a power of two.
+        rng = np.random.default_rng(d_head + len(lengths))
+        shape = (sum(lengths), d_head * n_heads)
+        qkv = [Tensor(2.0 * rng.normal(size=shape)) for _ in range(3)]
+        w = Tensor(rng.normal(size=shape))
+        got = value_and_grads(lambda q, k, v: dc.multi_head_attention(q, k, v, n_heads, lengths),
+                              qkv, w)
+        want = value_and_grads(lambda q, k, v: reference_attention(q, k, v, n_heads, lengths),
+                               qkv, w)
+        for a, b in zip(got, want):
+            if exact:
+                assert np.array_equal(a, b)
+            else:
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_layer_norm_affine_rejects_misfit_gain(self):
+        with pytest.raises(ShapeError, match="layer_norm_affine"):
+            dc.layer_norm_affine(make((3, 4)), make((3,)), make((4,)))
 
 
 class TestNoGrad:

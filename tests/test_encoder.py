@@ -350,3 +350,12 @@ def test_sinusoidal_positions_shape_and_range():
     assert not np.array_equal(pe[0], pe[1])
     pe_odd = sinusoidal_positions(4, 7)
     assert pe_odd.shape == (4, 7)
+
+
+def test_sinusoidal_positions_prefix_is_the_shorter_table():
+    # forward_batch slices every segment's positions from one table built
+    # at the longest segment.
+    for dim in (7, 64):
+        table = sinusoidal_positions(300, dim)
+        for n in (1, 2, 29, 77, 170, 299, 300):
+            assert np.array_equal(table[:n], sinusoidal_positions(n, dim))

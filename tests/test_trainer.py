@@ -709,7 +709,7 @@ class TestTrainLoop:
 
     def test_steps_after_evaluation_record_the_full_tape(self, tiny_data, monkeypatch):
         # Evaluation runs tape-free after every step; each step's tape must
-        # still hold all 289 nodes of a 6-layer `alternate` step.
+        # still hold all 271 nodes of a 6-layer `alternate` step.
         lang, train_set, valid_set = tiny_data
         sizes = []
         backward = dc.backward
@@ -725,7 +725,7 @@ class TestTrainLoop:
                           eval_interval=1)
         result = train(model, train_set, valid_set, cfg)
         assert len(result.metrics) == 3
-        assert sizes == [289, 289, 289]
+        assert sizes == [271, 271, 271]
 
     def test_no_step_graph_outlives_the_step(self, tiny_data, monkeypatch):
         # When a step's forward starts, reference counting alone must have
@@ -784,6 +784,11 @@ class TestTrainLoop:
             TrainConfig(average_k=0)
         with pytest.raises(ContractError):
             TrainConfig(warmup_steps=0)
+        with pytest.raises(ContractError, match="seed"):
+            TrainConfig(seed=-5)
+        for steps in (0, -1):
+            with pytest.raises(ContractError, match="max_steps"):
+                TrainConfig(max_steps=steps)
 
 
 def test_write_metrics_csv_roundtrips_values(tmp_path):
