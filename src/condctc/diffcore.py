@@ -140,7 +140,10 @@ def backward(loss: Tensor) -> None:
     interior node's gradient is dropped as soon as its backward function has
     used it, `loss` included, so a step holds only the gradients still needed.
     The gradients of all reachable nodes are reset first, so calling backward
-    twice on the same graph yields identical gradients.  Tensors not in the
+    twice on the same graph yields identical gradients: a leaf that already
+    holds a gradient array has it zeroed in place and accumulated into (a
+    packed parameter's gradient is a view into its store's flat gradient and
+    must stay one), every other node starts from None.  Tensors not in the
     graph (e.g. unused parameters) are left untouched; callers zero those
     through `ParamStore.zero_grad`.  A graph built inside `no_grad` ends at
     each op output made there, so no gradient reaches the parameters.
@@ -149,7 +152,10 @@ def backward(loss: Tensor) -> None:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     order = _topo_order(loss)
     for node in order:
-        node.grad = None
+        if node._backward is None and node.grad is not None:
+            node.grad.fill(0.0)
+        else:
+            node.grad = None
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
         if node._backward is not None:
@@ -480,14 +486,27 @@ def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator:
 
 
 class ParamStore:
-    """Named trainable tensors; optimizer state lives with the training loop."""
+    """Named trainable tensors; optimizer state lives with the training loop.
+
+    Each parameter starts as its own array.  The first `zero_grad` or
+    `arena` call packs the store: every value moves into one flat vector, in
+    name order, with each tensor's `value` a view into it, and every `grad`
+    becomes a view into one flat gradient vector of the same layout.  So a
+    training step clips, updates and zeroes all parameters with a few
+    whole-vector operations.  A store that training never touches (a loaded,
+    cloned or averaged one) holds its values only.
+    """
 
     def __init__(self) -> None:
         self._tensors: dict[str, Tensor] = {}
+        self._arena: tuple[np.ndarray, np.ndarray] | None = None
+        self._layout: list[tuple[str, int, int]] = []
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._tensors:
             raise ContractError(f"parameter {name!r} already exists")
+        if self._arena is not None:
+            raise ContractError(f"cannot add {name!r} to a packed store")
         t = Tensor(np.array(value, dtype=np.float64))
         self._tensors[name] = t
         return t
@@ -505,9 +524,33 @@ class ParamStore:
     def total_parameters(self) -> int:
         return sum(t.value.size for t in self._tensors.values())
 
+    def arena(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat (values, gradients) vectors, packing the store first if
+        it is not packed yet (see the class docstring).  Packing keeps every
+        value bitwise and sets every gradient to zero."""
+        if self._arena is None:
+            total = self.total_parameters
+            values, grads = np.empty(total), np.zeros(total)
+            start = 0
+            for name in self.names():
+                t = self._tensors[name]
+                stop = start + t.value.size
+                values[start:stop] = t.value.reshape(-1)
+                t.value = values[start:stop].reshape(t.value.shape)
+                t.grad = grads[start:stop].reshape(t.value.shape)
+                self._layout.append((name, start, stop))
+                start = stop
+            self._arena = values, grads
+        return self._arena
+
+    def layout(self) -> list[tuple[str, int, int]]:
+        """(name, start, stop) of each parameter's slice of the arena, in
+        name order."""
+        self.arena()
+        return self._layout
+
     def zero_grad(self) -> None:
-        for t in self._tensors.values():
-            t.grad = np.zeros_like(t.value)
+        self.arena()[1].fill(0.0)
 
     def clone(self) -> "ParamStore":
         """Copy of the parameter values."""

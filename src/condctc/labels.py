@@ -68,7 +68,11 @@ class Vocabulary:
         return [self.id_of(t) for t in tokens]
 
     def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.token_of(i) for i in ids]
+        ids = list(ids)
+        if ids and not (0 <= min(ids) and max(ids) < len(self.tokens)):
+            for i in ids:  # raises at the first id out of range
+                self.token_of(i)
+        return [self.tokens[i] for i in ids]
 
     def save(self, path: str | Path) -> None:
         """Write one token per line; line 0 is the blank."""

@@ -4,6 +4,8 @@ schedule, checkpoint averaging, and the training loop."""
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,51 +182,90 @@ def noam_lr(step: int, d_model: int, warmup_steps: int, factor: float) -> float:
     return factor * d_model ** (-0.5) * min(step ** (-0.5), step * warmup_steps ** (-1.5))
 
 
-def adam_moments(store: ParamStore) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Zeroed first and second Adam moments for every parameter of `store`."""
-    return {name: (np.zeros_like(store[name].value), np.zeros_like(store[name].value))
-            for name in store.names()}
+def adam_moments(store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed first and second Adam moments, flat vectors laid out as the
+    store's arena (which this packs)."""
+    values, _ = store.arena()
+    return np.zeros_like(values), np.zeros_like(values)
+
+
+def _scratch(store: ParamStore) -> np.ndarray:
+    """A buffer the size of the store's largest parameter: the block size of
+    the optimizer's temporaries, so they never span the whole arena."""
+    return np.empty(max((stop - start for _, start, stop in store.layout()), default=1))
+
+
+def _check_finite_grads(store: ParamStore) -> None:
+    """Raise NumericError naming the first parameter, in name order, whose
+    gradient holds a non-finite value."""
+    finite = np.isfinite(store.arena()[1])
+    if not finite.all():
+        first = int(finite.argmin())
+        name = next(name for name, _, stop in store.layout() if first < stop)
+        raise NumericError(f"non-finite gradient for parameter {name!r}")
 
 
 def adam_step(
     store: ParamStore,
-    moments: dict[str, tuple[np.ndarray, np.ndarray]],
+    moments: tuple[np.ndarray, np.ndarray],
     step: int,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.98,
     eps: float = 1e-8,
 ) -> None:
-    """Bias-corrected Adam update, the `step`-th (from 1), over every
-    parameter in the store, with `moments` from `adam_moments`.
+    """Bias-corrected Adam update, the `step`-th (from 1), over the store's
+    flat arena in place, with `moments` from `adam_moments`.
 
-    All or nothing: every gradient is checked before any parameter or moment
+    All or nothing: the gradient is checked before any parameter or moment
     changes, so a non-finite gradient leaves the store and `moments` intact.
+    The update runs block by block in two block-sized buffers, with the
+    elementwise operations in the order of
+    value -= lr * (m / c1) / (sqrt(v / c2) + eps).
     """
-    grads = {name: store[name].grad_or_zeros() for name in store.names()}
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
+    _check_finite_grads(store)
+    values, grads = store.arena()
+    m, v = moments
     c1 = 1.0 - beta1**step
     c2 = 1.0 - beta2**step
-    for name, g in grads.items():
-        tensor = store[name]
-        m, v = moments[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        tensor.value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    a = _scratch(store)
+    b = np.empty_like(a)
+    for start in range(0, values.size, a.size):
+        stop = min(start + a.size, values.size)
+        g, mb, vb = grads[start:stop], m[start:stop], v[start:stop]
+        ta, tb = a[: stop - start], b[: stop - start]
+        mb *= beta1
+        mb += np.multiply(1.0 - beta1, g, out=ta)
+        vb *= beta2
+        np.multiply(1.0 - beta2, g, out=ta)
+        vb += np.multiply(ta, g, out=ta)
+        np.divide(mb, c1, out=ta)
+        ta *= lr
+        np.divide(vb, c2, out=tb)
+        np.sqrt(tb, out=tb)
+        tb += eps
+        ta /= tb
+        values[start:stop] -= ta
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most `max_norm`;
-    returns the norm before scaling."""
-    grads = [store[name].grad for name in store.names() if store[name].grad is not None]
-    norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    returns the norm before scaling.  The squares are summed per parameter,
+    in name order.  A non-finite norm, from a non-finite gradient or from
+    squares that overflow, raises NumericError and changes nothing."""
+    _, grads = store.arena()
+    sq = _scratch(store)
+    norm = 0.0
+    with np.errstate(over="ignore"):
+        for _, start, stop in store.layout():
+            g = grads[start:stop]
+            norm += float(np.multiply(g, g, out=sq[: stop - start]).sum())
+    norm = math.sqrt(norm)
+    if not math.isfinite(norm):
+        _check_finite_grads(store)
+        raise NumericError("non-finite gradient norm: the squares of finite gradients overflow")
     if norm > max_norm > 0.0:
-        for g in grads:
-            g *= max_norm / norm
+        grads *= max_norm / norm
     return norm
 
 
@@ -349,6 +390,28 @@ def _step_gradients(
     dc.backward(loss)
 
 
+@functools.cache
+def _retain_freed_pages() -> None:
+    """Keep the pages that a training step frees mapped for the next step.
+
+    A step allocates and frees the same few megabytes of arrays every time.
+    With glibc's defaults, arrays above the dynamic mmap threshold are
+    unmapped when freed and the top of the heap is trimmed, so each step
+    page-faults its working set back in.  This raises glibc's mmap threshold
+    to 32 MiB and its trim threshold to 128 MiB through `mallopt`.  The
+    policy is process-wide and outlives the call and the run; it runs once
+    per process, and does nothing where the C library has no `mallopt`.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 128 << 20)
+
+
 @dataclass
 class _Checkpoint:
     step: int
@@ -376,7 +439,9 @@ def train(
     into the final parameter set.  A non-finite loss or gradient aborts the
     run, returning the last finite parameters and the error's message in
     `abort_reason`.  An `out_dir` that is not an existing directory raises
-    ContractError before the first step.
+    ContractError before the first step.  Training packs `model.store` into
+    its flat arena (`ParamStore.arena`), and the first call in a process
+    sets the heap policy of `_retain_freed_pages`.
     """
     if not train_set:
         raise ContractError("training set is empty")
@@ -384,6 +449,7 @@ def train(
         raise ContractError("validation set is empty")
     if out_dir is not None and not Path(out_dir).is_dir():
         raise ContractError(f"output directory does not exist: {out_dir}")
+    _retain_freed_pages()
     rng = np.random.default_rng(cfg.seed)
     n_train = len(train_set)
     steps_per_epoch = math.ceil(n_train / cfg.batch_size)

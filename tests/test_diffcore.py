@@ -411,6 +411,46 @@ class TestParamStore:
             store.add("w", np.ones(3))
 
 
+    def test_arena_holds_values_and_grads_in_name_order(self):
+        store = ParamStore()
+        values = {"w": RNG.normal(size=(3, 4)), "b": RNG.normal(size=4), "s": np.float64(2.5)}
+        for name, value in values.items():
+            store.add(name, value)
+        flat, grads = store.arena()
+        assert store.arena()[0] is flat and store.arena()[1] is grads
+        assert store.layout() == [("b", 0, 4), ("s", 4, 5), ("w", 5, 17)]
+        assert np.array_equal(flat, np.concatenate([np.ravel(values[n]) for n in ("b", "s", "w")]))
+        assert not grads.any()
+        for name, start, stop in store.layout():
+            t = store[name]
+            assert t.value.shape == t.grad.shape == np.shape(values[name])
+            assert np.shares_memory(t.value, flat[start:stop])
+            assert np.shares_memory(t.grad, grads[start:stop])
+        store["w"].grad[...] = 1.0
+        store["b"].value[0] = 7.0
+        assert grads[5:].all() and not grads[:5].any() and flat[0] == 7.0
+        store.zero_grad()
+        assert not grads.any() and store["w"].grad.base is not None
+        with pytest.raises(ContractError, match="packed"):
+            store.add("late", np.ones(2))
+
+    def test_backward_accumulates_into_the_arena(self):
+        store = ParamStore()
+        w = store.add("w", RNG.normal(size=(3, 2)))
+        b = store.add("b", RNG.normal(size=2))
+        unused = store.add("unused", np.ones(3))
+        x = Tensor(RNG.normal(size=(4, 3)))
+        loss = dc.mean_reduce(dc.swish(dc.linear(x, w, b)))
+        store.zero_grad()
+        _, grads = store.arena()
+        unused.grad[...] = 5.0  # a stale gradient that no loss reaches
+        dc.backward(loss)
+        first = grads.copy()
+        dc.backward(loss)
+        assert np.array_equal(grads, first) and grads[:2].any()
+        assert np.shares_memory(w.grad, grads) and np.shares_memory(b.grad, grads)
+        assert np.array_equal(unused.grad, np.full(3, 5.0))
+
     def test_clone_is_independent(self):
         store = ParamStore()
         t = store.add("w", np.ones(3))

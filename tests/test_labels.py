@@ -51,6 +51,22 @@ class TestVocabulary:
         with pytest.raises(InvalidTokenError):
             vocab.token_of(7)
 
+    def test_decode_checks_each_list_once(self, monkeypatch):
+        vocab = Vocabulary.from_labels(["a", "b"])
+        calls = []
+        token_of = Vocabulary.token_of
+        monkeypatch.setattr(Vocabulary, "token_of",
+                            lambda self, i: calls.append(i) or token_of(self, i))
+        assert vocab.decode(iter([2, 0, 1, 2])) == ["b", BLANK_TOKEN, "a", "b"]
+        assert vocab.decode([]) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_decode_names_the_out_of_range_id(self, bad):
+        vocab = Vocabulary.from_labels(["a", "b"])
+        with pytest.raises(InvalidTokenError, match=f"id {bad} out of range"):
+            vocab.decode([1, 2, bad, 0, 7])
+
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidTokenError):
             Vocabulary.from_labels(["a", "a"])

@@ -3,6 +3,11 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 
@@ -413,8 +418,9 @@ class TestAdam:
     def test_moment_shapes_match(self):
         store = ParamStore()
         store.add("w", np.ones((2, 3)))
-        m, v = adam_moments(store)["w"]
-        assert m.shape == v.shape == (2, 3)
+        store.add("b", np.ones(4))
+        m, v = adam_moments(store)
+        assert m.shape == v.shape == (10,)
         assert not m.any() and not v.any()
 
     def test_first_step_is_signed_unit_direction(self):
@@ -442,13 +448,12 @@ class TestAdam:
         good.grad[...] = 0.5
         bad.grad[...] = np.nan
         moments = adam_moments(store)
-        arrays = [arr for pair in moments.values() for arr in pair]
+        m, v = moments
         with pytest.raises(NumericError, match="'b'"):
             adam_step(store, moments, 1, lr=0.1)
         assert good.value[0] == 1.0 and bad.value[0] == 2.0
-        after = [arr for pair in moments.values() for arr in pair]
-        assert len(after) == len(arrays) and all(a is b for a, b in zip(after, arrays))
-        assert not any(arr.any() for arr in arrays)
+        assert moments[0] is m and moments[1] is v
+        assert not m.any() and not v.any()
 
     def test_nonfinite_grad_names_parameter(self):
         store = ParamStore()
@@ -496,6 +501,27 @@ class TestClipAndAverage:
         p.grad[...] = np.array([0.3, 0.4])
         clip_global_norm(store, 5.0)
         assert np.allclose(p.grad, [0.3, 0.4])
+
+    def test_overflowing_norm_raises_and_changes_nothing(self):
+        store = ParamStore()
+        p = store.add("w", np.zeros(3))
+        store.zero_grad()
+        p.grad[...] = np.array([1e200, 1.0, -2.0])  # finite, but the squares overflow
+        moments = adam_moments(store)
+        with pytest.raises(NumericError, match="norm"):
+            clip_global_norm(store, 5.0)
+        assert np.array_equal(p.grad, [1e200, 1.0, -2.0])
+        assert not p.value.any() and not moments[0].any() and not moments[1].any()
+
+    def test_nonfinite_grad_in_clip_names_parameter(self):
+        store = ParamStore()
+        store.add("a", np.ones(2))
+        bad = store.add("b", np.ones(2))
+        store.zero_grad()
+        bad.grad[1] = np.inf
+        with pytest.raises(NumericError, match="parameter 'b'"):
+            clip_global_norm(store, 5.0)
+        assert np.array_equal(bad.grad, [0.0, np.inf])
 
     def test_average_two_scalars(self):
         a, b = ParamStore(), ParamStore()
@@ -559,6 +585,47 @@ class TestParameterMemory:
         assert held(lambda: ParamStore.load(path)) <= 1.1
         assert held(model.store.clone) <= 1.1
         assert held(lambda: average_checkpoints([model.store, model.store])) <= 1.1
+
+
+_STEP_FAULTS = textwrap.dedent("""
+    import resource
+    from condctc import synthdata, trainer
+    from condctc.diffcore import ParamStore
+    from condctc.encoder import EncoderModel, ModelConfig, PlacementConfig
+
+    lang = synthdata.make_language(seed=1, n_syllables=20, n_characters=60)
+    train_set = synthdata.sample_utterances(lang, 50, (3, 8), 1, 0, "train")
+    valid_set = synthdata.sample_utterances(lang, 30, (3, 8), 1, 1, "valid")
+    model = EncoderModel(ModelConfig(), PlacementConfig.from_strategy("baseline", 6),
+                         lang.char_vocab().size, lang.syl_vocab().size, seed=1)
+    faults, zero_grad, adam_step = [], ParamStore.zero_grad, trainer.adam_step
+
+    def step_start(store):  # train opens each step with zero_grad
+        faults.append(-resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        zero_grad(store)
+
+    def step_end(*args, **kwargs):  # and ends it with adam_step
+        adam_step(*args, **kwargs)
+        faults[-1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    ParamStore.zero_grad, trainer.adam_step = step_start, step_end
+    trainer.train(model, train_set, valid_set,
+                  trainer.TrainConfig(mix_weight=0.0, batch_size=10, seed=2, max_steps=25))
+    print(sum(faults[10:]) / len(faults[10:]))
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_steady_training_steps_do_not_fault_in_pages():
+    """Once its working set is mapped, a training step reuses it: the
+    parameter arena is updated in place and freed pages stay mapped.  Run in
+    a fresh process, as the heap policy is process-wide."""
+    src = os.path.dirname(os.path.dirname(trainer.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _STEP_FAULTS], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    assert float(done.stdout) <= 20.0, "minor faults per step, steps 11-25"
 
 
 class TestTrainLoop:
@@ -659,6 +726,41 @@ class TestTrainLoop:
         assert result.aborted
         assert result.abort_reason == "block 1 produced non-finite values"
         assert result.best_checkpoints  # last finite parameters were kept
+
+    def test_overflowing_gradient_norm_aborts_the_run(self, tiny_data, monkeypatch):
+        lang, train_set, valid_set = tiny_data
+        step_gradients = trainer._step_gradients
+
+        def huge_gradients(model, *args):
+            step_gradients(model, *args)
+            model.store["block01.ffn.w2"].grad[0, 0] = 1e200
+
+        monkeypatch.setattr(trainer, "_step_gradients", huge_gradients)
+        model = EncoderModel(SMALL, PlacementConfig.from_strategy("baseline", 2),
+                             lang.char_vocab().size, lang.syl_vocab().size, seed=2)
+        before = model.store.values()
+        result = train(model, train_set, valid_set, TrainConfig(batch_size=2, max_steps=3))
+        assert result.aborted and result.steps_run == 1
+        assert "gradient norm" in result.abort_reason
+        after = model.store.values()
+        assert all(np.array_equal(before[name], after[name]) for name in before)
+
+    def test_unused_parameters_keep_exactly_zero_gradients(self, tiny_data):
+        # `baseline` trains no intermediate head: their gradients stay zero
+        # and Adam leaves them where they started.
+        lang, train_set, valid_set = tiny_data
+        model = EncoderModel(SMALL, PlacementConfig.from_strategy("baseline", 2),
+                             lang.char_vocab().size, lang.syl_vocab().size, seed=2)
+        unused = [name for name in model.store.names() if name.startswith("syl_head.")]
+        assert unused
+        before = model.store.values()
+        train(model, train_set, valid_set, TrainConfig(batch_size=3, max_steps=2, mix_weight=0.0))
+        _, grads = model.store.arena()
+        for name in unused:
+            assert np.shares_memory(model.store[name].grad, grads)
+            assert not model.store[name].grad.any()
+            assert np.array_equal(model.store[name].value, before[name])
+        assert np.any(model.store["block01.ffn.w2"].value != before["block01.ffn.w2"])
 
     def test_graphs_leave_no_reference_cycles(self, tiny_data):
         # Every tape must be freed by reference counting alone.
