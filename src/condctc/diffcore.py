@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Ops build a tape of `Tensor` nodes; `backward` walks the tape in reverse
-topological order.  Inside a `no_grad` block ops record nothing, so each
-intermediate is freed as soon as nothing refers to it.  Everything runs in
-64-bit on the CPU, and single-threaded execution is bitwise deterministic.
+Ops return `Tensor`s, each a value and a `Node` of the tape; `backward` walks
+the nodes in reverse topological order.  A node keeps only what its backward
+function reads, so an interior value that no backward function reads is
+freed during the forward pass, once no tensor refers to it.  Inside a
+`no_grad` block ops record nothing, so each intermediate is freed as soon as
+nothing refers to it.  Everything runs in 64-bit on the CPU, and
+single-threaded execution is bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -36,25 +39,61 @@ class FormatError(ValueError):
     """A file does not hold what its format requires."""
 
 
-class Tensor:
-    """A value plus a same-shape gradient accumulator in the tape.
+class Node:
+    """A tensor's place in the tape: what `backward` needs and nothing else.
 
-    `grad` is None until something accumulates into it; None means zero.
-    `backward` leaves a gradient on leaves only (see there).  An op's output made inside `no_grad` has no parents and no backward
-    function: it is a leaf that `backward` cannot see past.
+    `parents` are the nodes of the op's inputs, `op` names the op, and
+    `_backward` is called with this node's gradient and accumulates into the
+    parents' `grad`.  It captures only the arrays it reads, never the input
+    tensors, so an input value that no backward function reads is freed as
+    soon as the forward pass drops its tensor.  It must not refer to this
+    node either, so a finished graph holds no reference cycle and is freed
+    as soon as the last reference to its loss is dropped.  `grad` is None
+    until something accumulates into it; None means zero.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "_backward")
+    __slots__ = ("grad", "parents", "op", "_backward")
 
-    def __init__(self, value, parents: tuple["Tensor", ...] = (), op: str = "leaf"):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self, parents: tuple["Node", ...] = (), op: str = "leaf"):
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.op = op
-        # Called with this node's gradient; it must not refer to this node,
-        # so a finished graph holds no reference cycle and is freed as soon
-        # as the last reference to its loss is dropped.
         self._backward: Callable[[np.ndarray], None] | None = None
+
+    def __repr__(self) -> str:
+        return f"Node(op={self.op!r})"
+
+
+class Tensor:
+    """A value and its node in the tape.
+
+    `grad`, `op` and `parents` are the node's (`parents` are nodes).
+    `backward` leaves a gradient on leaves only (see there).  An op's output
+    made inside `no_grad` has no parents and no backward function: it is a
+    leaf that `backward` cannot see past.
+    """
+
+    __slots__ = ("value", "node")
+
+    def __init__(self, value, parents: tuple["Tensor", ...] = (), op: str = "leaf"):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.node = Node(tuple([p.node for p in parents]), op)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.node.grad = g
+
+    @property
+    def op(self) -> str:
+        return self.node.op
+
+    @property
+    def parents(self) -> tuple[Node, ...]:
+        return self.node.parents
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,33 +129,35 @@ def is_recording() -> bool:
 
 
 def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Give an op's output its backward function, or, inside `no_grad`, make
-    it a leaf that holds neither its parents nor `backward_fn`."""
+    """Give an op's output node its backward function, or, inside `no_grad`,
+    make the output a leaf whose node holds neither parents nor `backward_fn`."""
     if _recording.get():
-        out._backward = backward_fn
+        out.node._backward = backward_fn
     else:
-        out.parents = ()
+        out.node.parents = ()
     return out
 
 
-def _acc(t: Tensor, g: np.ndarray) -> None:
+def _acc(node: Node, g: np.ndarray) -> None:
     # First write copies: g may alias or view another node's grad buffer.
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+    if node.grad is None:
+        node.grad = np.array(g, dtype=np.float64)
     else:
-        t.grad += g
+        node.grad += g
 
 
-def _acc_zeros(t: Tensor) -> np.ndarray:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    return t.grad
+def _acc_zeros(node: Node, shape: tuple[int, ...]) -> np.ndarray:
+    if node.grad is None:
+        node.grad = np.zeros(shape)
+    return node.grad
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: Node | Tensor) -> list:
+    """`root` and every node reachable from it through `.parents`, parents
+    first."""
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -150,13 +191,13 @@ def backward(loss: Tensor) -> None:
     """
     if loss.value.ndim != 0:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-    order = _topo_order(loss)
+    order = _topo_order(loss.node)
     for node in order:
         if node._backward is None and node.grad is not None:
             node.grad.fill(0.0)
         else:
             node.grad = None
-    loss.grad = np.ones_like(loss.value)
+    loss.node.grad = np.ones_like(loss.value)
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
@@ -172,34 +213,34 @@ def _require_2d(name: str, *tensors: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = Tensor(a.value + b.value, (a, b), "add")
+    na, nb = a.node, b.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(a, g)
-        _acc(b, g)
+        _acc(na, g)
+        _acc(nb, g)
 
-    return _record(out, _bwd)
+    return _record(Tensor(a.value + b.value, (a, b), "add"), _bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-    out = Tensor(a.value * b.value, (a, b), "mul")
+    av, bv, na, nb = a.value, b.value, a.node, b.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(a, g * b.value)
-        _acc(b, g * a.value)
+        _acc(na, g * bv)
+        _acc(nb, g * av)
 
-    return _record(out, _bwd)
+    return _record(Tensor(av * bv, (a, b), "mul"), _bwd)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
-    out = Tensor(a.value * factor, (a,), "scale")
+    na = a.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(a, g * factor)
+        _acc(na, g * factor)
 
-    return _record(out, _bwd)
+    return _record(Tensor(a.value * factor, (a,), "scale"), _bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -210,16 +251,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: inner dims differ, {x.value.shape} @ {weight.value.shape}")
     if bias.value.ndim != 1 or bias.value.shape[0] != weight.value.shape[1]:
         raise ShapeError(f"linear: bias {bias.value.shape} does not fit {weight.value.shape}")
-    y = x.value @ weight.value
+    xv, wv = x.value, weight.value
+    y = xv @ wv
     y += bias.value
-    out = Tensor(y, (x, weight, bias), "linear")
+    nx, nw, nb = x.node, weight.node, bias.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(x, g @ weight.value.T)
-        _acc(weight, x.value.T @ g)
-        _acc(bias, g.sum(axis=0))
+        _acc(nx, g @ wv.T)
+        _acc(nw, xv.T @ g)
+        _acc(nb, g.sum(axis=0))
 
-    return _record(out, _bwd)
+    return _record(Tensor(y, (x, weight, bias), "linear"), _bwd)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -227,12 +269,12 @@ def softmax_rows(x: Tensor) -> Tensor:
     shifted = x.value - x.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, (x,), "softmax_rows")
+    nx = x.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(x, y * (g - (g * y).sum(axis=1, keepdims=True)))
+        _acc(nx, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
-    return _record(out, _bwd)
+    return _record(Tensor(y, (x,), "softmax_rows"), _bwd)
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
@@ -240,12 +282,12 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     shifted = x.value - x.value.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     y = shifted - lse
-    out = Tensor(y, (x,), "log_softmax_rows")
+    nx = x.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(x, g - np.exp(y) * g.sum(axis=1, keepdims=True))
+        _acc(nx, g - np.exp(y) * g.sum(axis=1, keepdims=True))
 
-    return _record(out, _bwd)
+    return _record(Tensor(y, (x,), "log_softmax_rows"), _bwd)
 
 
 def _normalize_rows(a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -274,12 +316,12 @@ def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Rowwise normalization to zero mean / unit variance (no affine part)."""
     _require_2d("layer_norm_rows", x)
     y, inv = _normalize_rows(x.value, eps)
-    out = Tensor(y, (x,), "layer_norm_rows")
+    nx = x.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(x, _normalize_rows_grad(g.copy(), y, inv))
+        _acc(nx, _normalize_rows_grad(g.copy(), y, inv))
 
-    return _record(out, _bwd)
+    return _record(Tensor(y, (x,), "layer_norm_rows"), _bwd)
 
 
 def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -292,36 +334,37 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
             f"layer_norm_affine: gain {gain.value.shape} / bias {bias.value.shape} do not fit {x.value.shape}"
         )
     y, inv = _normalize_rows(x.value, eps)
-    out_value = y * gain.value
+    gv = gain.value
+    out_value = y * gv
     out_value += bias.value
-    out = Tensor(out_value, (x, gain, bias), "layer_norm_affine")
+    nx, ng, nb = x.node, gain.node, bias.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(gain, (g * y).sum(axis=0))
-        _acc(bias, g.sum(axis=0))
-        _acc(x, _normalize_rows_grad(g * gain.value, y, inv))
+        _acc(ng, (g * y).sum(axis=0))
+        _acc(nb, g.sum(axis=0))
+        _acc(nx, _normalize_rows_grad(g * gv, y, inv))
 
-    return _record(out, _bwd)
+    return _record(Tensor(out_value, (x, gain, bias), "layer_norm_affine"), _bwd)
 
 
 def swish(x: Tensor) -> Tensor:
     # The sigmoid is built in one buffer; `out=` keeps it an array for 0-d x.
-    sig = np.negative(x.value, out=np.empty_like(x.value))
+    xv, nx = x.value, x.node
+    sig = np.negative(xv, out=np.empty_like(xv))
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    out = Tensor(x.value * sig, (x,), "swish")
 
     def _bwd(g: np.ndarray) -> None:
         # g * sig * (1 + x * (1 - sig)), in two buffers
         gx = g * sig
         slope = np.subtract(1.0, sig, out=np.empty_like(sig))
-        slope *= x.value
+        slope *= xv
         slope += 1.0
         gx *= slope
-        _acc(x, gx)
+        _acc(nx, gx)
 
-    return _record(out, _bwd)
+    return _record(Tensor(xv * sig, (x,), "swish"), _bwd)
 
 
 def _segment_bounds(name: str, rows: int, lengths: Sequence[int] | None) -> list[tuple[int, int]]:
@@ -358,23 +401,25 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int] | None
     width = rows + 2 * pad * (len(bounds) - 1)  # window starts in the buffer
     xp = np.zeros((width + 2 * pad, n))
     xp[at] = x.value
+    kv = kernel.value
     yp = np.zeros((width, n))
     tap = np.empty((width, n))  # each tap's product, reused across the k taps
     for j in range(k):
-        yp += np.multiply(kernel.value[j], xp[j : j + width], out=tap)
-    out = Tensor(yp[at - pad], (x, kernel), "depthwise_conv_rows")
+        yp += np.multiply(kv[j], xp[j : j + width], out=tap)
+    nx, nk = x.node, kernel.node
 
     def _bwd(g: np.ndarray) -> None:
-        kg = _acc_zeros(kernel)
+        # Reads the padded copy `xp`, not the input's value.
+        kg = _acc_zeros(nk, kv.shape)
         gyp = np.zeros((width, n))
         gyp[at - pad] = g
         gxp = np.zeros_like(xp)
         for j in range(k):
             kg[j] += (gyp * xp[j : j + width]).sum(axis=0)
-            gxp[j : j + width] += gyp * kernel.value[j]
-        _acc(x, gxp[at])
+            gxp[j : j + width] += gyp * kv[j]
+        _acc(nx, gxp[at])
 
-    return _record(out, _bwd)
+    return _record(Tensor(yp[at - pad], (x, kernel), "depthwise_conv_rows"), _bwd)
 
 
 def multi_head_attention(
@@ -417,12 +462,12 @@ def multi_head_attention(
         w /= w.sum(axis=2, keepdims=True)
         weights.append(w)
         np.matmul(w, vh[:, seg], out=yh[:, seg])
-    out = Tensor(y, (q, k, v), "multi_head_attention")
+    qv, nq, nk, nv = q.value, q.node, k.node, v.node
 
     def _bwd(g: np.ndarray) -> None:
         gq, gk, gv = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
         gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
-        qh = heads(q.value)  # unscaled: the scaled copy is not kept for backward
+        qh = heads(qv)  # unscaled: the scaled copy is not kept for backward
         for (start, stop), w in zip(bounds, weights):
             seg = slice(start, stop)
             # Score gradient before the scale, w * (gw - rowsum(gw * w)) with
@@ -435,23 +480,22 @@ def multi_head_attention(
             np.matmul(w.transpose(0, 2, 1), gh[:, seg], out=gvh[:, seg])
         gq *= factor
         gk *= factor
-        _acc(q, gq)
-        _acc(k, gk)
-        _acc(v, gv)
+        _acc(nq, gq)
+        _acc(nk, gk)
+        _acc(nv, gv)
 
-    return _record(out, _bwd)
+    return _record(Tensor(y, (q, k, v), "multi_head_attention"), _bwd)
 
 
 def mean_reduce(x: Tensor) -> Tensor:
     """Scalar mean over all elements."""
-    out = Tensor(np.float64(x.value.mean()), (x,), "mean_reduce")
-    size = x.value.size
+    shape, size, nx = x.value.shape, x.value.size, x.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc_zeros(x)
-        x.grad += float(g) / size
+        _acc_zeros(nx, shape)
+        nx.grad += float(g) / size
 
-    return _record(out, _bwd)
+    return _record(Tensor(np.float64(x.value.mean()), (x,), "mean_reduce"), _bwd)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

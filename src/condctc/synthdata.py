@@ -286,7 +286,7 @@ def utterance_to_record(utt: Utterance, lang: ToyLanguage) -> dict:
     rows, cols = utt.features.shape
     return {
         "id": utt.utt_id,
-        "features": {"shape": [rows, cols], "data": [float(v) for v in utt.features.reshape(-1)]},
+        "features": {"shape": [rows, cols], "data": utt.features.reshape(-1).tolist()},
         "chars": char_vocab.decode(utt.char_ids),
         "syllables": syl_vocab.decode(utt.syl_ids),
     }

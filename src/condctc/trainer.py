@@ -112,12 +112,13 @@ def ctc_node(
     if recording:
         live = [(lp, g, w) for lp, g, w in zip(log_probs, result.grads, weights) if w]
     out = Tensor(np.float64(total), parents=tuple(lp for lp, _, _ in live), op="ctc_nll")
+    # Backward reads the occupancies, not the log-probabilities.
+    live = [(lp.node, grad, weight) for lp, grad, weight in live]
 
     def _bwd(g: np.ndarray) -> None:
-        for lp, grad, weight in live:
-            if lp.grad is None:
-                lp.grad = np.zeros_like(lp.value)
-            lp.grad += (float(g) * weight) * grad
+        for node, grad, weight in live:
+            dc._acc_zeros(node, grad.shape)
+            node.grad += (float(g) * weight) * grad
 
     return dc._record(out, _bwd), sums
 
@@ -378,11 +379,13 @@ def _step_gradients(
 ) -> None:
     """Forward, loss and backward of one training batch, leaving the
     gradient of the batch's mean total loss in the parameters' `.grad`.  The
-    step's graph is freed when this returns, before clipping, Adam,
-    evaluation and the next step's forward."""
-    out = model.forward_batch([u.features for u in batch])
+    forward output is dropped once the loss is built, so during backward the
+    step holds only what its nodes' backward functions read.  The step's
+    graph is freed when this returns, before clipping, Adam, evaluation and
+    the next step's forward."""
     summed, _ = batch_loss(
-        out, [u.char_ids for u in batch], [u.syl_ids for u in batch], mix_weight
+        model.forward_batch([u.features for u in batch]),
+        [u.char_ids for u in batch], [u.syl_ids for u in batch], mix_weight,
     )
     loss = dc.scale(summed, 1.0 / len(batch))
     if not np.isfinite(loss.value):

@@ -9,7 +9,7 @@ import pytest
 from condctc import synthdata, trainer
 from condctc.cli import main
 from condctc.ctc import greedy_decode
-from condctc.diffcore import NumericError
+from condctc.diffcore import NumericError, ParamStore
 from condctc.encoder import EncoderModel
 from condctc.labels import BLANK_TOKEN, Vocabulary
 
@@ -448,6 +448,26 @@ class TestBadInputFiles:
 
         model = self.damaged_model(trained_dir, tmp_path, flip)
         assert self.decode(model, data_dir / "valid.jsonl", tmp_path, capsys) == 3
+
+    @pytest.mark.parametrize("block,edit", [
+        ("model", lambda meta: meta["model"].update(n_heads=3)),
+        ("model", lambda meta: meta["model"].update(no_such_key=1)),
+        ("model", lambda meta: meta.update(model=[16])),
+        ("placement", lambda meta: meta["placement"].update(char_layers=[9])),
+        ("placement", lambda meta: meta["placement"].pop("n_layers")),
+    ])
+    def test_header_block_that_does_not_construct_exits_3(self, trained_dir, data_dir,
+                                                          tmp_path, capsys, block, edit):
+        store, meta = ParamStore.load(trained_dir / "model_avg.ntc")
+        edit(meta)
+        model = tmp_path / "resaved.ntc"
+        store.save(model, meta)
+        code = run(["decode", "--model", str(model), "--data", str(data_dir / "valid.jsonl"),
+                    "--out", str(tmp_path / "h.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"data error: {model}: header block {block!r} does not construct")
+        assert err.count("\n") == 1, err
 
     def test_record_with_mismatched_shape_exits_3(self, trained_dir, data_dir, tmp_path,
                                                   capsys):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import weakref
 import zlib
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from condctc import diffcore as dc
 from condctc.diffcore import ContractError, FormatError, ParamStore, ShapeError, Tensor
+from condctc.encoder import EncoderModel, ModelConfig, PlacementConfig
+from condctc.trainer import batch_loss
 
 
 RNG = np.random.default_rng(42)
@@ -352,7 +356,7 @@ class TestNoGrad:
             outs = [dc.add(a, b), dc.depthwise_conv_rows(a, kernel, [2, 3]),
                     dc.multi_head_attention(a, b, a, 2, [4, 1]), dc.mean_reduce(a)]
         for out in outs:
-            assert out.parents == () and out._backward is None, out.op
+            assert out.parents == () and out.node._backward is None, out.op
 
     def test_values_match_recorded_ops(self):
         q, k, v = make((6, 4)), make((6, 4)), make((6, 4))
@@ -368,7 +372,7 @@ class TestNoGrad:
                 dc.add(a, a)
                 dc.add(a, b)
         out = dc.add(a, a)
-        assert out.parents == (a, a) and out._backward is not None
+        assert out.parents == (a.node, a.node) and out.node._backward is not None
 
     def test_nested_blocks_restore_the_outer_state(self):
         a = make((2, 2))
@@ -376,7 +380,76 @@ class TestNoGrad:
             with dc.no_grad():
                 pass
             assert dc.scale(a, 2.0).parents == ()
-        assert dc.scale(a, 2.0).parents == (a,)
+        assert dc.scale(a, 2.0).parents == (a.node,)
+
+
+class TestRecordedStepMemory:
+    """A recorded forward and loss keep alive only the values that some
+    backward function reads."""
+
+    # (op, input position) whose backward function does not read that input.
+    UNREAD = {("add", 0), ("add", 1), ("scale", 0), ("mean_reduce", 0), ("linear", 2),
+              ("softmax_rows", 0), ("log_softmax_rows", 0), ("layer_norm_rows", 0),
+              ("layer_norm_affine", 0), ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
+    # Ops whose backward function reads their own output.
+    READS_OUTPUT = {"softmax_rows", "log_softmax_rows", "layer_norm_rows"}
+
+    @staticmethod
+    def recorded_step(monkeypatch, made):
+        """Forward and `batch_loss` of a 6-layer `alternate` model on three
+        packed utterances; `made(tensor)` sees every tensor they create."""
+        model = EncoderModel(ModelConfig(d_in=4, d_model=8, n_heads=2, d_ff=12, conv_kernel=3),
+                             PlacementConfig.from_strategy("alternate", 6), 4, 4, seed=2)
+        rng = np.random.default_rng(8)
+        feats = [rng.normal(size=(n, 4)) for n in (5, 3, 6)]
+        init = Tensor.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made(self)
+
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        loss, _ = batch_loss(model.forward_batch(feats), [[1, 2], [3], [2, 2]],
+                             [[1], [2, 3], [3]], 0.5)
+        monkeypatch.undo()
+        return loss
+
+    def test_builds_no_final_softmax(self, monkeypatch):
+        ops = []
+        self.recorded_step(monkeypatch, lambda t: ops.append(t.op))
+        # one per intermediate point: char layers 2, 4 and syllable layers 1, 3, 5
+        assert ops.count("softmax_rows") == 5
+
+    def test_values_no_backward_reads_are_freed(self, monkeypatch):
+        made = []
+        loss = self.recorded_step(monkeypatch,
+                                  lambda t: made.append((t.node, weakref.ref(t.value))))
+        consumers = defaultdict(list)
+        for node in dc._topo_order(loss.node):
+            for pos, parent in enumerate(node.parents):
+                consumers[id(parent)].append((node.op, pos))
+
+        def unread(node):
+            uses = consumers[id(node)]
+            return bool(uses) and node.op not in self.READS_OUTPUT and set(uses) <= self.UNREAD
+
+        freed = {id(node) for node, ref in made if ref() is None}
+        unread_values = [node for node, _ in made if unread(node)]
+        into_add = [node for node, _ in made
+                    if node.op == "linear" and {op for op, _ in consumers[id(node)]} == {"add"}]
+        # 24 adds: 18 residual, 5 feedback, 1 position code; the 6 block
+        # outputs that feed a head's linear are read by its backward.
+        assert sum(node.op == "add" for node, _ in made) == 24
+        assert sum(node.op == "add" for node in unread_values) == 18
+        assert len(into_add) == 24
+        # head logits, the convolution's normalized input, the position code
+        assert {"linear", "layer_norm_affine", "leaf"} <= {n.op for n in unread_values}
+        for node in into_add + unread_values:
+            assert id(node) in freed, (node.op, consumers[id(node)])
+        # ... while every value some backward function reads stays alive.
+        read = [node for node, _ in made if consumers[id(node)] and not unread(node)]
+        assert read and not freed & {id(node) for node in read}
+        assert loss.value.ndim == 0
 
 
 class TestGradCheckHarness:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from condctc.ctc import min_frames
 from condctc.labels import BLANK_TOKEN
 from condctc.synthdata import (
     LanguageSpecError,
+    Utterance,
     ambiguous_pair,
     generate_dataset,
     make_language,
@@ -157,6 +159,24 @@ class TestDataset:
         write_jsonl(utts, lang, path)
         back = read_jsonl(path, lang.char_vocab(), lang.syl_vocab())
         assert back == utts
+
+    def test_jsonl_bytes_are_those_of_per_element_formatting(self, lang, tmp_path):
+        utts = sample_utterances(lang, 4, (2, 4), seed=2, stream=0, prefix="t")
+        edge = np.array([[-0.0, 5e-324, 1e300, 0.1], [1.0 / 3.0, -2.5, 1e-7, 123456789.0]])
+        utts.append(Utterance("edge", edge, utts[0].char_ids, utts[0].syl_ids))
+        path = tmp_path / "x.jsonl"
+        write_jsonl(utts, lang, path)
+        want = ""
+        for u in utts:
+            record = {
+                "id": u.utt_id,
+                "features": {"shape": list(u.features.shape),
+                             "data": [float(v) for v in u.features.reshape(-1)]},
+                "chars": lang.char_vocab().decode(u.char_ids),
+                "syllables": lang.syl_vocab().decode(u.syl_ids),
+            }
+            want += json.dumps(record, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_generate_dataset_files(self, lang, tmp_path):
         paths = generate_dataset(lang, tmp_path, n_train=5, n_valid=3, len_range=(2, 4),

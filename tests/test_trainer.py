@@ -807,7 +807,7 @@ class TestTrainLoop:
         trainer.layerwise_error_rates(model, valid_set)
         # 5 tensors per forward: 2 chunk forwards, 3 one-utterance ones; 2 chunk losses
         assert len(made) == 5 * (2 + 3) + 2
-        assert all(t.parents == () and t._backward is None for t in made)
+        assert all(t.parents == () and t.node._backward is None for t in made)
 
     def test_steps_after_evaluation_record_the_full_tape(self, tiny_data, monkeypatch):
         # Evaluation runs tape-free after every step; each step's tape must
