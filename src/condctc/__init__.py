@@ -2,7 +2,7 @@
 predictions fed back into the encoder stack."""
 
 from .labels import BLANK_ID, BLANK_TOKEN, EditCounts, Vocabulary, collapse, edit_distance, error_rate
-from .ctc import CtcResult, brute_force_loss, ctc_grad_wrt_probs, ctc_loss, greedy_decode
+from .ctc import CtcResult, brute_force_loss, ctc_loss, greedy_decode
 from .diffcore import ParamStore, Tensor, backward, grad_check
 from .encoder import EncoderModel, ForwardOutput, ModelConfig, PlacementConfig
 from .synthdata import ToyLanguage, Utterance, generate_dataset, make_language, synthesize_utterance
@@ -34,7 +34,6 @@ __all__ = [
     "backward",
     "brute_force_loss",
     "collapse",
-    "ctc_grad_wrt_probs",
     "ctc_loss",
     "edit_distance",
     "error_rate",

@@ -20,7 +20,7 @@ from . import synthdata, trainer
 from .ctc import InfeasibleAlignmentError
 from .diffcore import ContractError, FormatError, NumericError, atomic_write
 from .encoder import EncoderModel, ModelConfig, PlacementConfig
-from .labels import UndefinedRateError, Vocabulary, error_rate
+from .labels import InvalidTokenError, UndefinedRateError, Vocabulary, error_rate
 from .synthdata import LanguageSpecError
 from .trainer import TrainConfig
 
@@ -63,8 +63,6 @@ class TrainCmdConfig:
     n_heads: int = 4
     d_ff: int = 128
     conv_kernel: int = 7
-    pos_enc: bool = True
-    cond_layer_norm: bool = False
     mix_weight: float = 0.5
     epochs: int = 200
     batch_size: int = 10
@@ -231,8 +229,6 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
             n_heads=cfg.n_heads,
             d_ff=cfg.d_ff,
             conv_kernel=cfg.conv_kernel,
-            use_pos_enc=cfg.pos_enc,
-            cond_layer_norm=cfg.cond_layer_norm,
         )
         train_cfg = TrainConfig(
             mix_weight=cfg.mix_weight,
@@ -286,8 +282,13 @@ def cmd_decode(cfg: DecodeConfig) -> int:
     try:
         char_vocab = Vocabulary(tuple(extra["char_tokens"]))
         syl_vocab = Vocabulary(tuple(extra["syl_tokens"]))
-    except KeyError as exc:
-        raise DataError(f"checkpoint lacks vocabulary metadata ({exc})") from exc
+    except (KeyError, TypeError, InvalidTokenError) as exc:
+        raise DataError(f"{model_path}: no usable vocabulary metadata ({exc})") from None
+    if (char_vocab.size, syl_vocab.size) != (model.char_vocab_size, model.syl_vocab_size):
+        raise DataError(
+            f"{model_path}: {char_vocab.size} character and {syl_vocab.size} syllable tokens "
+            f"for vocabulary sizes {model.char_vocab_size} and {model.syl_vocab_size}"
+        )
     utts = synthdata.read_jsonl(data_path, char_vocab, syl_vocab)
     for utt in utts:
         rows, cols = utt.features.shape

@@ -63,16 +63,6 @@ def _check_target(target: Sequence[int], n_classes: int) -> list[int]:
     return out
 
 
-def validate_prob_matrix(probs: np.ndarray, tol: float = 1e-6) -> None:
-    """Check the row-stochastic contract: positive entries, rows summing to 1."""
-    z = _check_probs(probs)
-    if not np.isfinite(z).all() or (z <= 0.0).any():
-        raise ValueError("probability matrix must be strictly positive and finite")
-    worst = np.abs(z.sum(axis=1) - 1.0).max()
-    if worst > tol:
-        raise ValueError(f"rows must sum to 1 within {tol}, worst deviation {worst:.3g}")
-
-
 def min_frames(target: Sequence[int]) -> int:
     """Minimum frame count that can realize the target: length plus one forced
     blank per adjacent repeated label."""
@@ -313,11 +303,6 @@ def ctc_loss_batch(
     bounds = np.cumsum([0, *[m.size for m in mats]]).tolist()
     grads = [grad_flat[a:b].reshape(m.shape) for a, b, m in zip(bounds, bounds[1:], mats)]
     return CtcBatchResult(losses=losses, grads=grads)
-
-
-def ctc_grad_wrt_probs(probs: np.ndarray, target: Sequence[int]) -> np.ndarray:
-    """Gradient of the CTC loss w.r.t. each probability entry."""
-    return ctc_loss(probs, target).grad
 
 
 def greedy_decode(probs: np.ndarray) -> list[int]:

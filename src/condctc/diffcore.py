@@ -290,50 +290,20 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _record(Tensor(y, (x,), "log_softmax_rows"), _bwd)
 
 
-def _normalize_rows(a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of `a` at zero mean and unit variance, and each row's 1/std.  The
-    row sums divided by the width are what np.mean and np.var compute."""
+def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Rowwise normalization to zero mean and unit variance, times a
+    per-column gain plus a per-column bias, as one node.  The row sums
+    divided by the width are what np.mean and np.var compute."""
+    _require_2d("layer_norm_affine", x)
+    a = x.value
     n = a.shape[1]
+    if gain.value.shape != (n,) or bias.value.shape != (n,):
+        raise ShapeError(
+            f"layer_norm_affine: gain {gain.value.shape} / bias {bias.value.shape} do not fit {a.shape}"
+        )
     y = a - a.sum(axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt((y * y).sum(axis=1, keepdims=True) / n + eps)
     y *= inv
-    return y, inv
-
-
-def _normalize_rows_grad(gy: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """The gradient at the input of `_normalize_rows`, given the gradient `gy`
-    at its output: inv * (gy - mean(gy) - y * mean(gy * y)), computed in
-    `gy`'s buffer, which the caller hands over."""
-    tmp = gy * y
-    proj = tmp.mean(axis=1, keepdims=True)
-    gy -= gy.mean(axis=1, keepdims=True)
-    gy -= np.multiply(y, proj, out=tmp)
-    gy *= inv
-    return gy
-
-
-def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Rowwise normalization to zero mean / unit variance (no affine part)."""
-    _require_2d("layer_norm_rows", x)
-    y, inv = _normalize_rows(x.value, eps)
-    nx = x.node
-
-    def _bwd(g: np.ndarray) -> None:
-        _acc(nx, _normalize_rows_grad(g.copy(), y, inv))
-
-    return _record(Tensor(y, (x,), "layer_norm_rows"), _bwd)
-
-
-def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """`layer_norm_rows(x)` times a per-column gain plus a per-column bias, as
-    one node; bitwise equal to the two steps done apart."""
-    _require_2d("layer_norm_affine", x)
-    n = x.value.shape[1]
-    if gain.value.shape != (n,) or bias.value.shape != (n,):
-        raise ShapeError(
-            f"layer_norm_affine: gain {gain.value.shape} / bias {bias.value.shape} do not fit {x.value.shape}"
-        )
-    y, inv = _normalize_rows(x.value, eps)
     gv = gain.value
     out_value = y * gv
     out_value += bias.value
@@ -342,7 +312,14 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
     def _bwd(g: np.ndarray) -> None:
         _acc(ng, (g * y).sum(axis=0))
         _acc(nb, g.sum(axis=0))
-        _acc(nx, _normalize_rows_grad(g * gv, y, inv))
+        # inv * (gy - mean(gy) - y * mean(gy * y)) for gy = g * gain, in gy's buffer
+        gy = g * gv
+        tmp = gy * y
+        proj = tmp.mean(axis=1, keepdims=True)
+        gy -= gy.mean(axis=1, keepdims=True)
+        gy -= np.multiply(y, proj, out=tmp)
+        gy *= inv
+        _acc(nx, gy)
 
     return _record(Tensor(out_value, (x, gain, bias), "layer_norm_affine"), _bwd)
 

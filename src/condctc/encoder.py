@@ -112,16 +112,13 @@ class PlacementConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions and switches of the encoder stack."""
+    """Dimensions of the encoder stack."""
 
     d_in: int = 16
     d_model: int = 64
     n_heads: int = 4
     d_ff: int = 128
     conv_kernel: int = 7
-    use_pos_enc: bool = True
-    cond_layer_norm: bool = False
-    ln_eps: float = 1e-5
 
     def __post_init__(self) -> None:
         if min(self.d_model, self.n_heads) < 1 or self.d_model % self.n_heads != 0:
@@ -130,6 +127,20 @@ class ModelConfig:
             )
         if self.conv_kernel % 2 != 1 or self.conv_kernel < 1:
             raise ContractError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
+
+
+# Keys that checkpoints of earlier versions carry in the header's `model`
+# block, each with the one value the encoder still implements.
+_RETIRED_MODEL_KEYS = {"use_pos_enc": True, "cond_layer_norm": False, "ln_eps": 1e-5}
+
+
+def _model_config(header: Mapping) -> ModelConfig:
+    fields = dict(header)
+    for key, kept in _RETIRED_MODEL_KEYS.items():
+        value = fields.pop(key, kept)
+        if type(value) is not type(kept) or value != kept:
+            raise ValueError(f"retired key {key!r} is {value!r}; only {kept!r} still loads")
+    return ModelConfig(**fields)
 
 
 @dataclass
@@ -266,8 +277,7 @@ class EncoderModel:
     # -- forward pieces -----------------------------------------------------
 
     def _normed(self, x: Tensor, prefix: str) -> Tensor:
-        return dc.layer_norm_affine(x, self.store[f"{prefix}.gain"], self.store[f"{prefix}.bias"],
-                                    self.cfg.ln_eps)
+        return dc.layer_norm_affine(x, self.store[f"{prefix}.gain"], self.store[f"{prefix}.bias"])
 
     def _attention(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
         p = self.store
@@ -337,8 +347,6 @@ class EncoderModel:
             out = dc.add(out, dc.linear(z, p["char_cond.w"], p["char_cond.b"]))
         if r is not None:
             out = dc.add(out, dc.linear(r, p["syl_cond.w"], p["syl_cond.b"]))
-        if out is not x and self.cfg.cond_layer_norm:
-            out = dc.layer_norm_rows(out, self.cfg.ln_eps)
         return out
 
     def forward(self, features: np.ndarray) -> ForwardOutput:
@@ -371,9 +379,8 @@ class EncoderModel:
         lengths = tuple(f.shape[0] for f in feats)
 
         x = dc.linear(Tensor(np.concatenate(feats)), self.store["input.w"], self.store["input.b"])
-        if self.cfg.use_pos_enc:
-            table = sinusoidal_positions(max(lengths), self.cfg.d_model)
-            x = dc.add(x, Tensor(np.concatenate([table[:n] for n in lengths])))
+        table = sinusoidal_positions(max(lengths), self.cfg.d_model)
+        x = dc.add(x, Tensor(np.concatenate([table[:n] for n in lengths])))
 
         inters: dict[str, dict[int, Tensor]] = {"char": {}, "syl": {}}
         logits: dict = {}
@@ -413,8 +420,10 @@ class EncoderModel:
     @classmethod
     def load(cls, path: str | Path) -> tuple["EncoderModel", dict]:
         """Read a checkpoint written by `save`.  A header whose `model` or
-        `placement` block does not construct raises FormatError naming the
-        file and the block."""
+        `placement` block does not construct, or whose vocabulary size is not
+        the column count of its stored head, raises FormatError naming the
+        file and the block or field.  A `model` block of an earlier version
+        loads when its retired keys hold the values the encoder implements."""
         store, meta = ParamStore.load(path)
 
         def block(key: str, build):
@@ -425,11 +434,21 @@ class EncoderModel:
                     f"{path}: header block {key!r} does not construct ({exc})"
                 ) from None
 
+        def vocab_size(field: str, head: str) -> int:
+            size = meta.get(field)
+            weight = store[head].value if head in store else None
+            if type(size) is not int or size < 2 or weight is None or weight.shape[1:] != (size,):
+                raise FormatError(
+                    f"{path}: header field {field!r} is {size!r}, not an int >= 2 "
+                    f"equal to the column count of {head!r}"
+                )
+            return size
+
         model = cls(
-            cfg=block("model", lambda d: ModelConfig(**d)),
+            cfg=block("model", _model_config),
             placement=block("placement", PlacementConfig.from_dict),
-            char_vocab_size=int(meta["char_vocab_size"]),
-            syl_vocab_size=int(meta["syl_vocab_size"]),
+            char_vocab_size=vocab_size("char_vocab_size", "char_head.w"),
+            syl_vocab_size=vocab_size("syl_vocab_size", "syl_head.w"),
             store=store,
         )
         return model, meta.get("extra", {})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -7,11 +8,12 @@ import shutil
 import pytest
 
 from condctc import synthdata, trainer
-from condctc.cli import main
+from condctc.cli import TrainCmdConfig, main
 from condctc.ctc import greedy_decode
 from condctc.diffcore import NumericError, ParamStore
-from condctc.encoder import EncoderModel
+from condctc.encoder import EncoderModel, ModelConfig
 from condctc.labels import BLANK_TOKEN, Vocabulary
+from condctc.trainer import TrainConfig
 
 
 def run(argv):
@@ -147,6 +149,19 @@ class TestConfigHandling:
         code = run(["gen-data", "--config", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)])
         assert code == 3
 
+    def test_retired_model_switches_exit_2(self, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                 "--pos-enc", "false"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("cond_layer_norm=true\n")
+        capsys.readouterr()
+        code = run(["train", "--config", str(cfg), "--data-dir", str(data_dir),
+                    "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "cond_layer_norm" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_outputs_written(self, trained_dir, capsys):
@@ -190,6 +205,34 @@ class TestTrain:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == []
+
+    def test_defaults_are_the_library_defaults(self, data_dir, tmp_path, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def capture(model, train_set, valid_set, train_cfg, out_dir, checkpoint_meta):
+            raise Built(model.cfg, train_cfg)
+
+        monkeypatch.setattr(trainer, "train", capture)
+        with pytest.raises(Built) as built:
+            run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path)])
+        model_cfg, train_cfg = built.value.args
+        cli = TrainCmdConfig()
+        # Fields that cmd_train maps before handing them on: 0 steps and a
+        # negative threshold mean none, and the loop's seed follows the model's.
+        mapped = {"max_steps": (0, None), "early_stop_train_cer": (-1.0, None),
+                  "seed": (TrainConfig().seed, TrainConfig().seed + 1)}
+        for field, (cli_default, passed) in mapped.items():
+            assert getattr(cli, field) == cli_default, field
+            assert getattr(train_cfg, field) == passed, field
+        shared = 0
+        for library, passed_cfg in ((ModelConfig(), model_cfg), (TrainConfig(), train_cfg)):
+            for f in dataclasses.fields(library):
+                if hasattr(cli, f.name) and f.name not in mapped:
+                    shared += 1
+                    assert getattr(cli, f.name) == getattr(library, f.name), f.name
+                    assert getattr(passed_cfg, f.name) == getattr(library, f.name), f.name
+        assert shared == 12  # 4 model sizes and 8 training knobs
 
     @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl"])
     def test_empty_split_exits_3_naming_the_file(self, data_dir, tmp_path, capsys, split):
@@ -468,6 +511,65 @@ class TestBadInputFiles:
         assert code == 3
         assert err.startswith(f"data error: {model}: header block {block!r} does not construct")
         assert err.count("\n") == 1, err
+
+    def resaved(self, trained_dir, tmp_path, edit):
+        store, meta = ParamStore.load(trained_dir / "model_avg.ntc")
+        edit(meta)
+        model = tmp_path / "resaved.ntc"
+        store.save(model, meta)
+        return model
+
+    def decode_error(self, model, data_dir, tmp_path, capsys):
+        """The one-line message of a decode of `model` that exits 3."""
+        code = run(["decode", "--model", str(model), "--data", str(data_dir / "valid.jsonl"),
+                    "--out", str(tmp_path / "h.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith(f"data error: {model}: ") and err.count("\n") == 1, err
+        return err
+
+    def test_retired_keys_at_their_defaults_decode_identically(self, trained_dir, data_dir,
+                                                              tmp_path):
+        old = self.resaved(trained_dir, tmp_path, lambda meta: meta["model"].update(
+            use_pos_enc=True, cond_layer_norm=False, ln_eps=1e-05))
+        outs = []
+        for model in (trained_dir / "model_avg.ntc", old):
+            outs.append(tmp_path / f"{model.stem}.jsonl")
+            assert run(["decode", "--model", str(model), "--data", str(data_dir / "valid.jsonl"),
+                        "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("key,value", [("cond_layer_norm", True), ("use_pos_enc", False),
+                                           ("ln_eps", 1e-3)])
+    def test_retired_key_at_another_value_exits_3(self, trained_dir, data_dir, tmp_path, capsys,
+                                                  key, value):
+        model = self.resaved(trained_dir, tmp_path, lambda meta: meta["model"].update({key: value}))
+        assert repr(key) in self.decode_error(model, data_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["x", 1, "one too large"])
+    def test_vocabulary_size_not_the_head_width_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                        capsys, value):
+        def edit(meta):
+            meta["char_vocab_size"] = (meta["char_vocab_size"] + 1 if value == "one too large"
+                                       else value)
+
+        model = self.resaved(trained_dir, tmp_path, edit)
+        assert "'char_vocab_size'" in self.decode_error(model, data_dir, tmp_path, capsys)
+
+    def test_token_lists_not_the_vocabulary_sizes_exit_3(self, trained_dir, data_dir, tmp_path,
+                                                         capsys):
+        model = self.resaved(trained_dir, tmp_path, lambda meta: meta["extra"]["syl_tokens"].pop())
+        assert "syllable tokens" in self.decode_error(model, data_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["extra"].pop("char_tokens"),
+        lambda meta: meta["extra"]["char_tokens"].reverse(),  # blank not first
+        lambda meta: meta["extra"]["syl_tokens"].__setitem__(1, 5),
+        lambda meta: meta.update(extra=["not", "an", "object"]),
+    ])
+    def test_unusable_vocabulary_metadata_exits_3(self, trained_dir, data_dir, tmp_path, capsys,
+                                                  edit):
+        model = self.resaved(trained_dir, tmp_path, edit)
+        assert "vocabulary metadata" in self.decode_error(model, data_dir, tmp_path, capsys)
 
     def test_record_with_mismatched_shape_exits_3(self, trained_dir, data_dir, tmp_path,
                                                   capsys):

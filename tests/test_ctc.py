@@ -10,12 +10,10 @@ from condctc.ctc import (
     InfeasibleAlignmentError,
     OracleSizeError,
     brute_force_loss,
-    ctc_grad_wrt_probs,
     ctc_loss,
     ctc_loss_batch,
     greedy_decode,
     min_frames,
-    validate_prob_matrix,
 )
 from condctc.labels import InvalidTokenError, collapse
 
@@ -107,7 +105,7 @@ class TestCtcLoss:
 
 class TestCtcGrad:
     def test_single_frame_analytic(self):
-        grad = ctc_grad_wrt_probs(np.array([[0.2, 0.8]]), [1])
+        grad = ctc_loss(np.array([[0.2, 0.8]]), [1]).grad
         assert grad[0, 1] == pytest.approx(-1.25, abs=1e-12)
         assert grad[0, 0] == 0.0
 
@@ -119,7 +117,7 @@ class TestCtcGrad:
             probs, target = random_instance(rng)
             probs = np.clip(probs, 1e-3, None)
             probs /= probs.sum(axis=1, keepdims=True)
-            grad = ctc_grad_wrt_probs(probs, target)
+            grad = ctc_loss(probs, target).grad
             for t in range(probs.shape[0]):
                 for k in range(probs.shape[1]):
                     hi = probs.copy()
@@ -133,7 +131,7 @@ class TestCtcGrad:
 
     def test_infeasible_instance_errors_not_nan(self):
         with pytest.raises(InfeasibleAlignmentError):
-            ctc_grad_wrt_probs(np.full((1, 3), 1 / 3), [1, 2])
+            ctc_loss(np.full((1, 3), 1 / 3), [1, 2]).grad
 
     def test_grad_finite_when_loss_finite(self):
         rng = np.random.default_rng(23)
@@ -237,15 +235,6 @@ class TestCtcLossBatch:
 
 
 class TestProbMatrix:
-    def test_validate_accepts_stochastic(self):
-        validate_prob_matrix(np.array([[0.25, 0.75], [0.5, 0.5]]))
-
-    def test_validate_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            validate_prob_matrix(np.array([[0.2, 0.2]]))
-        with pytest.raises(ValueError):
-            validate_prob_matrix(np.array([[1.2, -0.2]]))
-
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             ctc_loss(np.ones((0, 2)), [])

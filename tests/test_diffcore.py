@@ -72,11 +72,6 @@ class TestOpGradients:
         w = make((5, 6))
         self.check(lambda: weighted_mean(dc.log_softmax_rows(x), w), [x])
 
-    def test_layer_norm_rows(self):
-        x = make((5, 6))
-        w = make((5, 6))
-        self.check(lambda: weighted_mean(dc.layer_norm_rows(x), w), [x])
-
     def test_swish(self):
         x = make((5, 6))
         w = make((5, 6))
@@ -104,8 +99,10 @@ class TestOpGradients:
             rows = int(rng.integers(1, 9))
             cols = int(rng.integers(2, 9))
             x = Tensor(rng.normal(size=(rows, cols)))
+            gain, bias = Tensor(rng.normal(size=cols)), Tensor(rng.normal(size=cols))
             w = Tensor(rng.normal(size=(rows, cols)))
-            self.check(lambda: weighted_mean(dc.swish(dc.layer_norm_rows(x)), w), [x])
+            self.check(lambda: weighted_mean(dc.swish(dc.layer_norm_affine(x, gain, bias)), w),
+                       [x, gain, bias])
 
 
 class TestBackwardSemantics:
@@ -174,8 +171,11 @@ class TestBackwardSemantics:
         assert np.allclose(out.value, [[0.5, 0.5]])
 
     def test_layer_norm_constant_row_is_zero(self):
-        out = dc.layer_norm_rows(Tensor(np.full((1, 4), 3.7)))
-        assert np.allclose(out.value, 0.0)
+        # the normalized row is zero, so the output is exactly the bias
+        bias = np.array([0.5, -1.25, 3.0, 0.0])
+        out = dc.layer_norm_affine(Tensor(np.full((1, 4), 3.7)), Tensor(np.full(4, 2.0)),
+                                   Tensor(bias))
+        assert np.array_equal(out.value, bias[None, :])
 
     def test_shape_errors_name_the_op(self):
         with pytest.raises(ShapeError, match="add"):
@@ -231,11 +231,11 @@ class TestSegments:
                 dc.multi_head_attention(x, x, x, 2, lengths)
 
 
-def reference_layer_norm_rows(x: Tensor, eps: float) -> Tensor:
+def reference_normalize_rows(x: Tensor, eps: float) -> Tensor:
     """Rowwise normalization from np.mean and np.var, as its own node."""
     inv = 1.0 / np.sqrt(x.value.var(axis=1, keepdims=True) + eps)
     y = (x.value - x.value.mean(axis=1, keepdims=True)) * inv
-    out = Tensor(y, (x,), "layer_norm_rows")
+    out = Tensor(y, (x,), "normalize_rows")
 
     def _bwd(g):
         dc._acc(x, inv * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True)))
@@ -316,14 +316,10 @@ class TestFusedKernels:
             fused = value_and_grads(lambda a, g, b: dc.layer_norm_affine(a, g, b, 1e-5),
                                     [x, gain, bias], w)
             apart = value_and_grads(
-                lambda a, g, b: reference_affine_rows(reference_layer_norm_rows(a, 1e-5), g, b),
+                lambda a, g, b: reference_affine_rows(reference_normalize_rows(a, 1e-5), g, b),
                 [x, gain, bias], w)
             for got, want in zip(fused, apart):
                 assert np.array_equal(got, want)
-            got = value_and_grads(lambda a: dc.layer_norm_rows(a, 1e-5), [x], w)
-            want = value_and_grads(lambda a: reference_layer_norm_rows(a, 1e-5), [x], w)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("d_head,n_heads,exact", [(4, 2, True), (16, 4, True), (8, 3, False)])
     @pytest.mark.parametrize("lengths", [[9], [5, 1, 12, 3]])
@@ -389,10 +385,10 @@ class TestRecordedStepMemory:
 
     # (op, input position) whose backward function does not read that input.
     UNREAD = {("add", 0), ("add", 1), ("scale", 0), ("mean_reduce", 0), ("linear", 2),
-              ("softmax_rows", 0), ("log_softmax_rows", 0), ("layer_norm_rows", 0),
-              ("layer_norm_affine", 0), ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
+              ("softmax_rows", 0), ("log_softmax_rows", 0), ("layer_norm_affine", 0),
+              ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
     # Ops whose backward function reads their own output.
-    READS_OUTPUT = {"softmax_rows", "log_softmax_rows", "layer_norm_rows"}
+    READS_OUTPUT = {"softmax_rows", "log_softmax_rows"}
 
     @staticmethod
     def recorded_step(monkeypatch, made):

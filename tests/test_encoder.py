@@ -202,15 +202,6 @@ class TestConditioning:
         with pytest.raises(ContractError):
             model.condition(x, z, r, 2)  # layer 2 in neither set
 
-    def test_post_add_layer_norm_flag(self):
-        cfg = ModelConfig(d_in=4, d_model=8, n_heads=2, d_ff=12, conv_kernel=3, cond_layer_norm=True)
-        placement = PlacementConfig(n_layers=2, char_layers={1}, syl_layers=set(), condition=True)
-        model = EncoderModel(cfg, placement, 5, 4, seed=0)
-        x = Tensor(np.random.default_rng(7).normal(size=(3, 8)))
-        z = model.predict_head(x, "char")
-        out = model.condition(x, z, None, 1)
-        assert np.abs(out.value.mean(axis=1)).max() < 1e-9  # normalized rows
-
 
 class TestForward:
     def test_placement_keys_selfcond_18(self):
@@ -287,14 +278,6 @@ class TestForward:
         b = small_model(PlacementConfig(n_layers=2))
         assert a.head_parameter_count == b.head_parameter_count
         assert set(HEAD_PARAMS) <= set(a.store.names())
-
-    def test_pos_enc_flag_changes_output(self):
-        cfg_off = ModelConfig(d_in=4, d_model=8, n_heads=2, d_ff=12, conv_kernel=3, use_pos_enc=False)
-        placement = PlacementConfig(n_layers=1)
-        with_pe = EncoderModel(SMALL, placement, 5, 4, seed=6)
-        without = EncoderModel(cfg_off, placement, 5, 4, store=with_pe.store)
-        feats = np.random.default_rng(14).normal(size=(4, 4))
-        assert not np.array_equal(with_pe.forward(feats).final.value, without.forward(feats).final.value)
 
     def test_input_validation(self):
         model = small_model()
