@@ -372,31 +372,40 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int] | None
     rows = x.value.shape[0]
     bounds = _segment_bounds("depthwise_conv_rows", rows, lengths)
     pad = k // 2
-    # Segment i sits in the padded buffer behind 2*i + 1 blocks of `pad` zeros.
-    sizes = [stop - start for start, stop in bounds]
-    at = np.arange(rows) + pad * (2 * np.repeat(np.arange(len(bounds)), sizes) + 1)
+    # Segment i sits in the padded buffer behind 2*i + 1 blocks of `pad`
+    # zeros, so its windows start 2*i*pad rows after its first row.
+    outs = [slice(a + 2 * pad * i, b + 2 * pad * i) for i, (a, b) in enumerate(bounds)]
     width = rows + 2 * pad * (len(bounds) - 1)  # window starts in the buffer
     xp = np.zeros((width + 2 * pad, n))
-    xp[at] = x.value
+    for (a, b), out in zip(bounds, outs):
+        xp[out.start + pad : out.stop + pad] = x.value[a:b]
     kv = kernel.value
     yp = np.zeros((width, n))
     tap = np.empty((width, n))  # each tap's product, reused across the k taps
     for j in range(k):
         yp += np.multiply(kv[j], xp[j : j + width], out=tap)
+    y = yp if len(bounds) == 1 else np.concatenate([yp[out] for out in outs])
     nx, nk = x.node, kernel.node
 
     def _bwd(g: np.ndarray) -> None:
         # Reads the padded copy `xp`, not the input's value.
         kg = _acc_zeros(nk, kv.shape)
         gyp = np.zeros((width, n))
-        gyp[at - pad] = g
+        for (a, b), out in zip(bounds, outs):
+            gyp[out] = g[a:b]
         gxp = np.zeros_like(xp)
         for j in range(k):
             kg[j] += (gyp * xp[j : j + width]).sum(axis=0)
             gxp[j : j + width] += gyp * kv[j]
-        _acc(nx, gxp[at])
+        _acc(nx, np.concatenate([gxp[out.start + pad : out.stop + pad] for out in outs]))
 
-    return _record(Tensor(yp[at - pad], (x, kernel), "depthwise_conv_rows"), _bwd)
+    return _record(Tensor(y, (x, kernel), "depthwise_conv_rows"), _bwd)
+
+
+# Smallest softmax denominator attention accepts from the per-head shift.  A
+# row whose sum is above it keeps every exponential that matters to its
+# weights in the normal float64 range (about 1e-308 and up).
+_MIN_ROW_SUM = 1e-250
 
 
 def multi_head_attention(
@@ -407,7 +416,9 @@ def multi_head_attention(
     q, k and v are (rows, d) with d = n_heads * d_head; head h owns columns
     [h * d_head, (h + 1) * d_head) and its output lands in the same columns.
     The rows may be split into segments of the given `lengths` (default: one
-    segment); a row attends only to the rows of its own segment.
+    segment); a row attends only to the rows of its own segment.  Values
+    agree with the per-row softmax formula to 1e-12 relative, and a forward
+    inside `no_grad` is bitwise a recorded one.
     """
     _require_2d("multi_head_attention", q, k, v)
     shapes = [t.value.shape for t in (q, k, v)]
@@ -427,18 +438,34 @@ def multi_head_attention(
     # Scaling q, not the (heads, T, T) scores, is bitwise the same when the
     # factor is a power of two (d_head 4, 16, 64, ...).
     qh, kh, vh = heads(q.value * factor), heads(k.value), heads(v.value)
+    # v with a column of ones: the product with the exponentials holds each
+    # row's sum in its last column, so the division runs on (heads, T,
+    # d_head) rather than on the (heads, T, T) scores.
+    v1 = np.empty((n_heads, rows, d_head + 1))
+    v1[:, :, :d_head] = vh
+    v1[:, :, d_head] = 1.0
     y = np.empty((rows, d))  # C order, so that `heads` of it is a view
     yh = heads(y)
+    recording = _recording.get()
     weights = []
     for start, stop in bounds:
         seg = slice(start, stop)
-        # The softmax runs in place in the one (heads, T, T) score buffer.
-        w = qh[:, seg] @ kh[:, seg].transpose(0, 2, 1)
-        w -= w.max(axis=2, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=2, keepdims=True)
-        weights.append(w)
-        np.matmul(w, vh[:, seg], out=yh[:, seg])
+        # The exponentials are made in place in one (heads, T, T) buffer,
+        # shifted by one maximum per head.  A row whose maximum lies hundreds
+        # of nats under its head's sums to almost nothing and would lose
+        # precision, so a segment with one is redone with a shift per row.
+        for shift_axes in ((1, 2), 2):
+            w = qh[:, seg] @ kh[:, seg].transpose(0, 2, 1)
+            w -= w.max(axis=shift_axes, keepdims=True)
+            np.exp(w, out=w)
+            wv = w @ v1[:, seg]
+            sums = wv[:, :, d_head:]
+            if not sums.min() < _MIN_ROW_SUM:
+                break
+        np.divide(wv[:, :, :d_head], sums, out=yh[:, seg])
+        if recording:
+            w /= sums
+            weights.append(w)
     qv, nq, nk, nv = q.value, q.node, k.node, v.node
 
     def _bwd(g: np.ndarray) -> None:

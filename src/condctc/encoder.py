@@ -216,19 +216,22 @@ class EncoderModel:
         self.char_vocab_size = char_vocab_size
         self.syl_vocab_size = syl_vocab_size
         self.store = store if store is not None else self._init_store(seed)
+        # Read-only position table, grown to the longest segment seen so far.
+        self._positions = sinusoidal_positions(0, cfg.d_model)
 
     # -- parameters ---------------------------------------------------------
 
-    def _init_store(self, seed: int) -> ParamStore:
-        rng = np.random.default_rng(seed)
+    def _param_spec(self) -> list[tuple[str, tuple[int, ...], float | None]]:
+        """(name, shape, fill) of every parameter, in the order `_init_store`
+        draws them; a fill of None means a Glorot-uniform draw."""
         cfg = self.cfg
-        store = ParamStore()
+        spec: list[tuple[str, tuple[int, ...], float | None]] = []
 
         def mat(name: str, shape: tuple[int, ...]) -> None:
-            store.add(name, dc.glorot_uniform(rng, shape))
+            spec.append((name, shape, None))
 
         def vec(name: str, n: int, fill: float = 0.0) -> None:
-            store.add(name, np.full(n, fill))
+            spec.append((name, (n,), fill))
 
         d = cfg.d_model
         mat("input.w", (cfg.d_in, d))
@@ -260,6 +263,13 @@ class EncoderModel:
         vec("char_cond.b", d)
         mat("syl_cond.w", (self.syl_vocab_size, d))
         vec("syl_cond.b", d)
+        return spec
+
+    def _init_store(self, seed: int) -> ParamStore:
+        rng = np.random.default_rng(seed)
+        store = ParamStore()
+        for name, shape, fill in self._param_spec():
+            store.add(name, dc.glorot_uniform(rng, shape) if fill is None else np.full(shape, fill))
         return store
 
     @property
@@ -349,6 +359,18 @@ class EncoderModel:
             out = dc.add(out, dc.linear(r, p["syl_cond.w"], p["syl_cond.b"]))
         return out
 
+    def _position_code(self, lengths: Sequence[int]) -> np.ndarray:
+        """Each segment's rows of the position table, stacked; one segment
+        gets a read-only view of the table."""
+        if self._positions.shape[0] < max(lengths):
+            table = sinusoidal_positions(max(lengths), self.cfg.d_model)
+            table.flags.writeable = False
+            self._positions = table
+        table = self._positions
+        if len(lengths) == 1:
+            return table[: lengths[0]]
+        return np.concatenate([table[:n] for n in lengths])
+
     def forward(self, features: np.ndarray) -> ForwardOutput:
         """Run the full stack over one utterance: `forward_batch` of one segment."""
         return self.forward_batch([features])
@@ -379,8 +401,7 @@ class EncoderModel:
         lengths = tuple(f.shape[0] for f in feats)
 
         x = dc.linear(Tensor(np.concatenate(feats)), self.store["input.w"], self.store["input.b"])
-        table = sinusoidal_positions(max(lengths), self.cfg.d_model)
-        x = dc.add(x, Tensor(np.concatenate([table[:n] for n in lengths])))
+        x = dc.add(x, Tensor(self._position_code(lengths)))
 
         inters: dict[str, dict[int, Tensor]] = {"char": {}, "syl": {}}
         logits: dict = {}
@@ -422,8 +443,10 @@ class EncoderModel:
         """Read a checkpoint written by `save`.  A header whose `model` or
         `placement` block does not construct, or whose vocabulary size is not
         the column count of its stored head, raises FormatError naming the
-        file and the block or field.  A `model` block of an earlier version
-        loads when its retired keys hold the values the encoder implements."""
+        file and the block or field; so does a stored tensor that is missing,
+        extra or shaped unlike the one the header's architecture makes,
+        naming the tensor.  A `model` block of an earlier version loads when
+        its retired keys hold the values the encoder implements."""
         store, meta = ParamStore.load(path)
 
         def block(key: str, build):
@@ -451,6 +474,18 @@ class EncoderModel:
             syl_vocab_size=vocab_size("syl_vocab_size", "syl_head.w"),
             store=store,
         )
+        expected = {name: shape for name, shape, _ in model._param_spec()}
+        for name, shape in expected.items():
+            if name not in store:
+                raise FormatError(f"{path}: tensor {name!r} is missing")
+            if store[name].value.shape != shape:
+                raise FormatError(
+                    f"{path}: tensor {name!r} has shape {store[name].value.shape}, "
+                    f"the header's architecture needs {shape}"
+                )
+        for name in store.names():
+            if name not in expected:
+                raise FormatError(f"{path}: tensor {name!r} is not part of the header's architecture")
         return model, meta.get("extra", {})
 
     def with_store(self, store: ParamStore) -> "EncoderModel":

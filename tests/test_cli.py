@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from condctc import synthdata, trainer
@@ -554,6 +555,26 @@ class TestBadInputFiles:
 
         model = self.resaved(trained_dir, tmp_path, edit)
         assert "'char_vocab_size'" in self.decode_error(model, data_dir, tmp_path, capsys)
+
+    @pytest.mark.parametrize("name,edit", [
+        ("block02.attn.wq", lambda t: t.update({"block02.attn.wq": np.zeros((32, 16))})),
+        ("block01.attn.bq", lambda t: t.update({"block01.attn.bq": np.zeros(10)})),
+        ("block09.attn.wq", lambda t: t.update({"block09.attn.wq": t["block01.attn.wq"]})),
+        ("block02.conv.depth", lambda t: t.update({"block02.conv.depth": np.zeros((5, 16))})),
+        ("block01.attn.wq", lambda t: t.pop("block01.attn.wq")),
+    ], ids=["wrong-shape", "wrong-length", "extra", "other-kernel-size", "missing"])
+    def test_tensor_unlike_the_architecture_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                    capsys, name, edit):
+        # The trained model has 2 layers, d_model 16 and 3-tap convolutions.
+        store, meta = ParamStore.load(trained_dir / "model_avg.ntc")
+        tensors = store.values()
+        edit(tensors)
+        edited = ParamStore()
+        for key, value in tensors.items():
+            edited.add(key, value)
+        model = tmp_path / "edited.ntc"
+        edited.save(model, meta)
+        assert f"tensor {name!r}" in self.decode_error(model, data_dir, tmp_path, capsys)
 
     def test_token_lists_not_the_vocabulary_sizes_exit_3(self, trained_dir, data_dir, tmp_path,
                                                          capsys):

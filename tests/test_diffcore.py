@@ -321,24 +321,48 @@ class TestFusedKernels:
             for got, want in zip(fused, apart):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("d_head,n_heads,exact", [(4, 2, True), (16, 4, True), (8, 3, False)])
-    @pytest.mark.parametrize("lengths", [[9], [5, 1, 12, 3]])
-    def test_attention_matches_the_per_segment_formula(self, d_head, n_heads, exact, lengths):
-        # The scale on q is bitwise the scale on the scores only when
-        # 1 / sqrt(d_head) is a power of two.
-        rng = np.random.default_rng(d_head + len(lengths))
-        shape = (sum(lengths), d_head * n_heads)
-        qkv = [Tensor(2.0 * rng.normal(size=shape)) for _ in range(3)]
-        w = Tensor(rng.normal(size=shape))
+    @staticmethod
+    def assert_attention_matches_the_formula(qkv, n_heads, lengths, rng):
+        """Values and q/k/v gradients within 1e-12 relative of
+        `reference_attention`: the softmax's sums and shift differ."""
+        w = Tensor(rng.normal(size=qkv[0].shape))
         got = value_and_grads(lambda q, k, v: dc.multi_head_attention(q, k, v, n_heads, lengths),
                               qkv, w)
         want = value_and_grads(lambda q, k, v: reference_attention(q, k, v, n_heads, lengths),
                                qkv, w)
         for a, b in zip(got, want):
-            if exact:
-                assert np.array_equal(a, b)
-            else:
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+            assert np.isfinite(a).all()
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("d_head,n_heads,pow2_scale",
+                             [(4, 2, True), (16, 4, True), (8, 3, False)])
+    @pytest.mark.parametrize("lengths", [[9], [5, 1, 12, 3], [1, 1, 7, 1]])
+    def test_attention_matches_the_per_segment_formula(self, d_head, n_heads, pow2_scale,
+                                                       lengths):
+        # The scale on q is bitwise the scale on the scores only when
+        # 1 / sqrt(d_head) is a power of two; the other case adds the
+        # scale's rounding and meets the same gate.
+        assert pow2_scale == (np.log2(d_head) % 2 == 0)
+        rng = np.random.default_rng(d_head + len(lengths))
+        shape = (sum(lengths), d_head * n_heads)
+        qkv = [Tensor(2.0 * rng.normal(size=shape)) for _ in range(3)]
+        self.assert_attention_matches_the_formula(qkv, n_heads, lengths, rng)
+
+    def test_attention_shifts_per_row_when_a_row_sum_underflows(self):
+        # In segment [1, 6), row 1's scores lie about 3,000 below row 2's in
+        # head 0: shifted by the head's maximum, row 1's exponentials are all
+        # zero, so only the shift per row gives finite, accurate values.
+        d_head, n_heads, lengths = 4, 2, [1, 5, 3]
+        rng = np.random.default_rng(11)
+        q, k, v = (0.5 * rng.normal(size=(9, d_head * n_heads)) for _ in range(3))
+        u = np.array([1.0, 1.0, 0.0, 0.0])
+        k[1:6, :d_head] += 40.0 * u
+        q[1, :d_head] = -37.5 * u
+        q[2, :d_head] = 37.5 * u
+        scores = q[1:6, :d_head] @ k[1:6, :d_head].T / np.sqrt(d_head)
+        assert scores[1].max() - scores[0].max() > 2900
+        self.assert_attention_matches_the_formula([Tensor(a) for a in (q, k, v)], n_heads,
+                                                  lengths, rng)
 
     def test_layer_norm_affine_rejects_misfit_gain(self):
         with pytest.raises(ShapeError, match="layer_norm_affine"):

@@ -336,9 +336,36 @@ def test_sinusoidal_positions_shape_and_range():
 
 
 def test_sinusoidal_positions_prefix_is_the_shorter_table():
-    # forward_batch slices every segment's positions from one table built
-    # at the longest segment.
+    # forward_batch slices every segment's positions from one table, grown
+    # to the longest segment seen so far.
     for dim in (7, 64):
         table = sinusoidal_positions(300, dim)
         for n in (1, 2, 29, 77, 170, 299, 300):
             assert np.array_equal(table[:n], sinusoidal_positions(n, dim))
+
+
+def test_forward_cannot_write_the_shared_position_table(monkeypatch):
+    model = small_model()
+    rng = np.random.default_rng(4)
+    feats = [rng.normal(size=(n, SMALL.d_in)) for n in (6, 3)]
+    with dc.no_grad():
+        want = [model.forward(f).final.value for f in feats]
+    codes = []
+    init = Tensor.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.op == "leaf" and self.shape[1] == SMALL.d_model:
+            codes.append(self.value)
+
+    monkeypatch.setattr(Tensor, "__init__", spy)
+    with dc.no_grad():
+        model.forward(feats[1])  # one segment: a view of the table
+        model.forward_batch(feats)  # several: a stacked copy
+    monkeypatch.undo()
+    assert len(codes) == 2 and not codes[0].flags.writeable and codes[1].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        codes[0][0, 0] = 5.0
+    codes[1][...] = 5.0
+    with dc.no_grad():
+        assert all(np.array_equal(model.forward(f).final.value, w) for f, w in zip(feats, want))
