@@ -448,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, LanguageSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FormatError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DataError, FormatError, OSError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, InfeasibleAlignmentError) as exc:

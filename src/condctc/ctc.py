@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .labels import BLANK_ID, InvalidTokenError, collapse
+from .labels import BLANK_ID, InvalidTokenError
 
 # Probabilities are floored before the log so a softmax underflow cannot
 # poison the lattice with -inf.
@@ -167,28 +167,40 @@ def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) ->
     out += top
 
 
-def _log_alpha(em: np.ndarray, ext: np.ndarray, state: np.ndarray, running: np.ndarray) -> np.ndarray:
+def _prefix_positions(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[0]-1, 0, 1, ..., counts[1]-1, ...: each element's
+    position within its run, for consecutive runs of `counts` elements."""
+    ends = np.cumsum(counts)
+    positions = np.arange(ends[-1])
+    positions -= np.repeat(ends - counts, counts)
+    return positions
+
+
+def _log_alpha(
+    em: np.ndarray, ext: np.ndarray, state: np.ndarray, running: list[int], offsets: list[int]
+) -> np.ndarray:
     """Forward recursion of many lattices at once, one step per frame.
 
     The lattices lie side by side along the columns: two guard columns, then
-    one column per state.  `em` is (T, columns): frame t's log-probability of
-    each column's state, -inf on the guards, which so stay -inf and keep the
-    one- and two-state moves, plain column shifts, inside a lattice.  `ext`
-    and `state` give each column's label and state index.  At frame t only
-    the first `running[t]` columns are still running; the rest keep -inf.
-    Returns log-alpha, which includes the emission at t.
+    one column per state.  At frame t only the first `running[t]` columns are
+    still running (at frame 0, all of them), and only those are stored:
+    frame t's row is the `running[t]` entries of `em` from `offsets[t]` on.
+    `em` holds each cell's log-probability of its column's state, -inf on
+    the guards, which so stay -inf and keep the one- and two-state moves,
+    plain column shifts, inside a lattice.  `ext` and `state` give each
+    column's label and state index.  Returns log-alpha in the same layout;
+    it includes the emission at t.
     """
-    t_max, width = em.shape
-    skip = np.full(width, -np.inf)
+    skip = np.full(ext.size, -np.inf)
     skip[2:][(state[2:] >= 2) & (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])] = 0.0
-    alpha = np.full((t_max, width), -np.inf)
-    first = (state == 0) | (state == 1)
-    alpha[0, first] = em[0, first]
-    for t in range(1, t_max):
-        w = running[t]
-        prev, out = alpha[t - 1], alpha[t, 2:w]
+    alpha = np.full(em.size, -np.inf)
+    first = np.flatnonzero((state == 0) | (state == 1))
+    alpha[first] = em[first]
+    for t in range(1, len(running)):
+        w, start = running[t], offsets[t]
+        prev, out = alpha[offsets[t - 1] :], alpha[start + 2 : start + w]
         _logsumexp3(prev[2:w], prev[1 : w - 1], prev[: w - 2] + skip[2:w], out)
-        out += em[t, 2:w]
+        out += em[start + 2 : start + w]
     return alpha
 
 
@@ -205,14 +217,17 @@ def ctc_loss_batch(
     log-probabilities, its rows split into segments of `lengths`;
     `targets[p][i]` is segment i's target at point p.  The states of all
     lattices lie side by side in one row that advances one frame per step,
-    each lattice stopping at its own last frame.  The backward pass is the
-    forward recursion over each lattice reversed in time and in state order,
-    run in the same sweep.  No probability floor applies.  Matches
-    `ctc_loss` on `exp(log_probs)` rows wherever no probability falls below
-    its floor.  An infeasible target raises InfeasibleAlignmentError with
-    `point` set.  With `with_grads` False the sweep runs the forward
-    lattices alone and returns no gradients; each lattice's columns are
-    computed elementwise, so the losses are bitwise the same either way.
+    each lattice stopping at its own last frame; only the cells of lattices
+    still running are stored, so the sweep's memory follows the frames of
+    each lattice, not the longest one's times the number of lattices.  The
+    backward pass is the forward recursion over each lattice reversed in
+    time and in state order, run in the same sweep.  No probability floor
+    applies.  Matches `ctc_loss` on `exp(log_probs)` rows wherever no
+    probability falls below its floor.  An infeasible target raises
+    InfeasibleAlignmentError with `point` set.  With `with_grads` False the
+    sweep runs the forward lattices alone and returns no gradients; each
+    lattice's columns are computed elementwise, so the losses are bitwise the
+    same either way.
     """
     sizes = [int(n) for n in lengths]
     if not sizes or min(sizes) < 1:
@@ -223,11 +238,12 @@ def ctc_loss_batch(
     starts = np.cumsum([0, *sizes[:-1]]).tolist()
     mats = [np.asarray(m, dtype=np.float64) for m in log_probs]
 
-    # One entry per lattice, point-major: its extended labels, the flat offset
-    # of its first frame in the concatenated matrices, its row stride, frames.
+    # One entry per lattice, point-major: its point, extended labels, first
+    # row and frames.  Each distinct (target, class count) is checked and
+    # extended once, as points of one head share their targets.
     exts: list[np.ndarray] = []
-    offsets, strides, frames = [], [], []
-    base = 0
+    points, firsts, frames = [], [], []
+    labelled: dict[tuple, tuple[np.ndarray, int]] = {}
     for p, (mat, point_targets) in enumerate(zip(mats, targets)):
         if mat.ndim != 2 or mat.shape[0] != rows or mat.shape[1] < 2:
             raise ValueError(
@@ -237,20 +253,20 @@ def ctc_loss_batch(
             raise ValueError(f"point {p}: {len(point_targets)} targets for {len(sizes)} segments")
         n_classes = mat.shape[1]
         for i, (start, n, target) in enumerate(zip(starts, sizes, point_targets)):
-            y = _check_target(target, n_classes)
-            need = min_frames(y)
+            key = (tuple(target), n_classes)
+            if key not in labelled:
+                y = _check_target(target, n_classes)
+                labelled[key] = extended_labels(y), min_frames(y)
+            ext, need = labelled[key]
             if n < need:
-                err = InfeasibleAlignmentError(
-                    f"segment {i}: target of length {len(y)} needs at least {need} frames, got {n}"
-                )
+                err = InfeasibleAlignmentError(f"segment {i}: target of length {ext.size // 2} "
+                                               f"needs at least {need} frames, got {n}")
                 err.point = p
                 raise err
-            exts.append(extended_labels(y))
-            offsets.append(base + start * n_classes)
-            strides.append(n_classes)
+            exts.append(ext)
+            points.append(p)
+            firsts.append(start)
             frames.append(n)
-        base += mat.size
-    flat = np.concatenate([m.ravel() for m in mats])
 
     # The sweep: lattices longest first, each followed, when gradients are
     # asked for, by its reversal (labels and frames in reverse order), so the
@@ -262,54 +278,96 @@ def ctc_loss_batch(
     lane_ext = [e for b in order for e in (exts[b], exts[b][::-1])[:lanes]]
     lane_t = np.repeat(np.array(frames)[order], lanes)
     widths = np.array([e.size + 2 for e in lane_ext])
+    width = int(widths.sum())
     first_col = np.cumsum(widths) - widths
     lane = np.repeat(np.arange(widths.size), widths)
-    state = np.arange(widths.sum()) - first_col[lane] - 2  # -2 and -1 on the guards
-    ext = np.zeros(widths.sum(), dtype=np.int64)
+    state = np.arange(width) - first_col[lane] - 2  # -2 and -1 on the guards
+    ext = np.zeros(width, dtype=np.int64)
     ext[state >= 0] = np.concatenate(lane_ext)
+    t_max = int(lane_t[0])
+    running = np.append(first_col, width)[np.searchsorted(-lane_t, -np.arange(t_max))]
+    offsets = np.cumsum(running) - running  # frame t's cells start at offsets[t]
 
-    step = np.arange(lane_t[0])[:, None]
-    lane_frame = np.minimum(step, lane_t - 1)  # rows past a lattice's end are read, never used
+    # Forward cell (t, c) reads entry base[c] + t * classes of its point's
+    # flattened matrix.  Its mirror, the cell of the reversal at frame T-1-t
+    # and state S-1-s, reads the same entry.  The cells are handled point by
+    # point, frame by frame in column order: a point's forward columns still
+    # running at frame t are a prefix of them too.
+    lane_point = np.repeat(np.asarray(points)[order], lanes)
+    base = np.repeat(np.asarray(firsts)[order], lanes)
+    base *= np.array([m.shape[1] for m in mats])[lane_point]
+    base = base[lane] + ext
+    forward, col_point = (state >= 0) & (lane % lanes == 0), lane_point[lane]
+    point_cols = [np.flatnonzero(forward & (col_point == p)) for p in range(len(mats))]
     if with_grads:
-        lane_frame[:, 1::2] = lane_t[1::2] - 1 - lane_frame[:, 1::2]
-    row_base = np.repeat(np.asarray(offsets)[order], lanes)
-    stride = np.repeat(np.asarray(strides)[order], lanes)
-    index = (row_base + lane_frame * stride)[:, lane]
-    index += ext  # (T, columns)
-    running = np.append(first_col, widths.sum())[(lane_t > step).sum(axis=1)]
+        last_frame = lane_t[lane] - 1
+        mirror_col = first_col[lane ^ 1] + widths[lane] - 1 - state
+
+    def cells(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Point p's forward columns running at each frame, and its running
+        forward cells' sweep positions, matrix entries and, with gradients,
+        their mirrors' sweep positions, frame by frame in column order."""
+        cols = point_cols[p]
+        counts = np.searchsorted(cols, running)
+        index = _prefix_positions(counts)  # of each cell's column in cols
+        frame = np.repeat(np.arange(t_max), counts)
+        cell = np.repeat(offsets, counts)
+        cell += cols[index]
+        src = frame * mats[p].shape[1]
+        src += base[cols][index]
+        if not with_grads:
+            return counts, cell, src, None
+        mirror = last_frame[cols][index]
+        mirror -= frame
+        mirror = offsets[mirror]
+        mirror += mirror_col[cols][index]
+        return counts, cell, src, mirror
 
     with np.errstate(divide="ignore"):
-        em = flat[index]
-        em[:, state < 0] = -np.inf
-        alpha = _log_alpha(em, ext, state, running)
+        em = np.full(int(offsets[-1] + running[-1]), -np.inf)
+        point_cells = [cells(p) for p in range(len(mats))]
+        for mat, (_, cell, src, mirror) in zip(mats, point_cells):
+            emission = np.take(mat, src)
+            em[cell] = emission
+            if with_grads:
+                em[mirror] = emission
+        alpha = _log_alpha(em, ext, state, running.tolist(), offsets.tolist())
+        del em
         fwd = np.arange(0, widths.size, lanes)
         last_col = first_col[fwd] + widths[fwd] - 1  # the guard before a 1-state lattice is -inf
-        log_p = np.logaddexp(alpha[lane_t[fwd] - 1, last_col], alpha[lane_t[fwd] - 1, last_col - 1])
+        last = offsets[lane_t[fwd] - 1] + last_col
+        log_p = np.logaddexp(alpha[last], alpha[last - 1])
         losses = np.empty(order.size)
         losses[order] = -log_p
         losses = losses.reshape(len(mats), len(sizes))
         if not with_grads:
             return CtcBatchResult(losses=losses, grads=None)
-        # Occupancy of each lattice state; alpha is -inf past a lattice's end.
-        cols = np.flatnonzero((state >= 0) & (lane % 2 == 0))
-        partner = first_col[lane[cols] + 1] + widths[lane[cols]] - 1 - state[cols]
-        expo = alpha[:, cols] + alpha[lane_frame[:, lane[cols] + 1], partner]
-        expo -= em[:, cols]
-        expo -= log_p[lane[cols] // 2]
-        occupancy = np.exp(expo, out=expo)
-
-    grad_flat = np.bincount(index[:, cols].ravel(), weights=occupancy.ravel(), minlength=flat.size)
-    np.subtract(0.0, grad_flat, out=grad_flat)  # negate, keeping zeros +0.0
-    bounds = np.cumsum([0, *[m.size for m in mats]]).tolist()
-    grads = [grad_flat[a:b].reshape(m.shape) for a, b, m in zip(bounds, bounds[1:], mats)]
+        # Occupancy of each forward cell: its log-alpha plus its mirror's,
+        # less the emission counted twice and the lattice's log-probability.
+        log_p = log_p[lane // 2]
+        grads = []
+        for mat, cols, (counts, cell, src, mirror) in zip(mats, point_cols, point_cells):
+            expo = alpha[cell] + alpha[mirror]
+            expo -= np.take(mat, src)
+            expo -= log_p[cols][_prefix_positions(counts)]
+            occupancy = np.exp(expo, out=expo)
+            grad = np.bincount(src, weights=occupancy, minlength=mat.size)
+            np.subtract(0.0, grad, out=grad)  # negate, keeping zeros +0.0
+            grads.append(grad.reshape(mat.shape))
     return CtcBatchResult(losses=losses, grads=grads)
 
 
 def greedy_decode(probs: np.ndarray) -> list[int]:
-    """Collapse of the per-frame argmax path; ties break toward the lowest id."""
+    """Collapse of the per-frame argmax path; ties break toward the lowest id.
+
+    A frame's id is kept when it is not blank and differs from the previous
+    frame's, which is `labels.collapse` of the path; argmax ids are in range,
+    so its per-id check is not needed."""
     z = _check_probs(probs)
     best = np.argmax(z, axis=1)
-    return collapse(best.tolist(), z.shape[1])
+    keep = best != BLANK_ID
+    keep[1:] &= best[1:] != best[:-1]
+    return best[keep].tolist()
 
 
 def brute_force_loss(probs: np.ndarray, target: Sequence[int]) -> float:

@@ -324,24 +324,31 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
     return _record(Tensor(out_value, (x, gain, bias), "layer_norm_affine"), _bwd)
 
 
-def swish(x: Tensor) -> Tensor:
-    # The sigmoid is built in one buffer; `out=` keeps it an array for 0-d x.
-    xv, nx = x.value, x.node
+def _sigmoid(xv: np.ndarray) -> np.ndarray:
+    # Built in one buffer; `out=` keeps it an array for 0-d x.
     sig = np.negative(xv, out=np.empty_like(xv))
     np.exp(sig, out=sig)
     sig += 1.0
-    np.divide(1.0, sig, out=sig)
+    return np.divide(1.0, sig, out=sig)
+
+
+def swish(x: Tensor) -> Tensor:
+    """x * sigmoid(x).  A recorded step keeps only x for backward, which
+    rebuilds the sigmoid by the same operations, so the sigmoid is not held
+    from forward to backward."""
+    xv, nx = x.value, x.node
 
     def _bwd(g: np.ndarray) -> None:
         # g * sig * (1 + x * (1 - sig)), in two buffers
+        sig = _sigmoid(xv)
         gx = g * sig
-        slope = np.subtract(1.0, sig, out=np.empty_like(sig))
+        slope = np.subtract(1.0, sig, out=sig)
         slope *= xv
         slope += 1.0
         gx *= slope
         _acc(nx, gx)
 
-    return _record(Tensor(xv * sig, (x,), "swish"), _bwd)
+    return _record(Tensor(xv * _sigmoid(xv), (x,), "swish"), _bwd)
 
 
 def _segment_bounds(name: str, rows: int, lengths: Sequence[int] | None) -> list[tuple[int, int]]:

@@ -292,25 +292,48 @@ def utterance_to_record(utt: Utterance, lang: ToyLanguage) -> dict:
     }
 
 
+# The fields of a JSONL record, with the JSON type each must have.
+_RECORD_FIELDS = (("id", str, "a string"), ("features", dict, "an object"),
+                  ("chars", list, "a list"), ("syllables", list, "a list"))
+
+
 def record_to_utterance(record: dict, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> Utterance:
-    """Inverse of `utterance_to_record`.  Feature values that do not fill
-    their shape, or a token outside the vocabularies, raise FormatError."""
+    """Inverse of `utterance_to_record`.  A record that is not a JSON object,
+    lacks a field or holds one of the wrong type, feature values that do not
+    fill their shape, or a token outside the vocabularies, raise FormatError
+    naming the field."""
+    if not isinstance(record, dict):
+        raise FormatError(f"expected a JSON object, got {json.dumps(record)[:40]}")
+    for key, kind, name in _RECORD_FIELDS:
+        if key not in record:
+            raise FormatError(f"record has no {key!r}")
+        if not isinstance(record[key], kind):
+            raise FormatError(
+                f"record field {key!r} must be {name}, got {json.dumps(record[key])[:40]}"
+            )
+    utt_id, features = record["id"], record["features"]
+    for key in ("shape", "data"):
+        if key not in features:
+            raise FormatError(f"record {utt_id!r}: 'features' has no {key!r}")
     try:
-        shape = tuple(int(n) for n in record["features"]["shape"])
-        data = np.asarray(record["features"]["data"], dtype=np.float64)
+        shape = tuple(int(n) for n in features["shape"])
+        data = np.asarray(features["data"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"record {record['id']!r}: unreadable features ({exc})") from None
+        raise FormatError(f"record {utt_id!r}: unreadable features ({exc})") from None
     if len(shape) != 2 or min(shape) < 0 or data.ndim != 1 or data.size != math.prod(shape):
         raise FormatError(
-            f"record {record['id']!r}: {data.size} feature values do not fill shape {list(shape)}"
+            f"record {utt_id!r}: {data.size} feature values do not fill shape {list(shape)}"
         )
+    for key in ("chars", "syllables"):
+        if not all(isinstance(token, str) for token in record[key]):
+            raise FormatError(f"record {utt_id!r}: {key!r} must be a list of token strings")
     try:
         char_ids = char_vocab.encode(record["chars"])
         syl_ids = syl_vocab.encode(record["syllables"])
     except InvalidTokenError as exc:
-        raise FormatError(f"record {record['id']!r}: {exc}") from None
+        raise FormatError(f"record {utt_id!r}: {exc}") from None
     return Utterance(
-        utt_id=record["id"], features=data.reshape(shape), char_ids=char_ids, syl_ids=syl_ids
+        utt_id=utt_id, features=data.reshape(shape), char_ids=char_ids, syl_ids=syl_ids
     )
 
 
@@ -321,12 +344,18 @@ def write_jsonl(utts: Sequence[Utterance], lang: ToyLanguage, path: str | Path) 
 
 
 def read_jsonl(path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> list[Utterance]:
+    """The utterances of a JSONL file, one record per nonblank line.  A line
+    that is not JSON, or not a record `record_to_utterance` reads, raises
+    FormatError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(record_to_utterance(json.loads(line), char_vocab, syl_vocab))
+                try:
+                    out.append(record_to_utterance(json.loads(line), char_vocab, syl_vocab))
+                except (FormatError, json.JSONDecodeError) as exc:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -151,7 +151,9 @@ def batch_loss(
     """Sum over the segments of `out` of each one's `total_loss`, built as
     one `log_softmax_rows` per prediction point feeding one CTC node; the
     parts are summed the same way.  An infeasible target names its head,
-    layer and segment."""
+    layer and segment.  `out` is dropped once the log-softmaxes are built,
+    so when the caller holds no other reference its head logits are freed
+    before the CTC sweep."""
     if not len(char_targets) == len(syl_targets) == len(out.lengths):
         raise ContractError(
             f"{len(out.lengths)} segments but {len(char_targets)} character and "
@@ -167,8 +169,10 @@ def batch_loss(
     else:
         weights = [1.0 - mix_weight] + [mix_weight / n_inter] * n_inter
     log_probs = [dc.log_softmax_rows(out.logits[key]) for key in keys]
+    lengths = out.lengths
+    del out
     try:
-        node, sums = ctc_node(log_probs, out.lengths, targets, weights)
+        node, sums = ctc_node(log_probs, lengths, targets, weights)
     except ctc.InfeasibleAlignmentError as exc:
         key = keys[exc.point]
         head = "final char head" if key == "final" else f"{key[0]} head at layer {key[1]}"
@@ -491,6 +495,9 @@ def train(
             tops.append(("syl", max(model.placement.syl_layers)))
         return max(train_rates[key] for key in tops)
 
+    # Zeroed once: each step's `backward` resets the gradients of the
+    # parameters it reaches, and the others stay zero.
+    model.store.zero_grad()
     done = False
     while not done:
         order = rng.permutation(n_train)
@@ -498,7 +505,6 @@ def train(
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             step += 1
             lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor)
-            model.store.zero_grad()
             try:
                 _step_gradients(model, batch, cfg.mix_weight, step)
                 clip_global_norm(model.store, cfg.grad_clip)

@@ -617,6 +617,25 @@ class TestBadInputFiles:
         assert self.decode(trained_dir / "model_avg.ntc", data, tmp_path, capsys) == 3
 
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda rec: [1, 2], "expected a JSON object, got [1, 2]"),
+        (lambda rec: "abc", 'expected a JSON object, got "abc"'),
+        (lambda rec: {k: v for k, v in rec.items() if k != "id"}, "record has no 'id'"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "features"},
+         "record has no 'features'"),
+        (lambda rec: {**rec, "chars": None}, "record field 'chars' must be a list, got null"),
+        (lambda rec: {**rec, "id": 7}, "record field 'id' must be a string, got 7"),
+    ], ids=["list", "string", "no-id", "no-features", "null-chars", "number-id"])
+    def test_record_not_an_utterance_names_file_line_and_field(self, trained_dir, data_dir,
+                                                               tmp_path, capsys, edit, message):
+        good = (data_dir / "valid.jsonl").read_text().splitlines()[0]
+        data = tmp_path / "records.jsonl"
+        data.write_text(good + "\n" + json.dumps(edit(json.loads(good))) + "\n")
+        code = run(["decode", "--model", str(trained_dir / "model_avg.ntc"), "--data", str(data),
+                    "--out", str(tmp_path / "h.jsonl")])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {data}:2: {message}\n"
+
 class TestBadEvalRecords:
     """Malformed hypothesis records make `eval` exit 3 with one line."""
 

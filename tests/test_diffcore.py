@@ -472,6 +472,36 @@ class TestRecordedStepMemory:
         assert loss.value.ndim == 0
 
 
+class TestSwish:
+    """Backward rebuilds the sigmoid rather than keeping it from forward; the
+    values and gradients must be bitwise those of the kept sigmoid."""
+
+    @pytest.mark.parametrize("value", [
+        np.float64(0.3),
+        np.float64(-800.0),
+        np.array([-800.0, -30.0, -1e-3, 0.0, 2.5, 800.0]),
+        np.array([[-800.0, 1.0, -2.0], [0.5, 800.0, -0.0], [3.0, -4.5, 40.0]]),
+    ], ids=["0-d", "0-d-800", "1-d", "2-d"])
+    def test_matches_the_kept_sigmoid_formula(self, value):
+        g = np.linspace(-2.0, 3.0, value.size).reshape(value.shape)
+        with np.errstate(over="ignore"):
+            x = Tensor(value)
+            out = dc.swish(x)
+            out.node._backward(g)
+            sig = np.negative(value, out=np.empty_like(value))
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.divide(1.0, sig, out=sig)
+        want_grad = g * sig
+        slope = np.subtract(1.0, sig, out=np.empty_like(sig))
+        slope *= value
+        slope += 1.0
+        want_grad *= slope
+        for got, want in ((out.value, value * sig), (x.grad, want_grad)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestGradCheckHarness:
     def test_quadratic_form(self):
         x = Tensor(RNG.normal(size=(3, 3)))

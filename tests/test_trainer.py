@@ -590,7 +590,6 @@ class TestParameterMemory:
 _STEP_FAULTS = textwrap.dedent("""
     import resource
     from condctc import synthdata, trainer
-    from condctc.diffcore import ParamStore
     from condctc.encoder import EncoderModel, ModelConfig, PlacementConfig
 
     lang = synthdata.make_language(seed=1, n_syllables=20, n_characters=60)
@@ -598,17 +597,17 @@ _STEP_FAULTS = textwrap.dedent("""
     valid_set = synthdata.sample_utterances(lang, 30, (3, 8), 1, 1, "valid")
     model = EncoderModel(ModelConfig(), PlacementConfig.from_strategy("baseline", 6),
                          lang.char_vocab().size, lang.syl_vocab().size, seed=1)
-    faults, zero_grad, adam_step = [], ParamStore.zero_grad, trainer.adam_step
+    faults, step_gradients, adam_step = [], trainer._step_gradients, trainer.adam_step
 
-    def step_start(store):  # train opens each step with zero_grad
+    def step_start(*args):  # train opens each step with _step_gradients
         faults.append(-resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-        zero_grad(store)
+        step_gradients(*args)
 
     def step_end(*args, **kwargs):  # and ends it with adam_step
         adam_step(*args, **kwargs)
         faults[-1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    ParamStore.zero_grad, trainer.adam_step = step_start, step_end
+    trainer._step_gradients, trainer.adam_step = step_start, step_end
     trainer.train(model, train_set, valid_set,
                   trainer.TrainConfig(mix_weight=0.0, batch_size=10, seed=2, max_steps=25))
     print(sum(faults[10:]) / len(faults[10:]))
@@ -761,6 +760,29 @@ class TestTrainLoop:
             assert not model.store[name].grad.any()
             assert np.array_equal(model.store[name].value, before[name])
         assert np.any(model.store["block01.ffn.w2"].value != before["block01.ffn.w2"])
+
+    def test_head_logits_are_freed_before_the_ctc_sweep(self, tiny_data, monkeypatch):
+        # `batch_loss` drops the forward output once the log-softmaxes exist,
+        # and nothing else holds the logits, so the sweep does not add to them.
+        lang, train_set, _ = tiny_data
+        model = EncoderModel(SMALL, PlacementConfig.from_strategy("alternate", 2),
+                             lang.char_vocab().size, lang.syl_vocab().size, seed=3)
+        logits, alive_at_sweep = [], []
+        forward_batch, loss_batch = model.forward_batch, ctc.ctc_loss_batch
+
+        def recording_forward(features):
+            out = forward_batch(features)
+            logits.extend(weakref.ref(t.value) for t in out.logits.values())
+            return out
+
+        def sweep(*args, **kwargs):
+            alive_at_sweep.extend(ref() is not None for ref in logits)
+            return loss_batch(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_batch", recording_forward)
+        monkeypatch.setattr(ctc, "ctc_loss_batch", sweep)
+        trainer._step_gradients(model, train_set[:3], 0.5, 1)
+        assert alive_at_sweep and not any(alive_at_sweep)
 
     def test_graphs_leave_no_reference_cycles(self, tiny_data):
         # Every tape must be freed by reference counting alone.
