@@ -183,13 +183,13 @@ def cmd_gen_data(cfg: GenDataConfig) -> int:
     return EXIT_OK
 
 
-def _load_vocabs(data_dir: Path) -> tuple[Vocabulary, Vocabulary]:
-    char_path = data_dir / "chars.vocab"
-    syl_path = data_dir / "syllables.vocab"
-    for p in (char_path, syl_path):
-        if not p.is_file():
-            raise DataError(f"vocabulary file not found: {p}")
-    return Vocabulary.load(char_path), Vocabulary.load(syl_path)
+def _load_vocab(path: Path) -> Vocabulary:
+    if not path.is_file():
+        raise DataError(f"vocabulary file not found: {path}")
+    try:
+        return Vocabulary.load(path)
+    except (InvalidTokenError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: not a vocabulary ({exc})") from None
 
 
 def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vocabulary):
@@ -215,7 +215,8 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
     if not out_dir.is_dir():
         raise DataError(f"output directory does not exist: {out_dir}")
 
-    char_vocab, syl_vocab = _load_vocabs(data_dir)
+    char_vocab = _load_vocab(data_dir / "chars.vocab")
+    syl_vocab = _load_vocab(data_dir / "syllables.vocab")
     train_set = _load_split(data_dir, "train.jsonl", char_vocab, syl_vocab)
     valid_set = _load_split(data_dir, "valid.jsonl", char_vocab, syl_vocab)
 
@@ -349,17 +350,21 @@ def _record_problem(rec) -> str | None:
 
 
 def _read_records(path: Path) -> dict[str, dict]:
-    """Records of a JSONL file by id; a line that is not a well-formed record
-    raises DataError naming the line."""
+    """Records of a JSONL file by id; a line that is not UTF-8 JSON of a
+    well-formed record raises DataError naming the file and the line."""
     records: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
-                if problem := _record_problem(rec):
-                    raise DataError(f"{path}:{lineno}: {problem}")
-                records[rec["id"]] = rec
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if problem := _record_problem(rec):
+                raise DataError(f"{path}:{lineno}: {problem}")
+            records[rec["id"]] = rec
     return records
 
 
@@ -448,7 +453,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, LanguageSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FormatError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, InfeasibleAlignmentError) as exc:

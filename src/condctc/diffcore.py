@@ -290,10 +290,14 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return _record(Tensor(y, (x,), "log_softmax_rows"), _bwd)
 
 
-def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Rowwise normalization to zero mean and unit variance, times a
-    per-column gain plus a per-column bias, as one node.  The row sums
-    divided by the width are what np.mean and np.var compute."""
+LN_EPS = 1e-5
+
+
+def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Rowwise normalization to zero mean and unit variance (`LN_EPS` added
+    to the variance), times a per-column gain plus a per-column bias, as one
+    node.  The row sums divided by the width are what np.mean and np.var
+    compute."""
     _require_2d("layer_norm_affine", x)
     a = x.value
     n = a.shape[1]
@@ -302,7 +306,7 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) 
             f"layer_norm_affine: gain {gain.value.shape} / bias {bias.value.shape} do not fit {a.shape}"
         )
     y = a - a.sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((y * y).sum(axis=1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt((y * y).sum(axis=1, keepdims=True) / n + LN_EPS)
     y *= inv
     gv = gain.value
     out_value = y * gv
@@ -657,16 +661,18 @@ class ParamStore:
                     for rec in index["tensors"]
                 ]
                 meta = index["meta"]
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ArithmeticError, ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: unreadable index ({exc})") from None
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
             store = cls()
             for name, shape, crc in records:
                 if min(shape, default=0) < 0 or name in store:
                     raise FormatError(f"{path}: bad index record for {name!r}")
                 size = 8 * math.prod(shape)
-                payload = fh.read(size)
-                if len(payload) != size:
+                if size > left:
                     raise FormatError(f"{path}: truncated payload for {name!r}")
+                payload = fh.read(size)
+                left -= size
                 if crc is not None and zlib.crc32(payload) != crc:
                     raise FormatError(f"{path}: checksum mismatch for {name!r}")
                 store.add(name, np.frombuffer(payload, dtype=np.float64).reshape(shape))

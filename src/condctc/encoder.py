@@ -7,7 +7,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -77,15 +77,10 @@ class PlacementConfig:
             raise ContractError(
                 f"unknown strategy {strategy!r}; expected one of {strategy_names()}"
             ) from None
-        if n_layers == _REFERENCE_DEPTH:
-            char_set, syl_set = frozenset(chars), frozenset(syls)
-        else:
-            char_set = _scale_layers(chars, n_layers, n_layers - 1)
-            syl_set = _scale_layers(syls, n_layers, n_layers)
         return cls(
             n_layers=n_layers,
-            char_layers=char_set,
-            syl_layers=syl_set,
+            char_layers=_scale_layers(chars, n_layers, n_layers - 1),
+            syl_layers=_scale_layers(syls, n_layers, n_layers),
             condition=condition,
             strategy=strategy,
         )
@@ -121,6 +116,9 @@ class ModelConfig:
     conv_kernel: int = 7
 
     def __post_init__(self) -> None:
+        not_ints = {key: v for key, v in asdict(self).items() if type(v) is not int}
+        if not_ints:
+            raise ContractError(f"sizes must be ints, got {not_ints}")
         if min(self.d_model, self.n_heads) < 1 or self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model {self.d_model} must be a positive multiple of n_heads {self.n_heads}"
@@ -131,7 +129,7 @@ class ModelConfig:
 
 # Keys that checkpoints of earlier versions carry in the header's `model`
 # block, each with the one value the encoder still implements.
-_RETIRED_MODEL_KEYS = {"use_pos_enc": True, "cond_layer_norm": False, "ln_eps": 1e-5}
+_RETIRED_MODEL_KEYS = {"use_pos_enc": True, "cond_layer_norm": False, "ln_eps": dc.LN_EPS}
 
 
 def _model_config(header: Mapping) -> ModelConfig:
@@ -145,25 +143,31 @@ def _model_config(header: Mapping) -> ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """Final posteriors plus the intermediate posteriors keyed by layer.
+    """Head logits at every prediction point, and the posteriors that feed
+    later blocks.
 
     Each matrix stacks the rows of the input segments in order; `lengths`
-    holds the segments' frame counts.  `logits` holds the head logits each
-    posterior matrix is the softmax of, keyed "final", ("char", layer) and
-    ("syl", layer).  The intermediate posteriors feed the next blocks; the
-    final ones feed nothing, so a recorded forward makes them the first time
-    `final` is read (training's loss reads the logits and never makes them).
-    A forward inside `no_grad` makes them at once.
+    holds the segments' frame counts.  `logits` is keyed (level, layer) for
+    every prediction point, the final output included as the character point
+    of the last layer (`final_key`).  `char_inters` and `syl_inters` hold the
+    softmax of each intermediate point's logits by layer, as the next block
+    reads them.  The final posteriors feed nothing: `final` makes them the
+    first time it is read (the loss and greedy decoding read the logits).
     """
 
     char_inters: dict[int, Tensor]
     syl_inters: dict[int, Tensor]
     lengths: tuple[int, ...]
-    logits: dict
+    logits: dict[tuple[str, int], Tensor]
+
+    @property
+    def final_key(self) -> tuple[str, int]:
+        """The top character point: no intermediate one sits on the last block."""
+        return max(key for key in self.logits if key[0] == "char")
 
     @functools.cached_property
     def final(self) -> Tensor:
-        return dc.softmax_rows(self.logits["final"])
+        return dc.softmax_rows(self.logits[self.final_key])
 
     def segments(self) -> list[slice]:
         """Row range of each segment, in input order."""
@@ -217,53 +221,42 @@ class EncoderModel:
         self.syl_vocab_size = syl_vocab_size
         self.store = store if store is not None else self._init_store(seed)
         # Read-only position table, grown to the longest segment seen so far.
-        self._positions = sinusoidal_positions(0, cfg.d_model)
+        self._positions = np.empty((0, cfg.d_model))
 
     # -- parameters ---------------------------------------------------------
 
-    def _param_spec(self) -> list[tuple[str, tuple[int, ...], float | None]]:
+    def _param_spec(self) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
         """(name, shape, fill) of every parameter, in the order `_init_store`
         draws them; a fill of None means a Glorot-uniform draw."""
         cfg = self.cfg
-        spec: list[tuple[str, tuple[int, ...], float | None]] = []
-
-        def mat(name: str, shape: tuple[int, ...]) -> None:
-            spec.append((name, shape, None))
-
-        def vec(name: str, n: int, fill: float = 0.0) -> None:
-            spec.append((name, (n,), fill))
-
         d = cfg.d_model
-        mat("input.w", (cfg.d_in, d))
-        vec("input.b", d)
+        yield "input.w", (cfg.d_in, d), None
+        yield "input.b", (d,), 0.0
         for layer in range(1, self.placement.n_layers + 1):
             p = f"block{layer:02d}"
-            vec(f"{p}.attn_ln.gain", d, 1.0)
-            vec(f"{p}.attn_ln.bias", d)
+            yield f"{p}.attn_ln.gain", (d,), 1.0
+            yield f"{p}.attn_ln.bias", (d,), 0.0
             for proj in ("wq", "wk", "wv", "wo"):
-                mat(f"{p}.attn.{proj}", (d, d))
+                yield f"{p}.attn.{proj}", (d, d), None
             for b in ("bq", "bk", "bv", "bo"):
-                vec(f"{p}.attn.{b}", d)
-            vec(f"{p}.conv_ln.gain", d, 1.0)
-            vec(f"{p}.conv_ln.bias", d)
-            mat(f"{p}.conv.depth", (cfg.conv_kernel, d))
-            mat(f"{p}.conv.point.w", (d, d))
-            vec(f"{p}.conv.point.b", d)
-            vec(f"{p}.ffn_ln.gain", d, 1.0)
-            vec(f"{p}.ffn_ln.bias", d)
-            mat(f"{p}.ffn.w1", (d, cfg.d_ff))
-            vec(f"{p}.ffn.b1", cfg.d_ff)
-            mat(f"{p}.ffn.w2", (cfg.d_ff, d))
-            vec(f"{p}.ffn.b2", d)
-        mat("char_head.w", (d, self.char_vocab_size))
-        vec("char_head.b", self.char_vocab_size)
-        mat("syl_head.w", (d, self.syl_vocab_size))
-        vec("syl_head.b", self.syl_vocab_size)
-        mat("char_cond.w", (self.char_vocab_size, d))
-        vec("char_cond.b", d)
-        mat("syl_cond.w", (self.syl_vocab_size, d))
-        vec("syl_cond.b", d)
-        return spec
+                yield f"{p}.attn.{b}", (d,), 0.0
+            yield f"{p}.conv_ln.gain", (d,), 1.0
+            yield f"{p}.conv_ln.bias", (d,), 0.0
+            yield f"{p}.conv.depth", (cfg.conv_kernel, d), None
+            yield f"{p}.conv.point.w", (d, d), None
+            yield f"{p}.conv.point.b", (d,), 0.0
+            yield f"{p}.ffn_ln.gain", (d,), 1.0
+            yield f"{p}.ffn_ln.bias", (d,), 0.0
+            yield f"{p}.ffn.w1", (d, cfg.d_ff), None
+            yield f"{p}.ffn.b1", (cfg.d_ff,), 0.0
+            yield f"{p}.ffn.w2", (cfg.d_ff, d), None
+            yield f"{p}.ffn.b2", (d,), 0.0
+        for level, size in (("char", self.char_vocab_size), ("syl", self.syl_vocab_size)):
+            yield f"{level}_head.w", (d, size), None
+            yield f"{level}_head.b", (size,), 0.0
+        for level, size in (("char", self.char_vocab_size), ("syl", self.syl_vocab_size)):
+            yield f"{level}_cond.w", (size, d), None
+            yield f"{level}_cond.b", (d,), 0.0
 
     def _init_store(self, seed: int) -> ParamStore:
         rng = np.random.default_rng(seed)
@@ -377,8 +370,8 @@ class EncoderModel:
 
     def forward_batch(self, features: Sequence[np.ndarray]) -> ForwardOutput:
         """Run the full stack once over several utterances and collect the
-        head logits and the intermediate and final posteriors (a recorded
-        forward makes the final ones when read; see `ForwardOutput`).
+        head logits of every prediction point and the intermediate
+        posteriors (see `ForwardOutput`).
 
         The utterances' frames are stacked as rows, one segment each.  Every
         row-wise op runs once for the whole batch; positions restart at each
@@ -404,7 +397,7 @@ class EncoderModel:
         x = dc.add(x, Tensor(self._position_code(lengths)))
 
         inters: dict[str, dict[int, Tensor]] = {"char": {}, "syl": {}}
-        logits: dict = {}
+        logits: dict[tuple[str, int], Tensor] = {}
         last = self.placement.n_layers
         for layer in range(1, last + 1):
             x = self.block_forward(x, layer, lengths)
@@ -415,14 +408,8 @@ class EncoderModel:
                     inters[level][layer] = dc.softmax_rows(logits[(level, layer)])
             if layer < last:
                 x = self.condition(x, inters["char"].get(layer), inters["syl"].get(layer), layer)
-        logits["final"] = self.head_logits(x, "char")
-        out = ForwardOutput(inters["char"], inters["syl"], lengths, logits)
-        if not dc.is_recording():
-            # Every inference forward reads the final posteriors; made here,
-            # while the stack's last output is alive, a cold decode-long round
-            # re-faults about 400 fewer heap pages and runs about 3% faster.
-            out.final
-        return out
+        logits[("char", last)] = self.head_logits(x, "char")
+        return ForwardOutput(inters["char"], inters["syl"], lengths, logits)
 
     # -- persistence --------------------------------------------------------
 
@@ -452,7 +439,7 @@ class EncoderModel:
         def block(key: str, build):
             try:
                 return build(meta[key])
-            except (ContractError, KeyError, TypeError, ValueError) as exc:
+            except (ArithmeticError, ContractError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(
                     f"{path}: header block {key!r} does not construct ({exc})"
                 ) from None
@@ -474,8 +461,11 @@ class EncoderModel:
             syl_vocab_size=vocab_size("syl_vocab_size", "syl_head.w"),
             store=store,
         )
-        expected = {name: shape for name, shape, _ in model._param_spec()}
-        for name, shape in expected.items():
+        # Checked as the spec is walked, so a header that claims far more
+        # layers than the file holds stops at the first missing tensor.
+        expected = set()
+        for name, shape, _ in model._param_spec():
+            expected.add(name)
             if name not in store:
                 raise FormatError(f"{path}: tensor {name!r} is missing")
             if store[name].value.shape != shape:

@@ -318,7 +318,7 @@ def record_to_utterance(record: dict, char_vocab: Vocabulary, syl_vocab: Vocabul
     try:
         shape = tuple(int(n) for n in features["shape"])
         data = np.asarray(features["data"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise FormatError(f"record {utt_id!r}: unreadable features ({exc})") from None
     if len(shape) != 2 or min(shape) < 0 or data.ndim != 1 or data.size != math.prod(shape):
         raise FormatError(
@@ -345,17 +345,17 @@ def write_jsonl(utts: Sequence[Utterance], lang: ToyLanguage, path: str | Path) 
 
 def read_jsonl(path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> list[Utterance]:
     """The utterances of a JSONL file, one record per nonblank line.  A line
-    that is not JSON, or not a record `record_to_utterance` reads, raises
-    FormatError naming the file and the line."""
+    that is not UTF-8 JSON, or not a record `record_to_utterance` reads,
+    raises FormatError naming the file and the line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
                     out.append(record_to_utterance(json.loads(line), char_vocab, syl_vocab))
-                except (FormatError, json.JSONDecodeError) as exc:
-                    raise FormatError(f"{path}:{lineno}: {exc}") from None
+            except (FormatError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

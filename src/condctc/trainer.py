@@ -159,11 +159,10 @@ def batch_loss(
             f"{len(out.lengths)} segments but {len(char_targets)} character and "
             f"{len(syl_targets)} syllable targets"
         )
-    points = [("final", char_targets)]
-    points += [(("char", n), char_targets) for n in sorted(out.char_inters)]
-    points += [(("syl", n), syl_targets) for n in sorted(out.syl_inters)]
-    keys, targets = zip(*points)
-    n_inter = len(points) - 1
+    final = out.final_key
+    keys = [final, *sorted(key for key in out.logits if key != final)]
+    targets = [char_targets if level == "char" else syl_targets for level, _ in keys]
+    n_inter = len(keys) - 1
     if mix_weight == 0.0 or not n_inter:
         weights = [1.0] + [0.0] * n_inter
     else:
@@ -175,7 +174,7 @@ def batch_loss(
         node, sums = ctc_node(log_probs, lengths, targets, weights)
     except ctc.InfeasibleAlignmentError as exc:
         key = keys[exc.point]
-        head = "final char head" if key == "final" else f"{key[0]} head at layer {key[1]}"
+        head = "final char head" if key == final else f"{key[0]} head at layer {key[1]}"
         raise ctc.InfeasibleAlignmentError(f"{head}, {exc}") from exc
     return node, dict(zip(keys, sums))
 
@@ -215,12 +214,10 @@ def adam_step(
     moments: tuple[np.ndarray, np.ndarray],
     step: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.98,
-    eps: float = 1e-8,
 ) -> None:
     """Bias-corrected Adam update, the `step`-th (from 1), over the store's
-    flat arena in place, with `moments` from `adam_moments`.
+    flat arena in place, with `moments` from `adam_moments`, beta1 0.9,
+    beta2 0.98 and eps 1e-8.
 
     All or nothing: the gradient is checked before any parameter or moment
     changes, so a non-finite gradient leaves the store and `moments` intact.
@@ -229,6 +226,7 @@ def adam_step(
     value -= lr * (m / c1) / (sqrt(v / c2) + eps).
     """
     _check_finite_grads(store)
+    beta1, beta2, eps = 0.9, 0.98, 1e-8
     values, grads = store.arena()
     m, v = moments
     c1 = 1.0 - beta1**step
@@ -293,9 +291,9 @@ def average_checkpoints(stores: Sequence[ParamStore]) -> ParamStore:
 def decode_points(
     model: EncoderModel, utts: Sequence[Utterance], chunk: int, mix_weight: float | None = None
 ) -> tuple[list[dict[tuple[str, int], list[int]]], float, dict]:
-    """Each utterance's greedy hypothesis at every prediction point, keyed
-    ("char", layer) and ("syl", layer) with the final output at layer
-    n_layers, from one packed forward per `chunk` utterances that records no
+    """Each utterance's greedy hypothesis at every prediction point, decoded
+    from `ForwardOutput.logits` (softmax keeps each row's order) and keyed
+    alike, from one packed forward per `chunk` utterances that records no
     graph.  With a `mix_weight`, also the summed `batch_loss` totals and
     per-point losses; without one, 0.0 and an empty dict."""
     hyps: list[dict[tuple[str, int], list[int]]] = []
@@ -312,11 +310,8 @@ def decode_points(
                 loss_sum += float(node.value)
                 for key, val in parts.items():
                     part_sums[key] = part_sums.get(key, 0.0) + val
-            points = [(("char", model.n_layers), out.final)]
-            points += [(("char", layer), probs) for layer, probs in out.char_inters.items()]
-            points += [(("syl", layer), probs) for layer, probs in out.syl_inters.items()]
             for rows in out.segments():
-                hyps.append({key: ctc.greedy_decode(p.value[rows]) for key, p in points})
+                hyps.append({key: ctc.greedy_decode(t.value[rows]) for key, t in out.logits.items()})
     return hyps, loss_sum, part_sums
 
 
@@ -474,15 +469,15 @@ def train(
         train_loss, train_rates, train_parts = _evaluate(
             model, train_set, cfg.mix_weight, cfg.batch_size
         )
-        inter = {k: v for k, v in train_parts.items() if isinstance(k, tuple)}
+        final = ("char", model.n_layers)
         row = MetricsRow(
             step=step,
             lr=lr,
             loss_total=train_loss,
-            loss_final=train_parts["final"],
-            inter_losses=inter,
-            cer_train=train_rates[("char", model.n_layers)],
-            cer_valid=valid_rates[("char", model.n_layers)],
+            loss_final=train_parts.pop(final),
+            inter_losses=train_parts,
+            cer_train=train_rates[final],
+            cer_valid=valid_rates[final],
             ser_valid={n: valid_rates[("syl", n)] for n in sorted(model.placement.syl_layers)},
         )
         metrics.append(row)
@@ -490,7 +485,7 @@ def train(
         best.sort(key=lambda c: (c.valid_loss, c.step))
         del best[cfg.average_k :]
         # The early-stop figure: the worse training error of the two outputs.
-        tops = [("char", model.n_layers)]
+        tops = [final]
         if model.placement.syl_layers:
             tops.append(("syl", max(model.placement.syl_layers)))
         return max(train_rates[key] for key in tops)

@@ -176,7 +176,7 @@ def test_criterion_4_architecture_equivalences():
     model = EncoderModel(cfg, PlacementConfig.from_strategy("alternate", 6), 5, 4, seed=2)
     out = model.forward(feats)
     node, _ = trainer.total_loss(out, [1, 2], [1, 3], 0.0)
-    alone = ctc.ctc_loss_batch([dc.log_softmax_rows(out.logits["final"]).value],
+    alone = ctc.ctc_loss_batch([dc.log_softmax_rows(out.logits[("char", 6)]).value],
                                out.lengths, [[[1, 2]]]).losses[0, 0]
     oracle = ctc.ctc_loss(out.final.value, [1, 2]).loss
     exact = float(node.value) == alone and abs(alone - oracle) <= 1e-12 * oracle

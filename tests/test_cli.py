@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from condctc import synthdata, trainer
 from condctc.cli import TrainCmdConfig, main
@@ -264,6 +267,23 @@ class TestTrain:
             f"data error: {data / split}: no reference characters to score\n"
         )
 
+    @pytest.mark.parametrize("name", ["chars.vocab", "syllables.vocab"])
+    @pytest.mark.parametrize("content,problem", [
+        (b"x\ny\n", "token 0 must be '<blank>'"),
+        (b"<blank>\nx\nx\n", "vocabulary tokens must be unique"),
+        (b"<blank>\n\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["no-blank", "repeated-token", "not-utf8"])
+    def test_vocabulary_file_that_does_not_load_exits_3_naming_it(self, data_dir, tmp_path,
+                                                                  capsys, name, content,
+                                                                  problem):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        (data / name).write_bytes(content)
+        capsys.readouterr()
+        assert run(["train", "--data-dir", str(data), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data / name}: not a vocabulary ({problem}")
+        assert err.count("\n") == 1, err
+
     def test_abort_prints_the_reason(self, data_dir, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
             raise NumericError("non-finite gradient for parameter 'input.w'")
@@ -340,7 +360,10 @@ class TestDecodeEval:
                     "--data", str(data_dir / "valid.jsonl"),
                     "--out", str(tmp_path / "h.jsonl")]) == 0
         assert len(outs) == 4
-        assert all(out.final.parents == () for out in outs)
+        assert all(t.parents == () for out in outs
+                   for t in [*out.logits.values(), *out.char_inters.values(),
+                             *out.syl_inters.values()])
+        assert not any("final" in vars(out) for out in outs)  # decoded from the logits
 
     def test_failed_decode_leaves_old_output(self, trained_dir, data_dir, tmp_path, capsys):
         records = [json.loads(l) for l in (data_dir / "valid.jsonl").read_text().splitlines()]
@@ -576,6 +599,33 @@ class TestBadInputFiles:
         edited.save(model, meta)
         assert f"tensor {name!r}" in self.decode_error(model, data_dir, tmp_path, capsys)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda index: index["tensors"][0].update(shape=[float("inf")]), "unreadable index"),
+        (lambda index: index["tensors"][0].update(crc32=float("inf")), "unreadable index"),
+        (lambda index: index["tensors"][0].update(shape=[10**12]), "truncated payload"),
+        (lambda index: index["tensors"][0].update(shape=[10**30]), "truncated payload"),
+        (lambda index: index["meta"]["placement"].update(n_layers=float("inf")),
+         "header block 'placement' does not construct"),
+        (lambda index: index["meta"]["model"].update(d_model=16.0),
+         "header block 'model' does not construct"),
+        (lambda index: index["meta"]["model"].update(d_model=2**40),
+         "tensor 'input.w' has shape"),
+        (lambda index: index["meta"]["placement"].update(n_layers=10**9),
+         "tensor 'block03.attn_ln.gain' is missing"),
+    ], ids=["infinite-shape", "infinite-crc", "large-shape", "huge-shape", "infinite-depth",
+            "float-width", "huge-width", "huge-depth"])
+    def test_index_value_out_of_range_exits_3_at_once(self, trained_dir, data_dir, tmp_path,
+                                                       capsys, edit, message):
+        # Each of these once raised OverflowError, MemoryError or TypeError,
+        # or allocated by the header's sizes before checking them.
+        blob = (trained_dir / "model_avg.ntc").read_bytes()
+        magic, header, payloads = blob[:5], *blob[5:].split(b"\n", 1)
+        index = json.loads(header)
+        edit(index)
+        model = tmp_path / "edited.ntc"
+        model.write_bytes(magic + json.dumps(index).encode() + b"\n" + payloads)
+        assert message in self.decode_error(model, data_dir, tmp_path, capsys)
+
     def test_token_lists_not_the_vocabulary_sizes_exit_3(self, trained_dir, data_dir, tmp_path,
                                                          capsys):
         model = self.resaved(trained_dir, tmp_path, lambda meta: meta["extra"]["syl_tokens"].pop())
@@ -625,7 +675,12 @@ class TestBadInputFiles:
          "record has no 'features'"),
         (lambda rec: {**rec, "chars": None}, "record field 'chars' must be a list, got null"),
         (lambda rec: {**rec, "id": 7}, "record field 'id' must be a string, got 7"),
-    ], ids=["list", "string", "no-id", "no-features", "null-chars", "number-id"])
+        (lambda rec: {**rec, "features": {**rec["features"], "data": [10**400]}},
+         "record 'valid-0000': unreadable features (int too large to convert to float)"),
+        (lambda rec: {**rec, "features": {**rec["features"], "shape": [float("inf"), 8]}},
+         "record 'valid-0000': unreadable features (cannot convert float infinity to integer)"),
+    ], ids=["list", "string", "no-id", "no-features", "null-chars", "number-id", "huge-value",
+            "infinite-shape"])
     def test_record_not_an_utterance_names_file_line_and_field(self, trained_dir, data_dir,
                                                                tmp_path, capsys, edit, message):
         good = (data_dir / "valid.jsonl").read_text().splitlines()[0]
@@ -635,6 +690,120 @@ class TestBadInputFiles:
                     "--out", str(tmp_path / "h.jsonl")])
         assert code == 3
         assert capsys.readouterr().err == f"data error: {data}:2: {message}\n"
+
+    def test_record_line_not_utf8_names_file_and_line(self, trained_dir, data_dir, tmp_path,
+                                                      capsys):
+        good = (data_dir / "valid.jsonl").read_bytes().splitlines()[0]
+        data = tmp_path / "records.jsonl"
+        data.write_bytes(good + b"\n" + good.replace(b'"id"', b'"\xffd"') + b"\n")
+        code = run(["decode", "--model", str(trained_dir / "model_avg.ntc"), "--data", str(data),
+                    "--out", str(tmp_path / "h.jsonl")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: {data}:2: 'utf-8' codec can't decode byte 0xff")
+
+# Any JSON value, scalars drawn wide: huge, negative and non-integral sizes,
+# NaN and infinities, odd strings.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.integers()
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+FUZZ = settings(max_examples=40, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def json_paths(value, prefix=()):
+    """The path of every value nested in a JSON document, the root excepted."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield (*prefix, key)
+        yield from json_paths(child, (*prefix, key))
+
+
+def edit_json(doc, data):
+    """`doc` with one nested value replaced by any JSON value, or removed."""
+    paths = list(json_paths(doc))
+    if not paths:
+        return data.draw(JSON_VALUES)
+    *parent_path, key = data.draw(st.sampled_from(paths))
+    parent = doc
+    for step in parent_path:
+        parent = parent[step]
+    if data.draw(st.booleans()):
+        parent[key] = data.draw(JSON_VALUES)
+    else:
+        del parent[key]
+    return doc
+
+
+def edit_bytes(blob, data):
+    """`blob` with one byte changed or its tail cut off."""
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if data.draw(st.booleans()):
+        return blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) + blob[at + 1:]
+    return blob[:at]
+
+
+class TestFuzzedDecodeInputs:
+    """`decode` of a damaged checkpoint or data file never raises: it exits
+    0, or 3 with one data-error line.  A data file may also exit 4 with one
+    numeric-failure line: an edit can write a feature value that is not
+    finite, or so large that the first block overflows, which
+    `test_failed_decode_leaves_old_output` shows is a numeric failure."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @staticmethod
+    def decode(model, data, work):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["decode", "--model", str(model), "--data", str(data),
+                        "--out", str(work / "h.jsonl")])
+        return code, err.getvalue()
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_checkpoint(self, trained_dir, data_dir, work, data):
+        blob = (trained_dir / "model_avg.ntc").read_bytes()
+        magic, header, payloads = blob[:5], *blob[5:].split(b"\n", 1)
+        kind = data.draw(st.sampled_from(["bytes", "header"]))
+        if kind == "bytes":
+            blob = edit_bytes(blob, data)
+        else:
+            header = json.dumps(edit_json(json.loads(header), data)).encode()
+            blob = magic + header + b"\n" + payloads
+        model = work / "model.ntc"
+        model.write_bytes(blob)
+        code, err = self.decode(model, data_dir / "valid.jsonl", work)
+        assert (code, err.count("\n")) in ((0, 0), (3, 1)), err
+        assert code == 0 or err.startswith(f"data error: {model}: "), err
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_record(self, trained_dir, data_dir, work, data):
+        lines = (data_dir / "valid.jsonl").read_bytes().splitlines(keepends=True)
+        line = lines[0]
+        if data.draw(st.booleans()):
+            line = edit_bytes(line, data)
+        else:
+            line = json.dumps(edit_json(json.loads(line), data)).encode() + b"\n"
+        records = work / "records.jsonl"
+        records.write_bytes(line + b"".join(lines[1:]))
+        code, err = self.decode(trained_dir / "model_avg.ntc", records, work)
+        assert (code, err.count("\n")) in ((0, 0), (3, 1), (4, 1)), err
+        assert code != 3 or err.startswith(f"data error: {records}"), err
+        assert code != 4 or err.startswith("numeric failure: "), err
+
 
 class TestBadEvalRecords:
     """Malformed hypothesis records make `eval` exit 3 with one line."""
@@ -649,6 +818,22 @@ class TestBadEvalRecords:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         return code
+
+    @pytest.mark.parametrize("line,problem", [
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"id": "u2", "chars": ["a"]', "Expecting ',' delimiter"),
+        (b'{"id": "u\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not-json", "unclosed", "not-utf8"])
+    def test_line_that_is_not_json_names_file_and_line(self, tmp_path, capsys, line, problem):
+        ref = tmp_path / "r.jsonl"
+        hyp = tmp_path / "h.jsonl"
+        good = json.dumps({"id": "u1", "chars": ["a"]}).encode()
+        ref.write_bytes(good + b"\n")
+        hyp.write_bytes(good + b"\n\n" + line + b"\n")
+        capsys.readouterr()
+        assert run(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {hyp}:3: {problem}") and err.count("\n") == 1, err
 
     def test_record_that_is_a_list_exits_3(self, tmp_path, capsys):
         assert self.evaluate(tmp_path, capsys, ["a"]) == 3

@@ -352,11 +352,11 @@ def alternate_epoch_batches():
         for start in range(0, len(utts), 10):
             batch = [utts[i] for i in order[start : start + 10]]
             out = model.forward_batch([u.features for u in batch])
-            keys = ["final", *[("char", n) for n in sorted(out.char_inters)],
+            keys = [("char", 6), *[("char", n) for n in sorted(out.char_inters)],
                     *[("syl", n) for n in sorted(out.syl_inters)]]
             log_probs = [dc.log_softmax_rows(out.logits[key]).value for key in keys]
-            targets = [[u.syl_ids if key != "final" and key[0] == "syl" else u.char_ids
-                        for u in batch] for key in keys]
+            targets = [[u.syl_ids if key[0] == "syl" else u.char_ids for u in batch]
+                       for key in keys]
             batches.append((log_probs, list(out.lengths), targets))
     return batches
 

@@ -313,7 +313,7 @@ class TestFusedKernels:
             x = Tensor(3.0 * rng.normal(size=(rows, cols)) + 1.5)
             gain, bias = Tensor(rng.normal(size=cols)), Tensor(rng.normal(size=cols))
             w = Tensor(rng.normal(size=(rows, cols)))
-            fused = value_and_grads(lambda a, g, b: dc.layer_norm_affine(a, g, b, 1e-5),
+            fused = value_and_grads(lambda a, g, b: dc.layer_norm_affine(a, g, b),
                                     [x, gain, bias], w)
             apart = value_and_grads(
                 lambda a, g, b: reference_affine_rows(reference_normalize_rows(a, 1e-5), g, b),

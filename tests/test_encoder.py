@@ -225,6 +225,19 @@ class TestForward:
         assert sorted(out.char_inters) == [12, 15]
         assert sorted(out.syl_inters) == [3, 6, 9]
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 6])
+    def test_logits_keyed_by_point_with_the_final_at_the_top_char_layer(self, n_layers):
+        feats = np.random.default_rng(14).normal(size=(5, 4))
+        for strategy in ("baseline", "selfcond", "parallel", "alternate"):
+            placement = PlacementConfig.from_strategy(strategy, n_layers)
+            out = small_model(placement).forward(feats)
+            assert out.final_key == ("char", n_layers)
+            assert set(out.logits) == {("char", n_layers),
+                                       *[("char", n) for n in placement.char_layers],
+                                       *[("syl", n) for n in placement.syl_layers]}
+            assert np.array_equal(out.final.value,
+                                  dc.softmax_rows(out.logits[("char", n_layers)]).value)
+
     def test_every_matrix_row_stochastic_and_t_rows(self):
         model = small_model(seed=1)
         feats = np.random.default_rng(11).normal(size=(7, 4))

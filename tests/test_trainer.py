@@ -43,7 +43,7 @@ def small_model(strategy="alternate", n_layers=6, seed=0, chars=5, syls=4):
 
 def final_point_alone(out, target):
     """CTC loss of the final point of a one-utterance output, run by itself."""
-    log_probs = dc.log_softmax_rows(out.logits["final"]).value
+    log_probs = dc.log_softmax_rows(out.logits[("char", 6)]).value
     return ctc.ctc_loss_batch([log_probs], out.lengths, [[target]]).losses[0, 0]
 
 
@@ -67,7 +67,7 @@ class TestTotalLoss:
         node, parts = total_loss(out, [1, 2], [1], 0.0)
         alone = final_point_alone(out, [1, 2])
         assert float(node.value) == alone
-        assert parts["final"] == alone
+        assert parts[("char", 6)] == alone
         assert alone == pytest.approx(ctc.ctc_loss(out.final.value, [1, 2]).loss, rel=1e-12)
 
     def test_empty_placement_returns_final_loss(self):
@@ -83,19 +83,19 @@ class TestTotalLoss:
         model = small_model()
         out = self.forward(model)
         node, parts = total_loss(out, [1, 2], [1], 0.5)
-        inters = [v for k, v in parts.items() if isinstance(k, tuple)]
+        inters = [v for k, v in parts.items() if k != ("char", 6)]
         assert len(inters) == 5
-        expected = 0.5 * parts["final"] + 0.1 * sum(inters)
+        expected = 0.5 * parts[("char", 6)] + 0.1 * sum(inters)
         assert float(node.value) == pytest.approx(expected, rel=1e-12)
 
     def test_selfcond_weights_match_five_layer_rule(self):
         model = small_model("selfcond")
         out = self.forward(model)
         node, parts = total_loss(out, [1, 2], [1], 0.5)
-        inters = [v for k, v in parts.items() if isinstance(k, tuple)]
+        inters = [v for k, v in parts.items() if k != ("char", 6)]
         assert len(inters) == 5
-        assert not any(k[0] == "syl" for k in parts if isinstance(k, tuple))
-        expected = 0.5 * parts["final"] + (0.5 / 5) * sum(inters)
+        assert not any(k[0] == "syl" for k in parts)
+        expected = 0.5 * parts[("char", 6)] + (0.5 / 5) * sum(inters)
         assert float(node.value) == pytest.approx(expected, rel=1e-12)
 
     def test_coefficients_sum_to_one(self):
@@ -109,7 +109,7 @@ class TestTotalLoss:
         out = self.forward(model)
         assert not out.char_inters and sorted(out.syl_inters) == [5]
         node, parts = total_loss(out, [1, 2], [1], 0.3)
-        expected = 0.7 * parts["final"] + 0.3 * parts[("syl", 5)]
+        expected = 0.7 * parts[("char", 6)] + 0.3 * parts[("syl", 5)]
         assert float(node.value) == pytest.approx(expected, rel=1e-12)
 
     def test_infeasible_target_names_the_layer(self):
@@ -117,6 +117,11 @@ class TestTotalLoss:
         out = self.forward(model, t_frames=3)
         with pytest.raises(InfeasibleAlignmentError, match="syl head at layer"):
             total_loss(out, [1], [1, 1, 2, 2, 3, 3], 0.5)
+
+    def test_infeasible_final_target_names_the_final_head(self):
+        out = self.forward(small_model(), t_frames=3)
+        with pytest.raises(InfeasibleAlignmentError, match="^final char head, segment 0"):
+            total_loss(out, [1, 1, 2, 2, 3, 3], [1], 0.5)
 
     def test_gradient_reaches_conditioning_weights(self):
         model = small_model(seed=2)
@@ -241,7 +246,7 @@ class TestPackedBatch:
 
     @staticmethod
     def points(out):
-        return {"final": out.final.value,
+        return {("char", 6): out.final.value,
                 **{("char", n): t.value for n, t in out.char_inters.items()},
                 **{("syl", n): t.value for n, t in out.syl_inters.items()}}
 
@@ -300,8 +305,7 @@ class TestNoGradForward:
 
     @staticmethod
     def tensors(out):
-        return [out.final, *out.char_inters.values(), *out.syl_inters.values(),
-                *out.logits.values()]
+        return [*out.char_inters.values(), *out.syl_inters.values(), *out.logits.values()]
 
     @pytest.mark.parametrize("strategy", ["baseline", "selfcond", "hierarchical", "alternate"])
     def test_bitwise_equal_to_taped_forward(self, strategy):
@@ -332,6 +336,23 @@ class TestNoGradForward:
             gc.enable()
         assert alive == {id(t) for t in self.tensors(out)}
         assert all(t.parents == () for t in self.tensors(out))
+        assert "final" not in vars(out)  # the final softmax is made only when read
+
+    def test_makes_a_softmax_only_where_it_feeds_a_block(self, monkeypatch):
+        # `alternate` at depth 6 conditions on 5 intermediate points; the
+        # final point's softmax feeds nothing and is not made.
+        model, feats = TestPackedBatch().build()
+        made = []
+        softmax_rows = dc.softmax_rows
+
+        def counting_softmax(x):
+            made.append(x)
+            return softmax_rows(x)
+
+        monkeypatch.setattr(dc, "softmax_rows", counting_softmax)
+        with dc.no_grad():
+            out = model.forward_batch(feats)
+        assert len(made) == 5 and "final" not in vars(out)
 
 
 class TestDecodePoints:
@@ -358,7 +379,7 @@ class TestDecodePoints:
         points += [("syl", n) for n in model.placement.syl_layers]
         assert len(hyps) == len(utts)
         assert all(sorted(hyp) == sorted(points) for hyp in hyps)
-        assert parts.keys() == {"final", *[k for k in points if k != ("char", 6)]}
+        assert parts.keys() == set(points)
         for chunk in (3, len(utts)):
             chunked, chunk_loss, chunk_parts = trainer.decode_points(model, utts, chunk, 0.5)
             assert chunked == hyps
@@ -428,7 +449,7 @@ class TestAdam:
         p = store.add("w", np.array([1.0, -2.0]))
         store.zero_grad()
         p.grad[...] = np.array([0.3, -0.7])
-        adam_step(store, adam_moments(store), 1, lr=0.1, eps=1e-8)
+        adam_step(store, adam_moments(store), 1, lr=0.1)
         # bias-corrected first step moves by ~lr against the gradient sign
         assert p.value[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
         assert p.value[1] == pytest.approx(-2.0 + 0.1, abs=1e-6)
@@ -479,7 +500,7 @@ class TestAdam:
 
             store.zero_grad()
             p.grad[...] = 2.0 * p.value
-            adam_step(store, moments, t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+            adam_step(store, moments, t, lr=lr)
         assert abs(x) < 0.1
         assert p.value[0] == pytest.approx(x, abs=1e-12)
 
