@@ -290,20 +290,19 @@ def cmd_decode(cfg: DecodeConfig) -> int:
             f"{model_path}: {char_vocab.size} character and {syl_vocab.size} syllable tokens "
             f"for vocabulary sizes {model.char_vocab_size} and {model.syl_vocab_size}"
         )
-    utts = synthdata.read_jsonl(data_path, char_vocab, syl_vocab)
-    for utt in utts:
-        rows, cols = utt.features.shape
-        if rows < 1 or cols != model.cfg.d_in:
-            raise DataError(
-                f"{data_path}: record {utt.utt_id!r} has {rows}x{cols} features; "
-                f"the model takes T>=1 frames of {model.cfg.d_in}"
-            )
-
-    # One utterance per forward decodes long utterances fastest.  The output
-    # replaces cfg.out only once complete.
-    hyps = trainer.decode_points(model, utts, 1)[0]
+    # Each record is decoded, one utterance per forward (the fastest way to
+    # decode long utterances), and written before the next is read.  The
+    # output replaces cfg.out only once complete.
+    count = 0
     with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
-        for utt, hyp in zip(utts, hyps):
+        for utt in synthdata.iter_jsonl(data_path, char_vocab, syl_vocab):
+            rows, cols = utt.features.shape
+            if rows < 1 or cols != model.cfg.d_in:
+                raise DataError(
+                    f"{data_path}: record {utt.utt_id!r} has {rows}x{cols} features; "
+                    f"the model takes T>=1 frames of {model.cfg.d_in}"
+                )
+            hyp = trainer.decode_points(model, [utt], 1)[0][0]
             chars = char_vocab.decode(hyp[("char", model.n_layers)])
             record: dict = {"id": utt.utt_id, "chars": chars}
             if cfg.dump_intermediate:
@@ -313,7 +312,8 @@ def cmd_decode(cfg: DecodeConfig) -> int:
                     layers[level][str(layer)] = vocab.decode(ids)
                 record["layers"] = layers
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    print(f"decoded {len(utts)} utterances -> {cfg.out}")
+            count += 1
+    print(f"decoded {count} utterances -> {cfg.out}")
     return EXIT_OK
 
 
@@ -350,9 +350,17 @@ def _record_problem(rec) -> str | None:
 
 
 def _read_records(path: Path) -> dict[str, dict]:
-    """Records of a JSONL file by id; a line that is not UTF-8 JSON of a
-    well-formed record raises DataError naming the file and the line."""
+    """The token lists of a JSONL file's records by id: 'chars', and
+    'syllables' and 'layers' where a record has them.  Features and other
+    fields are dropped, and each distinct token is one string object.  A
+    line that is not UTF-8 JSON of a well-formed record, or that repeats an
+    id, raises DataError naming the file and the line."""
     records: dict[str, dict] = {}
+    seen: dict[str, str] = {}
+
+    def tokens(values: list[str]) -> list[str]:
+        return [seen.setdefault(tok, tok) for tok in values]
+
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -364,7 +372,15 @@ def _read_records(path: Path) -> dict[str, dict]:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             if problem := _record_problem(rec):
                 raise DataError(f"{path}:{lineno}: {problem}")
-            records[rec["id"]] = rec
+            if rec["id"] in records:
+                raise DataError(f"{path}:{lineno}: duplicate id {rec['id']!r}")
+            kept = {key: tokens(rec[key]) for key in ("chars", "syllables") if key in rec}
+            if "layers" in rec:
+                kept["layers"] = {
+                    level: {n: tokens(toks) for n, toks in rec["layers"][level].items()}
+                    for level in ("char", "syl")
+                }
+            records[rec["id"]] = kept
     return records
 
 

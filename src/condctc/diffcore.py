@@ -646,7 +646,8 @@ class ParamStore:
     @classmethod
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:
         """Read a container written by `save`; a file that is not exactly one,
-        or a payload that does not match its checksum, raises FormatError.
+        a tensor whose dtype is not float64, or a payload that does not match
+        its checksum, raises FormatError.
         Index records without a checksum, as written before checksums were
         added, load unchecked."""
         with open(path, "rb") as fh:
@@ -656,7 +657,7 @@ class ParamStore:
             try:
                 index = json.loads(fh.readline().decode("utf-8"))
                 records = [
-                    (str(rec["name"]), tuple(int(n) for n in rec["shape"]),
+                    (str(rec["name"]), tuple(int(n) for n in rec["shape"]), rec["dtype"],
                      int(rec["crc32"]) if "crc32" in rec else None)
                     for rec in index["tensors"]
                 ]
@@ -665,9 +666,11 @@ class ParamStore:
                 raise FormatError(f"{path}: unreadable index ({exc})") from None
             left = os.fstat(fh.fileno()).st_size - fh.tell()
             store = cls()
-            for name, shape, crc in records:
+            for name, shape, dtype, crc in records:
                 if min(shape, default=0) < 0 or name in store:
                     raise FormatError(f"{path}: bad index record for {name!r}")
+                if dtype != "float64":
+                    raise FormatError(f"{path}: tensor {name!r} has dtype {dtype!r}, not float64")
                 size = 8 * math.prod(shape)
                 if size > left:
                     raise FormatError(f"{path}: truncated payload for {name!r}")

@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -343,20 +343,28 @@ def write_jsonl(utts: Sequence[Utterance], lang: ToyLanguage, path: str | Path) 
             fh.write(json.dumps(utterance_to_record(utt, lang), separators=(",", ":")) + "\n")
 
 
-def read_jsonl(path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> list[Utterance]:
-    """The utterances of a JSONL file, one record per nonblank line.  A line
-    that is not UTF-8 JSON, or not a record `record_to_utterance` reads,
-    raises FormatError naming the file and the line."""
-    out = []
+def iter_jsonl(
+    path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary
+) -> Iterator[Utterance]:
+    """The utterances of a JSONL file, one record per nonblank line, each read
+    only when the one before it has been taken.  A line that is not UTF-8
+    JSON, or not a record `record_to_utterance` reads, raises FormatError
+    naming the file and the line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()
-                if line:
-                    out.append(record_to_utterance(json.loads(line), char_vocab, syl_vocab))
+                if not line:
+                    continue
+                utt = record_to_utterance(json.loads(line), char_vocab, syl_vocab)
             except (FormatError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return out
+            yield utt
+
+
+def read_jsonl(path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> list[Utterance]:
+    """All the utterances of `iter_jsonl`, as a list."""
+    return list(iter_jsonl(path, char_vocab, syl_vocab))
 
 
 def generate_dataset(

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,28 @@ class TestDecodeEval:
         assert hyp.read_text() == "previous contents\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hyp.jsonl"]
 
+    @pytest.mark.parametrize("fault", ["malformed-line", "other-feature-width"])
+    def test_decode_failing_at_the_last_record_leaves_old_output(self, trained_dir, data_dir,
+                                                                 tmp_path, capsys, fault):
+        lines = (data_dir / "valid.jsonl").read_text().splitlines()
+        if fault == "malformed-line":
+            lines[-1] = lines[-1][:-1]
+        else:
+            last = json.loads(lines[-1])
+            rows, cols = last["features"]["shape"]
+            last["features"]["shape"] = [rows * 2, cols // 2]
+            lines[-1] = json.dumps(last)
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(line + "\n" for line in lines))
+        hyp = tmp_path / "hyp.jsonl"
+        hyp.write_text("previous contents\n")
+        code = run(["decode", "--model", str(trained_dir / "model_avg.ntc"),
+                    "--data", str(data), "--out", str(hyp)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"data error: {data}")
+        assert hyp.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "hyp.jsonl"]
+
     def test_eval_with_layers_reports_per_layer(self, trained_dir, data_dir, tmp_path, capsys):
         hyp = tmp_path / "hyp2.jsonl"
         run(["decode", "--model", str(trained_dir / "model_avg.ntc"),
@@ -458,6 +481,16 @@ class TestDecodeEval:
         hyp.write_text(json.dumps({"id": "stranger", "chars": ["c01"]}) + "\n")
         assert run(["eval", "--ref", str(data_dir / "valid.jsonl"), "--hyp", str(hyp)]) == 3
 
+    @pytest.mark.parametrize("side", ["ref", "hyp"])
+    def test_eval_rejects_a_repeated_id(self, tmp_path, capsys, side):
+        files = {"ref": tmp_path / "r.jsonl", "hyp": tmp_path / "h.jsonl"}
+        for name, path in files.items():
+            ids = ["u1", "u2", "u1"] if name == side else ["u1", "u2"]
+            path.write_text("".join(json.dumps({"id": i, "chars": ["a"]}) + "\n" for i in ids))
+        capsys.readouterr()
+        assert run(["eval", "--ref", str(files["ref"]), "--hyp", str(files["hyp"])]) == 3
+        assert capsys.readouterr().err == f"data error: {files[side]}:3: duplicate id 'u1'\n"
+
     def test_empty_dataset_decodes_to_empty_output(self, trained_dir, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -471,6 +504,52 @@ class TestDecodeEval:
         assert run(["decode", "--model", str(tmp_path / "no.ntc"),
                     "--data", str(data_dir / "valid.jsonl"),
                     "--out", str(tmp_path / "h.jsonl")]) == 3
+
+
+class TestBoundedMemory:
+    """`decode` and `eval` hold one utterance's features at a time, so their
+    traced peak does not grow with the number of records."""
+
+    FRAMES = 170
+
+    @pytest.fixture(scope="class")
+    def long_records(self, data_dir):
+        """Records that are copies, under their own ids, of one 170-frame
+        utterance of the 8-wide features the trained model takes."""
+        template = json.loads((data_dir / "valid.jsonl").read_text().splitlines()[0])
+        features = np.random.default_rng(0).normal(size=(self.FRAMES, 8))
+        template["features"] = {"shape": [self.FRAMES, 8], "data": features.reshape(-1).tolist()}
+        return lambda n: [{**template, "id": f"long-{i:03d}"} for i in range(n)]
+
+    @staticmethod
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_decode_peak_does_not_grow_with_the_records(self, trained_dir, long_records,
+                                                        tmp_path):
+        peaks = {}
+        for n in (4, 4, 32):  # the first run pays one-time allocations
+            data = tmp_path / f"long{n}.jsonl"
+            data.write_text("".join(json.dumps(rec) + "\n" for rec in long_records(n)))
+            peaks[n] = self.traced_peak(["decode", "--model", str(trained_dir / "model_avg.ntc"),
+                                         "--data", str(data), "--out", str(tmp_path / "h.jsonl"),
+                                         "--dump-intermediate", "true"])
+        assert peaks[32] - peaks[4] < self.FRAMES * 8 * 8, peaks
+
+    def test_eval_peak_stays_below_the_features(self, long_records, tmp_path):
+        records = long_records(64)
+        ref, hyp = tmp_path / "r.jsonl", tmp_path / "h.jsonl"
+        ref.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        hyp.write_text("".join(json.dumps({"id": rec["id"], "chars": rec["chars"]}) + "\n"
+                               for rec in records))
+        peak = self.traced_peak(["eval", "--ref", str(ref), "--hyp", str(hyp)])
+        assert peak < len(records) * self.FRAMES * 8 * 8, peak
 
 
 class TestBadInputFiles:
@@ -625,6 +704,19 @@ class TestBadInputFiles:
         model = tmp_path / "edited.ntc"
         model.write_bytes(magic + json.dumps(index).encode() + b"\n" + payloads)
         assert message in self.decode_error(model, data_dir, tmp_path, capsys)
+
+    def test_checkpoint_of_float32_tensors_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                   capsys):
+        blob = (trained_dir / "model_avg.ntc").read_bytes()
+        magic, header, payloads = blob[:5], *blob[5:].split(b"\n", 1)
+        index = json.loads(header)
+        for rec in index["tensors"]:
+            rec["dtype"] = "float32"
+        model = tmp_path / "float32.ntc"
+        model.write_bytes(magic + json.dumps(index).encode() + b"\n" + payloads)
+        name = index["tensors"][0]["name"]
+        assert (f"tensor {name!r} has dtype 'float32'"
+                in self.decode_error(model, data_dir, tmp_path, capsys))
 
     def test_token_lists_not_the_vocabulary_sizes_exit_3(self, trained_dir, data_dir, tmp_path,
                                                          capsys):

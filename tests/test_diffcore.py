@@ -615,6 +615,8 @@ class TestParamStore:
             "magic": (b"XTC1" + data[4:], "not a named-tensor container"),
             "index": (data.replace(b'"shape"', b'"shapo"', 1), "unreadable index"),
             "payload": (data[:-1] + bytes([data[-1] ^ 1]), "checksum mismatch for 'w'"),
+            "dtype": (data.replace(b'"float64"', b'"float32"', 1),
+                      "tensor 'b' has dtype 'float32', not float64"),
         }
         for name, (payload, message) in damaged.items():
             path = tmp_path / f"{name}.ntc"

@@ -2,17 +2,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from condctc.ctc import min_frames
+from condctc.diffcore import FormatError
 from condctc.labels import BLANK_TOKEN
 from condctc.synthdata import (
     LanguageSpecError,
     Utterance,
     ambiguous_pair,
     generate_dataset,
+    iter_jsonl,
     make_language,
     read_jsonl,
     sample_utterances,
@@ -159,6 +162,17 @@ class TestDataset:
         write_jsonl(utts, lang, path)
         back = read_jsonl(path, lang.char_vocab(), lang.syl_vocab())
         assert back == utts
+
+    def test_iter_jsonl_reads_each_line_when_its_utterance_is_taken(self, lang, tmp_path):
+        utts = sample_utterances(lang, 2, (2, 4), seed=2, stream=0, prefix="t")
+        path = tmp_path / "x.jsonl"
+        write_jsonl(utts, lang, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\nnot json\n")
+        records = iter_jsonl(path, lang.char_vocab(), lang.syl_vocab())
+        assert [next(records), next(records)] == utts
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:4: Expecting value"):
+            next(records)
 
     def test_jsonl_bytes_are_those_of_per_element_formatting(self, lang, tmp_path):
         utts = sample_utterances(lang, 4, (2, 4), seed=2, stream=0, prefix="t")
