@@ -1,7 +1,7 @@
 """Desk-scale CTC recognizer with character- and syllable-level intermediate
 predictions fed back into the encoder stack."""
 
-from .labels import BLANK_ID, BLANK_TOKEN, EditCounts, Vocabulary, collapse, edit_distance, error_rate
+from .labels import BLANK_ID, BLANK_TOKEN, EditCounts, Vocabulary, edit_distance, error_rate
 from .ctc import CtcResult, brute_force_loss, ctc_loss, greedy_decode
 from .diffcore import ParamStore, Tensor, backward, grad_check
 from .encoder import EncoderModel, ForwardOutput, ModelConfig, PlacementConfig
@@ -33,7 +33,6 @@ __all__ = [
     "average_checkpoints",
     "backward",
     "brute_force_loss",
-    "collapse",
     "ctc_loss",
     "edit_distance",
     "error_rate",

@@ -116,7 +116,11 @@ def resolve_config(cls, config_path: str | None, overrides: dict):
         path = Path(config_path)
         if not path.is_file():
             raise DataError(f"config file not found: {path}")
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

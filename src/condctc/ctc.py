@@ -360,9 +360,9 @@ def ctc_loss_batch(
 def greedy_decode(probs: np.ndarray) -> list[int]:
     """Collapse of the per-frame argmax path; ties break toward the lowest id.
 
-    A frame's id is kept when it is not blank and differs from the previous
-    frame's, which is `labels.collapse` of the path; argmax ids are in range,
-    so its per-id check is not needed."""
+    Adjacent repeats of the path are merged, then blanks are removed, so
+    (a, a, blank, a) decodes to (a, a): a frame's id is kept when it is not
+    blank and differs from the previous frame's."""
     z = _check_probs(probs)
     best = np.argmax(z, axis=1)
     keep = best != BLANK_ID

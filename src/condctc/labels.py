@@ -1,4 +1,4 @@
-"""Vocabularies, CTC path collapsing, and edit-distance error metrics."""
+"""Vocabularies and edit-distance error metrics."""
 
 from __future__ import annotations
 
@@ -46,10 +46,6 @@ class Vocabulary:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
     @property
-    def blank_id(self) -> int:
-        return BLANK_ID
-
-    @property
     def size(self) -> int:
         return len(self.tokens)
 
@@ -84,23 +80,6 @@ class Vocabulary:
         return cls(tuple(lines))
 
 
-def collapse(path: Sequence[int], size: int, blank_id: int = BLANK_ID) -> list[int]:
-    """Map a frame-level path to its label sequence.
-
-    Adjacent duplicates are merged first, then blanks are removed, so
-    (a, a, blank, a) collapses to (a, a).
-    """
-    out: list[int] = []
-    prev: int | None = None
-    for idx in path:
-        if not 0 <= idx < size:
-            raise InvalidTokenError(f"path id {idx} out of range for vocabulary of size {size}")
-        if idx != prev and idx != blank_id:
-            out.append(idx)
-        prev = idx
-    return out
-
-
 @dataclass(frozen=True)
 class EditCounts:
     """Substitution / insertion / deletion counts of one alignment."""
@@ -113,62 +92,42 @@ class EditCounts:
     def total(self) -> int:
         return self.substitutions + self.insertions + self.deletions
 
-    def __add__(self, other: "EditCounts") -> "EditCounts":
-        return EditCounts(
-            self.substitutions + other.substitutions,
-            self.insertions + other.insertions,
-            self.deletions + other.deletions,
-        )
 
-
-# Backtrace preference at equal cost, lowest code first: 0 match, 1 substitution,
-# 2 deletion, 3 insertion.  Substitution therefore beats a delete+insert pair.
 def edit_distance(ref: Sequence[Hashable], hyp: Sequence[Hashable]) -> EditCounts:
-    """Levenshtein alignment of `hyp` against `ref` with a deterministic backtrace.
+    """Levenshtein alignment of `hyp` against `ref`, chosen deterministically.
 
     Deletions are reference tokens missing from the hypothesis; insertions are
     extra hypothesis tokens.  total always equals the Levenshtein distance.
+    Among alignments of least cost, each cell takes its last step in the order
+    match or substitution, then deletion, then insertion, so a substitution
+    beats a deletion and insertion pair.  Only two rows of the table are
+    kept: each cell holds the cost, substitutions and deletions of its chosen
+    alignment, and insertions are the cost less the other two.
     """
-    n, m = len(ref), len(hyp)
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    op = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        cost[i][0] = i
-        op[i][0] = 2
-    for j in range(1, m + 1):
-        cost[0][j] = j
-        op[0][j] = 3
-    for i in range(1, n + 1):
-        row = cost[i]
-        prev = cost[i - 1]
-        for j in range(1, m + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            diag = prev[j - 1] + (0 if same else 1)
-            dele = prev[j] + 1
-            ins = row[j - 1] + 1
-            best = min(diag, dele, ins)
-            row[j] = best
-            if diag == best:
-                op[i][j] = 0 if same else 1
-            elif dele == best:
-                op[i][j] = 2
+    m = len(hyp)
+    cost, subs, dels = list(range(m + 1)), [0] * (m + 1), [0] * (m + 1)
+    for i, r in enumerate(ref, 1):
+        up_cost, up_subs, up_dels = cost, subs, dels
+        cost, subs, dels = [i], [0], [i]
+        for j, h in enumerate(hyp, 1):
+            diff = 0 if r == h else 1
+            diag = up_cost[j - 1] + diff
+            dele = up_cost[j] + 1
+            ins = cost[j - 1] + 1
+            if diag <= dele and diag <= ins:
+                cost.append(diag)
+                subs.append(up_subs[j - 1] + diff)
+                dels.append(up_dels[j - 1])
+            elif dele <= ins:
+                cost.append(dele)
+                subs.append(up_subs[j])
+                dels.append(up_dels[j] + 1)
             else:
-                op[i][j] = 3
-    sub = dele = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        code = op[i][j]
-        if code == 0 or code == 1:
-            sub += code
-            i -= 1
-            j -= 1
-        elif code == 2:
-            dele += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return EditCounts(substitutions=sub, insertions=ins, deletions=dele)
+                cost.append(ins)
+                subs.append(subs[j - 1])
+                dels.append(dels[j - 1])
+    return EditCounts(substitutions=subs[m], insertions=cost[m] - subs[m] - dels[m],
+                      deletions=dels[m])
 
 
 def error_rate(pairs: Iterable[tuple[Sequence[Hashable], Sequence[Hashable]]]) -> float:

@@ -28,7 +28,8 @@ class TrainConfig:
     losses; 0 means pure final-loss training.  `early_stop_train_cer` ends
     the run at the first evaluation where the training-set error rate is at
     or below it both at the final character output and, when the placement
-    has syllable heads, at the top syllable head.
+    has syllable heads, at the top syllable head.  `grad_clip` bounds the
+    global gradient norm; 0 turns clipping off.
     """
 
     mix_weight: float = 0.5
@@ -56,6 +57,12 @@ class TrainConfig:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ContractError(f"max_steps must be >= 1 when given, got {self.max_steps}")
+        if not (math.isfinite(self.lr_factor) and self.lr_factor > 0.0):
+            raise ContractError(f"lr_factor must be finite and > 0, got {self.lr_factor}")
+        if not self.grad_clip >= 0.0:
+            raise ContractError(f"grad_clip must be >= 0, got {self.grad_clip}")
+        if self.early_stop_train_cer is not None and math.isnan(self.early_stop_train_cer):
+            raise ContractError("early_stop_train_cer must be a number, got nan")
 
 
 @dataclass

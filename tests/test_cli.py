@@ -147,6 +147,15 @@ class TestConfigHandling:
         cfg.write_text("just words\n")
         assert run(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
+    def test_config_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=\xff\n")
+        code = run(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and str(cfg) in err, err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_bad_value_type_exits_2(self, tmp_path):
         assert run(["gen-data", "--out-dir", str(tmp_path), "--seed", "notanint"]) == 2
 
@@ -202,6 +211,8 @@ class TestTrain:
         ("--d-model", "0"),
         ("--conv-kernel", "4"), ("--n-layers", "0"), ("--warmup-steps", "0"),
         ("--seed", "-1"), ("--max-steps", "-1"),
+        ("--lr-factor", "-2"), ("--lr-factor", "0"), ("--lr-factor", "nan"), ("--lr-factor", "inf"),
+        ("--grad-clip", "nan"), ("--grad-clip", "-1"), ("--early-stop-train-cer", "nan"),
     ])
     def test_out_of_range_value_exits_2(self, data_dir, tmp_path, capsys, flag, value):
         capsys.readouterr()

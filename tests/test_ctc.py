@@ -20,7 +20,7 @@ from condctc.ctc import (
     min_frames,
 )
 from condctc.encoder import EncoderModel, ModelConfig, PlacementConfig
-from condctc.labels import BLANK_ID, InvalidTokenError, collapse
+from condctc.labels import BLANK_ID, InvalidTokenError
 
 
 def random_instance(rng, max_frames=8, max_classes=4, max_labels=3):
@@ -172,7 +172,20 @@ class TestGreedyDecode:
         for _ in range(25):
             probs = rng.dirichlet(np.ones(4), size=6)
             path = np.argmax(probs, axis=1).tolist()
-            assert greedy_decode(probs) == collapse(path, 4)
+            collapsed = [k for k, _ in itertools.groupby(path) if k != BLANK_ID]
+            assert greedy_decode(probs) == collapsed
+
+    def test_merges_repeats_then_removes_blanks(self):
+        # (a, a, blank, a) -> (a, a): a blank keeps the repeats on its two
+        # sides apart, and those become adjacent repeats of the output.
+        assert greedy_decode(np.eye(2)[[1, 1, 0, 1]]) == [1, 1]
+        assert greedy_decode(np.eye(2)[[1, 0, 1]]) == [1, 1]
+        assert greedy_decode(np.eye(2)[[1, 1]]) == [1]
+
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=12))
+    def test_repeat_free_label_path_decodes_to_itself(self, seq):
+        deduped = [x for i, x in enumerate(seq) if i == 0 or x != seq[i - 1]]
+        assert greedy_decode(np.eye(5)[deduped]) == deduped
 
 
 class TestBruteForce:

@@ -10,7 +10,6 @@ from condctc.labels import (
     InvalidTokenError,
     UndefinedRateError,
     Vocabulary,
-    collapse,
     edit_distance,
     error_rate,
 )
@@ -29,11 +28,59 @@ def ref_levenshtein(a, b):
     return prev[len(a)]
 
 
+def ref_edit_counts(ref, hyp):
+    """Reference for `edit_distance`: full cost and backpointer tables, then
+    a backtrace from the last cell.
+
+    At equal cost the backpointer prefers, lowest code first, 0 match,
+    1 substitution, 2 deletion, 3 insertion."""
+    n, m = len(ref), len(hyp)
+    cost = [[0] * (m + 1) for _ in range(n + 1)]
+    op = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        cost[i][0] = i
+        op[i][0] = 2
+    for j in range(1, m + 1):
+        cost[0][j] = j
+        op[0][j] = 3
+    for i in range(1, n + 1):
+        row = cost[i]
+        prev = cost[i - 1]
+        for j in range(1, m + 1):
+            same = ref[i - 1] == hyp[j - 1]
+            diag = prev[j - 1] + (0 if same else 1)
+            dele = prev[j] + 1
+            ins = row[j - 1] + 1
+            best = min(diag, dele, ins)
+            row[j] = best
+            if diag == best:
+                op[i][j] = 0 if same else 1
+            elif dele == best:
+                op[i][j] = 2
+            else:
+                op[i][j] = 3
+    sub = dele = ins = 0
+    i, j = n, m
+    while i > 0 or j > 0:
+        code = op[i][j]
+        if code == 0 or code == 1:
+            sub += code
+            i -= 1
+            j -= 1
+        elif code == 2:
+            dele += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return EditCounts(substitutions=sub, insertions=ins, deletions=dele)
+
+
 class TestVocabulary:
     def test_from_labels_reserves_blank(self):
         vocab = Vocabulary.from_labels(["a", "b"])
         assert vocab.tokens[0] == BLANK_TOKEN
-        assert vocab.blank_id == BLANK_ID == 0
+        assert vocab.id_of(BLANK_TOKEN) == BLANK_ID == 0
         assert vocab.size == 3
         assert vocab.id_of("a") == 1
         assert vocab.token_of(2) == "b"
@@ -84,47 +131,6 @@ class TestVocabulary:
         assert Vocabulary.load(path) == vocab
 
 
-class TestCollapse:
-    def test_merges_then_removes_blanks(self):
-        # (a, a, blank, a) -> (a, a)
-        assert collapse([1, 1, 0, 1], size=2) == [1, 1]
-
-    def test_all_blank(self):
-        assert collapse([0, 0, 0], size=2) == []
-
-    def test_blank_between_distinct(self):
-        # (a, blank, b, b) -> (a, b)
-        assert collapse([1, 0, 2, 2], size=3) == [1, 2]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidTokenError):
-            collapse([1, 5], size=3)
-        with pytest.raises(InvalidTokenError):
-            collapse([-1], size=3)
-
-    @given(st.lists(st.integers(min_value=1, max_value=4), max_size=12))
-    def test_idempotent_on_label_sequences(self, seq):
-        deduped = [x for i, x in enumerate(seq) if i == 0 or x != seq[i - 1]]
-        assert collapse(deduped, size=5) == deduped
-
-    @given(st.lists(st.integers(min_value=0, max_value=4), max_size=20))
-    def test_collapse_of_collapse_is_stable(self, path):
-        # Re-collapsing can only merge adjacent repeats the first pass
-        # produced; once the output is repeat-free it is a fixed point.
-        once = collapse(path, size=5)
-        deduped = [x for i, x in enumerate(once) if i == 0 or x != once[i - 1]]
-        if deduped == once:
-            assert collapse(once, size=5) == once
-        else:
-            assert collapse(once, size=5) == deduped
-
-    def test_adjacent_repeats_in_output_are_not_a_fixed_point(self):
-        # (a, blank, a) -> (a, a), which as a path re-collapses to (a);
-        # this is inherent to the collapsing rule itself.
-        assert collapse([1, 0, 1], size=2) == [1, 1]
-        assert collapse([1, 1], size=2) == [1]
-
-
 class TestEditDistance:
     def test_identity(self):
         assert edit_distance([1, 2, 3], [1, 2, 3]) == EditCounts(0, 0, 0)
@@ -142,6 +148,12 @@ class TestEditDistance:
         counts = edit_distance([1, 2], [2, 1])
         assert counts == EditCounts(substitutions=2, insertions=0, deletions=0)
 
+    def test_deletion_preferred_over_insertion(self):
+        # Both cost 3: one deletion and two insertions, or two substitutions
+        # and one insertion; a cell prefers deletion to insertion at equal cost.
+        counts = edit_distance([0, 1, 0], [1, 2, 0, 1])
+        assert counts == EditCounts(substitutions=0, insertions=2, deletions=1)
+
     def test_empty_hypothesis_counts_deletions(self):
         assert edit_distance([1, 2], []) == EditCounts(0, 0, 2)
 
@@ -154,6 +166,13 @@ class TestEditDistance:
     )
     def test_total_matches_reference_dp(self, a, b):
         assert edit_distance(a, b).total == ref_levenshtein(a, b)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), max_size=40),
+        st.lists(st.integers(min_value=0, max_value=3), max_size=40),
+    )
+    def test_counts_match_backtrace_reference(self, a, b):
+        assert edit_distance(a, b) == ref_edit_counts(a, b)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3), max_size=8),

@@ -523,6 +523,14 @@ class TestClipAndAverage:
         clip_global_norm(store, 5.0)
         assert np.allclose(p.grad, [0.3, 0.4])
 
+    def test_clip_zero_turns_clipping_off(self):
+        store = ParamStore()
+        p = store.add("w", np.zeros(3))
+        store.zero_grad()
+        p.grad[...] = before = np.array([30.0, -40.0, 1e-300])
+        assert clip_global_norm(store, 0.0) == pytest.approx(50.0)
+        assert p.grad.tobytes() == before.tobytes()
+
     def test_overflowing_norm_raises_and_changes_nothing(self):
         store = ParamStore()
         p = store.add("w", np.zeros(3))
