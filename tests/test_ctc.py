@@ -179,6 +179,10 @@ class TestGreedyDecode:
         # (a, a, blank, a) -> (a, a): a blank keeps the repeats on its two
         # sides apart, and those become adjacent repeats of the output.
         assert greedy_decode(np.eye(2)[[1, 1, 0, 1]]) == [1, 1]
+
+    def test_adjacent_repeats_in_output_are_not_a_fixed_point(self):
+        # (a, blank, a) -> (a, a), which as a path decodes to (a); this is
+        # inherent to the collapsing rule itself.
         assert greedy_decode(np.eye(2)[[1, 0, 1]]) == [1, 1]
         assert greedy_decode(np.eye(2)[[1, 1]]) == [1]
 
