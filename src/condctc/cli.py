@@ -196,8 +196,18 @@ def _load_vocab(path: Path) -> Vocabulary:
         raise DataError(f"{path}: not a vocabulary ({exc})") from None
 
 
-def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vocabulary):
-    """A split's utterances; an empty split, or one with no characters to score, is a DataError."""
+def _check_frames(path: Path, utt: synthdata.Utterance, width: int, reader: str) -> None:
+    rows, cols = utt.features.shape
+    if rows < 1 or cols != width:
+        raise DataError(f"{path}: record {utt.utt_id!r} has {rows}x{cols} features; "
+                        f"{reader} takes T>=1 frames of {width}")
+
+
+def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vocabulary,
+                width: int | None = None):
+    """A split's utterances.  An empty split, one with no characters to
+    score, or a record with no frames or with features of another width than
+    `width` (default: the first record's) is a DataError."""
     path = data_dir / name
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
@@ -206,6 +216,9 @@ def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vo
         raise DataError(f"{path}: no records")
     if not any(u.char_ids for u in utts):
         raise DataError(f"{path}: no reference characters to score")
+    width = utts[0].features.shape[1] if width is None else width
+    for utt in utts:
+        _check_frames(path, utt, width, "training")
     return utts
 
 
@@ -222,14 +235,15 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
     char_vocab = _load_vocab(data_dir / "chars.vocab")
     syl_vocab = _load_vocab(data_dir / "syllables.vocab")
     train_set = _load_split(data_dir, "train.jsonl", char_vocab, syl_vocab)
-    valid_set = _load_split(data_dir, "valid.jsonl", char_vocab, syl_vocab)
+    d_in = train_set[0].features.shape[1]
+    valid_set = _load_split(data_dir, "valid.jsonl", char_vocab, syl_vocab, d_in)
 
     try:  # out-of-range values are config errors
         if cfg.seed < 0:  # the model's seed; the training loop's is cfg.seed + 1
             raise ContractError(f"seed must be >= 0, got {cfg.seed}")
         placement = PlacementConfig.from_strategy(cfg.strategy, cfg.n_layers)
         model_cfg = ModelConfig(
-            d_in=train_set[0].features.shape[1],
+            d_in=d_in,
             d_model=cfg.d_model,
             n_heads=cfg.n_heads,
             d_ff=cfg.d_ff,
@@ -300,12 +314,7 @@ def cmd_decode(cfg: DecodeConfig) -> int:
     count = 0
     with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
         for utt in synthdata.iter_jsonl(data_path, char_vocab, syl_vocab):
-            rows, cols = utt.features.shape
-            if rows < 1 or cols != model.cfg.d_in:
-                raise DataError(
-                    f"{data_path}: record {utt.utt_id!r} has {rows}x{cols} features; "
-                    f"the model takes T>=1 frames of {model.cfg.d_in}"
-                )
+            _check_frames(data_path, utt, model.cfg.d_in, "the model")
             hyp = trainer.decode_points(model, [utt], 1)[0][0]
             chars = char_vocab.decode(hyp[("char", model.n_layers)])
             record: dict = {"id": utt.utt_id, "chars": chars}
@@ -402,6 +411,8 @@ def cmd_eval(cfg: EvalConfig) -> int:
         raise DataError(f"reference/hypothesis ids do not match (e.g. {missing})")
     if not refs:
         print("no utterances to score")
+        if cfg.csv:
+            _write_rates_csv(cfg.csv, [])
         return EXIT_OK
 
     def score(pairs, point: str) -> float:
@@ -433,13 +444,15 @@ def cmd_eval(cfg: EvalConfig) -> int:
         name = "cer" if level == "char" else "ser"
         print(f"layer {level} {layer} {name} {rate:.6f}")
     if cfg.csv:
-        with atomic_write(cfg.csv, "w", encoding="utf-8") as fh:
-            fh.write("level,layer,rate\n")
-            for level, layer, rate in rows:
-                fh.write(f"{level},{layer},{rate!r}\n")
-            if not with_layers:
-                fh.write(f"char,final,{cer!r}\n")
+        _write_rates_csv(cfg.csv, rows if with_layers else [("char", "final", cer)])
     return EXIT_OK
+
+
+def _write_rates_csv(path: str, rows: Sequence[tuple[str, int | str, float]]) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
+        fh.write("level,layer,rate\n")
+        for level, layer, rate in rows:
+            fh.write(f"{level},{layer},{rate!r}\n")
 
 
 # -- entry point --------------------------------------------------------------

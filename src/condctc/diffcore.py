@@ -18,7 +18,7 @@ import math
 import os
 import zlib
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def backward(loss: Tensor) -> None:
     The gradients of all reachable nodes are reset first, so calling backward
     twice on the same graph yields identical gradients: a leaf that already
     holds a gradient array has it zeroed in place and accumulated into (a
-    packed parameter's gradient is a view into its store's flat gradient and
+    parameter's gradient is a view into its store's flat gradient and
     must stay one), every other node starts from None.  Tensors not in the
     graph (e.g. unused parameters) are left untouched; callers zero those
     through `ParamStore.zero_grad`.  A graph built inside `no_grad` ends at
@@ -355,10 +355,8 @@ def swish(x: Tensor) -> Tensor:
     return _record(Tensor(xv * _sigmoid(xv), (x,), "swish"), _bwd)
 
 
-def _segment_bounds(name: str, rows: int, lengths: Sequence[int] | None) -> list[tuple[int, int]]:
-    """(start, stop) row ranges of the segments; None means one segment."""
-    if lengths is None:
-        return [(0, rows)]
+def _segment_bounds(name: str, rows: int, lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of the segments."""
     sizes = [int(n) for n in lengths]
     if not sizes or min(sizes) < 1 or sum(sizes) != rows:
         raise ShapeError(f"{name}: segment lengths {sizes} do not split {rows} rows")
@@ -366,13 +364,13 @@ def _segment_bounds(name: str, rows: int, lengths: Sequence[int] | None) -> list
     return list(zip([0, *stops[:-1]], stops))
 
 
-def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int]) -> Tensor:
     """Per-column 1-D convolution along rows with zero 'same' padding.
 
     `kernel` has shape (k, n) with k odd: one length-k filter per column.
-    The rows may be split into segments of the given `lengths` (default: one
-    segment); each segment is zero-padded at both of its edges, so no row
-    sees a row of another segment.
+    The rows are split into segments of the given `lengths`; each segment is
+    zero-padded at both of its edges, so no row sees a row of another
+    segment.
     """
     _require_2d("depthwise_conv_rows", x, kernel)
     k, n = kernel.value.shape
@@ -420,16 +418,16 @@ _MIN_ROW_SUM = 1e-250
 
 
 def multi_head_attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths: Sequence[int] | None = None
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths: Sequence[int]
 ) -> Tensor:
     """Scaled dot-product attention of every head within every segment, as one node.
 
     q, k and v are (rows, d) with d = n_heads * d_head; head h owns columns
     [h * d_head, (h + 1) * d_head) and its output lands in the same columns.
-    The rows may be split into segments of the given `lengths` (default: one
-    segment); a row attends only to the rows of its own segment.  Values
-    agree with the per-row softmax formula to 1e-12 relative, and a forward
-    inside `no_grad` is bitwise a recorded one.
+    The rows are split into segments of the given `lengths`; a row attends
+    only to the rows of its own segment.  Values agree with the per-row
+    softmax formula to 1e-12 relative, and a forward inside `no_grad` is
+    bitwise a recorded one.
     """
     _require_2d("multi_head_attention", q, k, v)
     shapes = [t.value.shape for t in (q, k, v)]
@@ -545,30 +543,31 @@ def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator:
 
 
 class ParamStore:
-    """Named trainable tensors; optimizer state lives with the training loop.
-
-    Each parameter starts as its own array.  The first `zero_grad` or
-    `arena` call packs the store: every value moves into one flat vector, in
-    name order, with each tensor's `value` a view into it, and every `grad`
-    becomes a view into one flat gradient vector of the same layout.  So a
-    training step clips, updates and zeroes all parameters with a few
-    whole-vector operations.  A store that training never touches (a loaded,
-    cloned or averaged one) holds its values only.
+    """Named trainable tensors in one flat float64 vector, in name order,
+    each tensor's `value` a view into it: a new zeroed vector, or `flat` when
+    given (a float64 vector of the tensors' total size).  So a training step
+    clips, updates and zeroes all parameters with a few whole-vector
+    operations.  The first `arena` or `zero_grad` call adds one flat gradient
+    vector of the same layout, each `grad` a view into it.  Optimizer state
+    lives with the training loop.
     """
 
-    def __init__(self) -> None:
-        self._tensors: dict[str, Tensor] = {}
-        self._arena: tuple[np.ndarray, np.ndarray] | None = None
+    def __init__(self, shapes: Mapping[str, Sequence[int]], flat: np.ndarray | None = None) -> None:
         self._layout: list[tuple[str, int, int]] = []
-
-    def add(self, name: str, value: np.ndarray) -> Tensor:
-        if name in self._tensors:
-            raise ContractError(f"parameter {name!r} already exists")
-        if self._arena is not None:
-            raise ContractError(f"cannot add {name!r} to a packed store")
-        t = Tensor(np.array(value, dtype=np.float64))
-        self._tensors[name] = t
-        return t
+        stop = 0
+        for name in sorted(shapes):
+            start, stop = stop, stop + math.prod(shapes[name])
+            self._layout.append((name, start, stop))
+        if flat is None:
+            flat = np.zeros(stop)
+        elif flat.dtype != np.float64 or flat.shape != (stop,):
+            raise ShapeError(f"a store of {stop} values cannot adopt {flat.dtype} {flat.shape}")
+        self.flat = flat
+        self._grads: np.ndarray | None = None
+        self._tensors = {
+            name: Tensor(flat[start:stop].reshape(shapes[name]))
+            for name, start, stop in self._layout
+        }
 
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
@@ -577,35 +576,24 @@ class ParamStore:
         return self._tensors[name]
 
     def names(self) -> list[str]:
-        return sorted(self._tensors)
+        return [name for name, _, _ in self._layout]
 
-    @property
-    def total_parameters(self) -> int:
-        return sum(t.value.size for t in self._tensors.values())
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: t.value.shape for name, t in self._tensors.items()}
 
     def arena(self) -> tuple[np.ndarray, np.ndarray]:
-        """The flat (values, gradients) vectors, packing the store first if
-        it is not packed yet (see the class docstring).  Packing keeps every
-        value bitwise and sets every gradient to zero."""
-        if self._arena is None:
-            total = self.total_parameters
-            values, grads = np.empty(total), np.zeros(total)
-            start = 0
-            for name in self.names():
+        """The flat (values, gradients) vectors; the first call makes the
+        gradient vector, zeroed."""
+        if self._grads is None:
+            self._grads = np.zeros_like(self.flat)
+            for name, start, stop in self._layout:
                 t = self._tensors[name]
-                stop = start + t.value.size
-                values[start:stop] = t.value.reshape(-1)
-                t.value = values[start:stop].reshape(t.value.shape)
-                t.grad = grads[start:stop].reshape(t.value.shape)
-                self._layout.append((name, start, stop))
-                start = stop
-            self._arena = values, grads
-        return self._arena
+                t.grad = self._grads[start:stop].reshape(t.value.shape)
+        return self.flat, self._grads
 
     def layout(self) -> list[tuple[str, int, int]]:
-        """(name, start, stop) of each parameter's slice of the arena, in
-        name order."""
-        self.arena()
+        """(name, start, stop) of each parameter's slice of the flat
+        vectors, in name order."""
         return self._layout
 
     def zero_grad(self) -> None:
@@ -613,10 +601,7 @@ class ParamStore:
 
     def clone(self) -> "ParamStore":
         """Copy of the parameter values."""
-        out = ParamStore()
-        for name in self.names():
-            out.add(name, self._tensors[name].value)
-        return out
+        return ParamStore(self.shapes(), self.flat.copy())
 
     def values(self) -> dict[str, np.ndarray]:
         return {name: self._tensors[name].value.copy() for name in self.names()}
@@ -628,7 +613,7 @@ class ParamStore:
         contents; written through `atomic_write`, so a failed save leaves an
         existing file unchanged."""
         names = self.names()
-        payloads = [np.ascontiguousarray(self._tensors[n].value).tobytes() for n in names]
+        payloads = [np.ascontiguousarray(self._tensors[n].value) for n in names]
         index = {
             "meta": meta or {},
             "tensors": [
@@ -645,11 +630,10 @@ class ParamStore:
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:
-        """Read a container written by `save`; a file that is not exactly one,
-        a tensor whose dtype is not float64, or a payload that does not match
-        its checksum, raises FormatError.
-        Index records without a checksum, as written before checksums were
-        added, load unchecked."""
+        """Read a container written by `save`; a file that is not exactly one
+        (checked against the index before anything is allocated), an index
+        record without a checksum, a tensor whose dtype is not float64, or a
+        payload that does not match its checksum, raises FormatError."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_CONTAINER_MAGIC))
             if magic != _CONTAINER_MAGIC:
@@ -658,29 +642,34 @@ class ParamStore:
                 index = json.loads(fh.readline().decode("utf-8"))
                 records = [
                     (str(rec["name"]), tuple(int(n) for n in rec["shape"]), rec["dtype"],
-                     int(rec["crc32"]) if "crc32" in rec else None)
+                     int(rec["crc32"]))
                     for rec in index["tensors"]
                 ]
                 meta = index["meta"]
             except (ArithmeticError, ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: unreadable index ({exc})") from None
             left = os.fstat(fh.fileno()).st_size - fh.tell()
-            store = cls()
-            for name, shape, dtype, crc in records:
-                if min(shape, default=0) < 0 or name in store:
+            shapes: dict[str, tuple[int, ...]] = {}
+            for name, shape, dtype, _ in records:
+                if min(shape, default=0) < 0 or name in shapes:
                     raise FormatError(f"{path}: bad index record for {name!r}")
                 if dtype != "float64":
                     raise FormatError(f"{path}: tensor {name!r} has dtype {dtype!r}, not float64")
                 size = 8 * math.prod(shape)
                 if size > left:
                     raise FormatError(f"{path}: truncated payload for {name!r}")
-                payload = fh.read(size)
                 left -= size
-                if crc is not None and zlib.crc32(payload) != crc:
-                    raise FormatError(f"{path}: checksum mismatch for {name!r}")
-                store.add(name, np.frombuffer(payload, dtype=np.float64).reshape(shape))
-            if fh.read(1):
+                shapes[name] = shape
+            if left:
                 raise FormatError(f"{path}: trailing bytes after the last payload")
+            store = cls(shapes)
+            for name, _, _, crc in records:
+                # Flattened, as `readinto` leaves a 0-d array unfilled without
+                # an error.  A short read leaves zeros that the checksum sees.
+                payload = store[name].value.reshape(-1)
+                fh.readinto(payload)
+                if zlib.crc32(payload) != crc:
+                    raise FormatError(f"{path}: checksum mismatch for {name!r}")
         return store, meta
 
 

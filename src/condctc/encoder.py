@@ -260,9 +260,10 @@ class EncoderModel:
 
     def _init_store(self, seed: int) -> ParamStore:
         rng = np.random.default_rng(seed)
-        store = ParamStore()
-        for name, shape, fill in self._param_spec():
-            store.add(name, dc.glorot_uniform(rng, shape) if fill is None else np.full(shape, fill))
+        spec = list(self._param_spec())
+        store = ParamStore({name: shape for name, shape, _ in spec})
+        for name, shape, fill in spec:
+            store[name].value[...] = dc.glorot_uniform(rng, shape) if fill is None else fill
         return store
 
     @property
@@ -271,7 +272,7 @@ class EncoderModel:
 
     @property
     def parameter_count(self) -> int:
-        return self.store.total_parameters
+        return self.store.flat.size
 
     @property
     def head_parameter_count(self) -> int:
@@ -282,7 +283,7 @@ class EncoderModel:
     def _normed(self, x: Tensor, prefix: str) -> Tensor:
         return dc.layer_norm_affine(x, self.store[f"{prefix}.gain"], self.store[f"{prefix}.bias"])
 
-    def _attention(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
+    def _attention(self, x: Tensor, layer: int, lengths: Sequence[int]) -> Tensor:
         p = self.store
         pre = f"block{layer:02d}.attn"
         q = dc.linear(x, p[f"{pre}.wq"], p[f"{pre}.bq"])
@@ -291,7 +292,7 @@ class EncoderModel:
         mixed = dc.multi_head_attention(q, k, v, self.cfg.n_heads, lengths)
         return dc.linear(mixed, p[f"{pre}.wo"], p[f"{pre}.bo"])
 
-    def _conv_mix(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
+    def _conv_mix(self, x: Tensor, layer: int, lengths: Sequence[int]) -> Tensor:
         p = self.store
         pre = f"block{layer:02d}.conv"
         mixed = dc.depthwise_conv_rows(x, p[f"{pre}.depth"], lengths)
@@ -303,11 +304,11 @@ class EncoderModel:
         hidden = dc.swish(dc.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"]))
         return dc.linear(hidden, p[f"{pre}.w2"], p[f"{pre}.b2"])
 
-    def block_forward(self, x: Tensor, layer: int, lengths: Sequence[int] | None = None) -> Tensor:
+    def block_forward(self, x: Tensor, layer: int, lengths: Sequence[int]) -> Tensor:
         """One residual block; the (T, d_model) shape is preserved.
 
         `lengths` splits the rows into segments that attention and the
-        convolution keep apart (default: one segment).
+        convolution keep apart.
         """
         name = f"block{layer:02d}"
         x = dc.add(x, self._attention(self._normed(x, f"{name}.attn_ln"), layer, lengths))

@@ -149,9 +149,10 @@ def make_language(
     all_assigned = {s for opts in prons.values() for p in opts for s in p}
     assert all_assigned.issuperset(syllables)
 
-    flat = [(p, c) for c in characters for p in prons[c]]
-    shared = {p for p, group in _group_by_pron(flat).items() if len(group) >= 2}
-    if not shared:
+    # A character's options are distinct, so some pronunciation is shared
+    # exactly when there are more options than distinct pronunciations.
+    n_options = sum(len(opts) for opts in prons.values())
+    if n_options == len({p for opts in prons.values() for p in opts}):
         donor, receiver = characters[0], characters[-1]
         pron = prons[donor][0]
         if pron not in prons[receiver]:
@@ -176,13 +177,6 @@ def make_language(
     )
     assert lang.homophone_groups() and lang.polyphones()
     return lang
-
-
-def _group_by_pron(flat: list[tuple[tuple[str, ...], str]]) -> dict[tuple[str, ...], list[str]]:
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for pron, char in flat:
-        groups.setdefault(pron, []).append(char)
-    return groups
 
 
 def _synthesize(

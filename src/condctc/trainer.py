@@ -195,9 +195,8 @@ def noam_lr(step: int, d_model: int, warmup_steps: int, factor: float) -> float:
 
 def adam_moments(store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
     """Zeroed first and second Adam moments, flat vectors laid out as the
-    store's arena (which this packs)."""
-    values, _ = store.arena()
-    return np.zeros_like(values), np.zeros_like(values)
+    store's values."""
+    return np.zeros_like(store.flat), np.zeros_like(store.flat)
 
 
 def _scratch(store: ParamStore) -> np.ndarray:
@@ -280,19 +279,18 @@ def clip_global_norm(store: ParamStore, max_norm: float) -> float:
 
 
 def average_checkpoints(stores: Sequence[ParamStore]) -> ParamStore:
-    """Elementwise arithmetic mean of the parameter values."""
+    """Elementwise arithmetic mean of the parameter values: the flat vectors
+    summed in order, divided once."""
     if not stores:
         raise ContractError("no checkpoints to average")
-    names = stores[0].names()
+    shapes = stores[0].shapes()
+    if any(other.shapes() != shapes for other in stores[1:]):
+        raise ContractError("checkpoint parameter names or shapes do not match")
+    total = stores[0].flat.copy()
     for other in stores[1:]:
-        if other.names() != names:
-            raise ContractError("checkpoint parameter names do not match")
-    out = ParamStore()
-    for name in names:
-        if any(s[name].value.shape != stores[0][name].value.shape for s in stores):
-            raise ContractError(f"checkpoint shapes differ for {name!r}")
-        out.add(name, np.stack([s[name].value for s in stores]).mean(axis=0))
-    return out
+        total += other.flat
+    total /= len(stores)
+    return ParamStore(shapes, total)
 
 
 def decode_points(
@@ -448,9 +446,9 @@ def train(
     into the final parameter set.  A non-finite loss or gradient aborts the
     run, returning the last finite parameters and the error's message in
     `abort_reason`.  An `out_dir` that is not an existing directory raises
-    ContractError before the first step.  Training packs `model.store` into
-    its flat arena (`ParamStore.arena`), and the first call in a process
-    sets the heap policy of `_retain_freed_pages`.
+    ContractError before the first step.  Training gives `model.store` its
+    flat gradient vector (`ParamStore.arena`), and the first call in a
+    process sets the heap policy of `_retain_freed_pages`.
     """
     if not train_set:
         raise ContractError("training set is empty")

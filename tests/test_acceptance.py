@@ -112,7 +112,7 @@ def test_criterion_3_autodiff_gradients():
         "softmax_rows": (lambda: wmean(dc.softmax_rows(x), w), [x]),
         "log_softmax_rows": (lambda: wmean(dc.log_softmax_rows(x), w), [x]),
         "swish": (lambda: wmean(dc.swish(x), w), [x]),
-        "depthwise_conv_rows": (lambda: wmean(dc.depthwise_conv_rows(x, kern), w), [x, kern]),
+        "depthwise_conv_rows": (lambda: wmean(dc.depthwise_conv_rows(x, kern, [6]), w), [x, kern]),
         "depthwise_conv_rows/segments": (
             lambda: wmean(dc.depthwise_conv_rows(x, kern, segments), w), [x, kern]),
         "multi_head_attention/segments": (

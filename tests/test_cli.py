@@ -279,6 +279,23 @@ class TestTrain:
             f"data error: {data / split}: no reference characters to score\n"
         )
 
+    @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl"])
+    @pytest.mark.parametrize("shape", [[0, 8], [6, 4]], ids=["no-frames", "other-width"])
+    def test_record_of_other_shape_exits_3_naming_it(self, data_dir, tmp_path, capsys, split,
+                                                     shape):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        records = [json.loads(line) for line in (data / split).read_text().splitlines()]
+        last = records[-1]  # not the first training record, whose width is the model's
+        last["features"] = {"shape": shape, "data": [0.5] * (shape[0] * shape[1])}
+        (data / split).write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        assert run(["train", "--data-dir", str(data), "--out-dir", str(tmp_path),
+                    *SMALL_TRAIN]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data / split}: record {last['id']!r} has {shape[0]}x{shape[1]} "
+            "features; training takes T>=1 frames of 8\n"
+        )
+
     @pytest.mark.parametrize("name", ["chars.vocab", "syllables.vocab"])
     @pytest.mark.parametrize("content,problem", [
         (b"x\ny\n", "token 0 must be '<blank>'"),
@@ -447,6 +464,16 @@ class TestDecodeEval:
         assert capsys.readouterr().err == "data error: disk full\n"
         assert csv_out.read_text() == "level,layer,rate\nchar,final,0.5\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.jsonl", "r.jsonl", "rates.csv"]
+
+    def test_no_records_replace_an_old_csv_with_its_header(self, tmp_path, capsys):
+        ref, hyp, csv_out = tmp_path / "r.jsonl", tmp_path / "h.jsonl", tmp_path / "rates.csv"
+        ref.write_text("")
+        hyp.write_text("")
+        csv_out.write_text("level,layer,rate\nchar,final,0.5\n")
+        capsys.readouterr()
+        assert run(["eval", "--ref", str(ref), "--hyp", str(hyp), "--csv", str(csv_out)]) == 0
+        assert capsys.readouterr().out == "no utterances to score\n"
+        assert csv_out.read_text() == "level,layer,rate\n"
 
     def test_exact_hypothesis_scores_zero(self, data_dir, tmp_path, capsys):
         refs = [json.loads(l) for l in (data_dir / "valid.jsonl").read_text().splitlines()]
@@ -682,9 +709,9 @@ class TestBadInputFiles:
         store, meta = ParamStore.load(trained_dir / "model_avg.ntc")
         tensors = store.values()
         edit(tensors)
-        edited = ParamStore()
+        edited = ParamStore({key: value.shape for key, value in tensors.items()})
         for key, value in tensors.items():
-            edited.add(key, value)
+            edited[key].value[...] = value
         model = tmp_path / "edited.ntc"
         edited.save(model, meta)
         assert f"tensor {name!r}" in self.decode_error(model, data_dir, tmp_path, capsys)
@@ -715,6 +742,18 @@ class TestBadInputFiles:
         model = tmp_path / "edited.ntc"
         model.write_bytes(magic + json.dumps(index).encode() + b"\n" + payloads)
         assert message in self.decode_error(model, data_dir, tmp_path, capsys)
+
+    def test_checkpoint_without_checksums_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                   capsys):
+        # The index layout written before records carried a checksum.
+        blob = (trained_dir / "model_avg.ntc").read_bytes()
+        magic, header, payloads = blob[:5], *blob[5:].split(b"\n", 1)
+        index = json.loads(header)
+        for rec in index["tensors"]:
+            del rec["crc32"]
+        model = tmp_path / "unchecked.ntc"
+        model.write_bytes(magic + json.dumps(index).encode() + b"\n" + payloads)
+        assert "unreadable index" in self.decode_error(model, data_dir, tmp_path, capsys)
 
     def test_checkpoint_of_float32_tensors_exits_3(self, trained_dir, data_dir, tmp_path,
                                                    capsys):

@@ -11,7 +11,7 @@ import pytest
 from condctc import diffcore as dc
 from condctc.diffcore import ContractError, FormatError, ParamStore, ShapeError, Tensor
 from condctc.encoder import EncoderModel, ModelConfig, PlacementConfig
-from condctc.trainer import batch_loss
+from condctc.trainer import average_checkpoints, batch_loss
 
 
 RNG = np.random.default_rng(42)
@@ -26,6 +26,14 @@ def make(shape):
     return Tensor(RNG.normal(size=shape))
 
 
+def store_of(values: dict) -> ParamStore:
+    """A store holding copies of the named `values`."""
+    store = ParamStore({name: np.shape(value) for name, value in values.items()})
+    for name, value in values.items():
+        store[name].value[...] = value
+    return store
+
+
 class TestOpGradients:
     """Every registered op must agree with central finite differences."""
 
@@ -36,7 +44,7 @@ class TestOpGradients:
     def test_multi_head_attention(self):
         q, k, v = make((7, 6)), make((7, 6)), make((7, 6))
         w = make((7, 6))
-        for lengths in (None, [7], [3, 1, 3]):
+        for lengths in ([7], [3, 1, 3]):
             self.check(
                 lambda: weighted_mean(dc.multi_head_attention(q, k, v, 2, lengths), w), [q, k, v]
             )
@@ -80,7 +88,7 @@ class TestOpGradients:
     def test_depthwise_conv_rows(self):
         x, k = make((7, 5)), make((3, 5))
         w = make((7, 5))
-        self.check(lambda: weighted_mean(dc.depthwise_conv_rows(x, k), w), [x, k])
+        self.check(lambda: weighted_mean(dc.depthwise_conv_rows(x, k, [7]), w), [x, k])
 
     def test_depthwise_conv_rows_segments(self):
         # segments shorter than the kernel, including a one-row segment
@@ -133,9 +141,8 @@ class TestBackwardSemantics:
 
     def test_only_leaves_keep_gradients(self):
         rng = np.random.default_rng(5)
-        store = ParamStore()
-        w = store.add("w", rng.normal(size=(3, 2)))
-        b = store.add("b", np.zeros(2))
+        store = store_of({"w": rng.normal(size=(3, 2)), "b": np.zeros(2)})
+        w, b = store["w"], store["b"]
         x = Tensor(rng.normal(size=(4, 3)))
         with dc.no_grad():
             gain = dc.scale(Tensor(np.ones((4, 2))), 2.0)
@@ -151,9 +158,8 @@ class TestBackwardSemantics:
             dc.backward(Tensor(np.ones((2, 2))))
 
     def test_unused_parameters_keep_zero_grads(self):
-        store = ParamStore()
-        used = store.add("used", np.array([[1.0, 2.0]]))
-        unused = store.add("unused", np.array([[3.0, 4.0]]))
+        store = store_of({"used": np.array([[1.0, 2.0]]), "unused": np.array([[3.0, 4.0]])})
+        used, unused = store["used"], store["unused"]
         store.zero_grad()
         dc.backward(dc.mean_reduce(dc.mul(used, used)))
         assert np.array_equal(unused.grad, np.zeros((1, 2)))
@@ -181,9 +187,9 @@ class TestBackwardSemantics:
         with pytest.raises(ShapeError, match="add"):
             dc.add(make((2, 3)), make((3, 2)))
         with pytest.raises(ShapeError, match="depthwise"):
-            dc.depthwise_conv_rows(make((4, 3)), make((2, 3)))
+            dc.depthwise_conv_rows(make((4, 3)), make((2, 3)), [4])
         with pytest.raises(ShapeError, match="multi_head_attention"):
-            dc.multi_head_attention(make((2, 3)), make((2, 3)), make((2, 3)), 2)
+            dc.multi_head_attention(make((2, 3)), make((2, 3)), make((2, 3)), 2, [2])
         with pytest.raises(ShapeError, match="depthwise"):
             dc.depthwise_conv_rows(make((4, 3)), make((3, 3)), [2, 1])
 
@@ -216,9 +222,10 @@ class TestSegments:
         start = 0
         for n in lengths:
             alone = Tensor(x.value[start : start + n])
-            assert np.array_equal(conv[start : start + n], dc.depthwise_conv_rows(alone, k).value)
+            assert np.array_equal(conv[start : start + n],
+                                  dc.depthwise_conv_rows(alone, k, [n]).value)
             assert np.array_equal(
-                att[start : start + n], dc.multi_head_attention(alone, alone, alone, 3).value
+                att[start : start + n], dc.multi_head_attention(alone, alone, alone, 3, [n]).value
             )
             start += n
 
@@ -527,19 +534,12 @@ class TestGradCheckHarness:
 
 
 class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", np.ones(3))
-        with pytest.raises(ContractError):
-            store.add("w", np.ones(3))
-
-
     def test_arena_holds_values_and_grads_in_name_order(self):
-        store = ParamStore()
         values = {"w": RNG.normal(size=(3, 4)), "b": RNG.normal(size=4), "s": np.float64(2.5)}
-        for name, value in values.items():
-            store.add(name, value)
+        store = store_of(values)
+        assert store.names() == ["b", "s", "w"]
         flat, grads = store.arena()
+        assert flat is store.flat
         assert store.arena()[0] is flat and store.arena()[1] is grads
         assert store.layout() == [("b", 0, 4), ("s", 4, 5), ("w", 5, 17)]
         assert np.array_equal(flat, np.concatenate([np.ravel(values[n]) for n in ("b", "s", "w")]))
@@ -554,14 +554,41 @@ class TestParamStore:
         assert grads[5:].all() and not grads[:5].any() and flat[0] == 7.0
         store.zero_grad()
         assert not grads.any() and store["w"].grad.base is not None
-        with pytest.raises(ContractError, match="packed"):
-            store.add("late", np.ones(2))
+
+    def test_every_store_is_one_flat_vector(self, tmp_path):
+        # Freshly built, loaded, cloned and averaged stores alike: each
+        # tensor's value is a view of the store's flat vector, and no store
+        # holds a gradient until `arena` or `zero_grad` asks for one.
+        built = ParamStore({"w": (3, 4), "b": (4,), "s": ()})
+        assert built.flat.shape == (17,) and not built.flat.any()
+        built.flat[:] = RNG.normal(size=17)
+        path = tmp_path / "params.ntc"
+        built.save(path)
+        loaded, _ = ParamStore.load(path)
+        stores = [built, loaded, built.clone(), average_checkpoints([built, loaded])]
+        for store in stores:
+            assert store.flat.dtype == np.float64 and store.flat.shape == (17,)
+            assert np.array_equal(store.flat, built.flat)
+            for name, start, stop in store.layout():
+                assert store[name].value.base is store.flat
+                assert np.shares_memory(store[name].value, store.flat[start:stop])
+                assert store[name].grad is None
+        assert not np.shares_memory(stores[2].flat, built.flat)
+
+    def test_store_adopts_the_flat_vector_it_is_given(self):
+        flat = np.arange(5.0)
+        store = ParamStore({"b": (2,), "a": (1, 3)}, flat)
+        assert store.flat is flat
+        assert np.array_equal(store["a"].value, [[0.0, 1.0, 2.0]])
+        assert np.array_equal(store["b"].value, [3.0, 4.0])
+        for wrong in (np.arange(4.0), np.arange(5), np.zeros((5, 1))):
+            with pytest.raises(ShapeError):
+                ParamStore({"b": (2,), "a": (1, 3)}, wrong)
 
     def test_backward_accumulates_into_the_arena(self):
-        store = ParamStore()
-        w = store.add("w", RNG.normal(size=(3, 2)))
-        b = store.add("b", RNG.normal(size=2))
-        unused = store.add("unused", np.ones(3))
+        store = store_of({"w": RNG.normal(size=(3, 2)), "b": RNG.normal(size=2),
+                          "unused": np.ones(3)})
+        w, b, unused = store["w"], store["b"], store["unused"]
         x = Tensor(RNG.normal(size=(4, 3)))
         loss = dc.mean_reduce(dc.swish(dc.linear(x, w, b)))
         store.zero_grad()
@@ -575,37 +602,32 @@ class TestParamStore:
         assert np.array_equal(unused.grad, np.full(3, 5.0))
 
     def test_clone_is_independent(self):
-        store = ParamStore()
-        t = store.add("w", np.ones(3))
+        store = store_of({"w": np.ones(3)})
         copy = store.clone()
-        t.value[0] = 99.0
+        store["w"].value[0] = 99.0
         assert copy["w"].value[0] == 1.0
 
     def test_save_load_roundtrip(self, tmp_path):
-        store = ParamStore()
-        store.add("layer.w", RNG.normal(size=(3, 4)))
-        store.add("layer.b", RNG.normal(size=4))
-        store.add("scalarish", np.float64(2.5))
+        store = store_of({"layer.w": RNG.normal(size=(3, 4)), "layer.b": RNG.normal(size=4),
+                          "scalarish": np.float64(2.5)})
         path = tmp_path / "params.ntc"
         store.save(path, meta={"note": "test"})
         loaded, meta = ParamStore.load(path)
         assert meta == {"note": "test"}
         assert loaded.names() == store.names()
         for name in store.names():
+            assert loaded[name].value.shape == store[name].value.shape
             assert np.array_equal(loaded[name].value, store[name].value)
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        store = ParamStore()
-        store.add("w", RNG.normal(size=(5, 5)))
+        store = store_of({"w": RNG.normal(size=(5, 5))})
         a, b = tmp_path / "a.ntc", tmp_path / "b.ntc"
         store.save(a)
         store.save(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_load_rejects_damaged_files(self, tmp_path):
-        store = ParamStore()
-        store.add("w", RNG.normal(size=(3, 4)))
-        store.add("b", RNG.normal(size=4))
+        store = store_of({"w": RNG.normal(size=(3, 4)), "b": RNG.normal(size=4)})
         good = tmp_path / "good.ntc"
         store.save(good)
         data = good.read_bytes()
@@ -617,6 +639,7 @@ class TestParamStore:
             "payload": (data[:-1] + bytes([data[-1] ^ 1]), "checksum mismatch for 'w'"),
             "dtype": (data.replace(b'"float64"', b'"float32"', 1),
                       "tensor 'b' has dtype 'float32', not float64"),
+            "duplicate": (data.replace(b'"name": "w"', b'"name": "b"', 1), "bad index record"),
         }
         for name, (payload, message) in damaged.items():
             path = tmp_path / f"{name}.ntc"
@@ -625,9 +648,7 @@ class TestParamStore:
                 ParamStore.load(path)
 
     def test_index_records_carry_payload_checksums(self, tmp_path):
-        store = ParamStore()
-        store.add("b", RNG.normal(size=4))
-        store.add("w", RNG.normal(size=(3, 4)))
+        store = store_of({"b": RNG.normal(size=4), "w": RNG.normal(size=(3, 4))})
         path = tmp_path / "params.ntc"
         store.save(path)
         with open(path, "rb") as fh:
@@ -637,7 +658,7 @@ class TestParamStore:
             zlib.crc32(store[name].value.tobytes()) for name in ("b", "w")
         ]
 
-    def test_records_without_checksum_still_load(self, tmp_path):
+    def test_records_without_checksum_are_rejected(self, tmp_path):
         # The layout written before index records carried a checksum.
         values = {"b": RNG.normal(size=4), "w": RNG.normal(size=(3, 4))}
         index = {"meta": {"note": "old"},
@@ -646,10 +667,8 @@ class TestParamStore:
         path = tmp_path / "old.ntc"
         path.write_bytes(b"NTC1\n" + json.dumps(index, sort_keys=True).encode() + b"\n"
                          + b"".join(v.tobytes() for v in values.values()))
-        loaded, meta = ParamStore.load(path)
-        assert meta == {"note": "old"}
-        for name, value in values.items():
-            assert np.array_equal(loaded[name].value, value)
+        with pytest.raises(FormatError, match="unreadable index.*crc32"):
+            ParamStore.load(path)
 
     def test_failed_save_leaves_old_file(self, tmp_path):
         class Unwritable:
@@ -658,9 +677,7 @@ class TestParamStore:
             def __array__(self, *args, **kwargs):
                 raise OSError("disk full")
 
-        store = ParamStore()
-        store.add("a", np.arange(3.0))
-        store.add("b", np.ones(2))
+        store = store_of({"a": np.arange(3.0), "b": np.ones(2)})
         path = tmp_path / "params.ntc"
         store.save(path)
         before = path.read_bytes()

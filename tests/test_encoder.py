@@ -84,13 +84,13 @@ class TestBlocks:
         model = small_model()
         zero_all(model)
         x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
-        out = model.block_forward(x, 1)
+        out = model.block_forward(x, 1, [5])
         assert np.array_equal(out.value, x.value)
 
     def test_shape_preserved(self):
         model = small_model()
         x = Tensor(np.random.default_rng(1).normal(size=(5, 8)))
-        assert model.block_forward(x, 2).value.shape == (5, 8)
+        assert model.block_forward(x, 2, [5]).value.shape == (5, 8)
 
     def test_swapping_identical_frames_keeps_outputs_equal(self):
         model = small_model()
@@ -99,8 +99,8 @@ class TestBlocks:
         frames[4] = frames[1]  # two identical frames
         swapped = frames.copy()
         swapped[[1, 4]] = swapped[[4, 1]]
-        out_a = model.block_forward(Tensor(frames), 1).value
-        out_b = model.block_forward(Tensor(swapped), 1).value
+        out_a = model.block_forward(Tensor(frames), 1, [6]).value
+        out_b = model.block_forward(Tensor(swapped), 1, [6]).value
         assert np.array_equal(out_a, out_b)
         assert np.array_equal(out_a[1], out_a[4]) is False  # conv sees context
 
@@ -110,16 +110,16 @@ class TestBlocks:
         rng = np.random.default_rng(3)
         frames = rng.normal(size=(5, 8))
         frames[3] = frames[0]
-        att = model._attention(Tensor(frames), 1).value
+        att = model._attention(Tensor(frames), 1, [5]).value
         assert np.allclose(att[0], att[3], atol=1e-12)
 
     def test_nonfinite_output_names_layer(self):
         model = small_model()
         model.store["block02.ffn.w2"].value[...] = np.inf
         x = Tensor(np.random.default_rng(4).normal(size=(3, 8)))
-        x = model.block_forward(x, 1)
+        x = model.block_forward(x, 1, [3])
         with pytest.raises(NumericError, match="block 2"):
-            model.block_forward(x, 2)
+            model.block_forward(x, 2, [3])
 
 
 class TestHeads:

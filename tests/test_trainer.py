@@ -36,6 +36,14 @@ from condctc.trainer import (
 SMALL = ModelConfig(d_in=4, d_model=8, n_heads=2, d_ff=12, conv_kernel=3)
 
 
+def store_of(values: dict) -> ParamStore:
+    """A store holding copies of the named `values`."""
+    store = ParamStore({name: np.shape(value) for name, value in values.items()})
+    for name, value in values.items():
+        store[name].value[...] = value
+    return store
+
+
 def small_model(strategy="alternate", n_layers=6, seed=0, chars=5, syls=4):
     placement = PlacementConfig.from_strategy(strategy, n_layers)
     return EncoderModel(SMALL, placement, chars, syls, seed=seed)
@@ -437,16 +445,14 @@ class TestNoamSchedule:
 
 class TestAdam:
     def test_moment_shapes_match(self):
-        store = ParamStore()
-        store.add("w", np.ones((2, 3)))
-        store.add("b", np.ones(4))
+        store = ParamStore({"w": (2, 3), "b": (4,)})
         m, v = adam_moments(store)
         assert m.shape == v.shape == (10,)
         assert not m.any() and not v.any()
 
     def test_first_step_is_signed_unit_direction(self):
-        store = ParamStore()
-        p = store.add("w", np.array([1.0, -2.0]))
+        store = store_of({"w": np.array([1.0, -2.0])})
+        p = store["w"]
         store.zero_grad()
         p.grad[...] = np.array([0.3, -0.7])
         adam_step(store, adam_moments(store), 1, lr=0.1)
@@ -455,16 +461,15 @@ class TestAdam:
         assert p.value[1] == pytest.approx(-2.0 + 0.1, abs=1e-6)
 
     def test_zero_grad_leaves_parameters(self):
-        store = ParamStore()
-        p = store.add("w", np.array([1.5]))
+        store = store_of({"w": np.array([1.5])})
+        p = store["w"]
         store.zero_grad()
         adam_step(store, adam_moments(store), 1, lr=0.1)
         assert p.value[0] == 1.5
 
     def test_nonfinite_grad_changes_nothing(self):
-        store = ParamStore()
-        good = store.add("a", np.array([1.0]))
-        bad = store.add("b", np.array([2.0]))
+        store = store_of({"a": np.array([1.0]), "b": np.array([2.0])})
+        good, bad = store["a"], store["b"]
         store.zero_grad()
         good.grad[...] = 0.5
         bad.grad[...] = np.nan
@@ -477,8 +482,8 @@ class TestAdam:
         assert not m.any() and not v.any()
 
     def test_nonfinite_grad_names_parameter(self):
-        store = ParamStore()
-        p = store.add("bad.weight", np.array([1.0]))
+        store = store_of({"bad.weight": np.array([1.0])})
+        p = store["bad.weight"]
         store.zero_grad()
         p.grad[...] = np.nan
         with pytest.raises(NumericError, match="bad.weight"):
@@ -486,8 +491,8 @@ class TestAdam:
 
     def test_quadratic_descent_matches_scalar_oracle(self):
         # independent plain-float Adam next to the store implementation
-        store = ParamStore()
-        p = store.add("x", np.array([1.0]))
+        store = store_of({"x": np.array([1.0])})
+        p = store["x"]
         moments = adam_moments(store)
         x = 1.0
         m = v = 0.0
@@ -507,8 +512,8 @@ class TestAdam:
 
 class TestClipAndAverage:
     def test_clip_reduces_norm(self):
-        store = ParamStore()
-        p = store.add("w", np.zeros(4))
+        store = ParamStore({"w": (4,)})
+        p = store["w"]
         store.zero_grad()
         p.grad[...] = np.array([3.0, 4.0, 0.0, 0.0])
         norm = clip_global_norm(store, 1.0)
@@ -516,24 +521,24 @@ class TestClipAndAverage:
         assert np.linalg.norm(p.grad) == pytest.approx(1.0)
 
     def test_clip_noop_below_threshold(self):
-        store = ParamStore()
-        p = store.add("w", np.zeros(2))
+        store = ParamStore({"w": (2,)})
+        p = store["w"]
         store.zero_grad()
         p.grad[...] = np.array([0.3, 0.4])
         clip_global_norm(store, 5.0)
         assert np.allclose(p.grad, [0.3, 0.4])
 
     def test_clip_zero_turns_clipping_off(self):
-        store = ParamStore()
-        p = store.add("w", np.zeros(3))
+        store = ParamStore({"w": (3,)})
+        p = store["w"]
         store.zero_grad()
         p.grad[...] = before = np.array([30.0, -40.0, 1e-300])
         assert clip_global_norm(store, 0.0) == pytest.approx(50.0)
         assert p.grad.tobytes() == before.tobytes()
 
     def test_overflowing_norm_raises_and_changes_nothing(self):
-        store = ParamStore()
-        p = store.add("w", np.zeros(3))
+        store = ParamStore({"w": (3,)})
+        p = store["w"]
         store.zero_grad()
         p.grad[...] = np.array([1e200, 1.0, -2.0])  # finite, but the squares overflow
         moments = adam_moments(store)
@@ -543,9 +548,8 @@ class TestClipAndAverage:
         assert not p.value.any() and not moments[0].any() and not moments[1].any()
 
     def test_nonfinite_grad_in_clip_names_parameter(self):
-        store = ParamStore()
-        store.add("a", np.ones(2))
-        bad = store.add("b", np.ones(2))
+        store = store_of({"a": np.ones(2), "b": np.ones(2)})
+        bad = store["b"]
         store.zero_grad()
         bad.grad[1] = np.inf
         with pytest.raises(NumericError, match="parameter 'b'"):
@@ -553,29 +557,19 @@ class TestClipAndAverage:
         assert np.array_equal(bad.grad, [0.0, np.inf])
 
     def test_average_two_scalars(self):
-        a, b = ParamStore(), ParamStore()
-        a.add("w", np.array([1.0]))
-        b.add("w", np.array([3.0]))
+        a, b = store_of({"w": np.array([1.0])}), store_of({"w": np.array([3.0])})
         avg = average_checkpoints([a, b])
         assert avg["w"].value[0] == 2.0
 
     def test_average_identical_is_identity(self):
-        stores = []
-        for _ in range(4):
-            s = ParamStore()
-            s.add("w", np.array([[1.0, 2.0]]))
-            stores.append(s)
+        stores = [store_of({"w": np.array([[1.0, 2.0]])}) for _ in range(4)]
         avg = average_checkpoints(stores)
         assert np.array_equal(avg["w"].value, [[1.0, 2.0]])
 
     def test_average_matches_sum_divide_oracle(self):
         rng = np.random.default_rng(31)
-        stores = []
-        for _ in range(10):
-            s = ParamStore()
-            s.add("a", rng.normal(size=(3, 2)))
-            s.add("b", rng.normal(size=5))
-            stores.append(s)
+        stores = [store_of({"a": rng.normal(size=(3, 2)), "b": rng.normal(size=5)})
+                  for _ in range(10)]
         avg = average_checkpoints(stores)
         for name in ("a", "b"):
             acc = np.zeros_like(stores[0][name].value)
@@ -584,11 +578,11 @@ class TestClipAndAverage:
             assert np.abs(avg[name].value - acc / 10).max() < 1e-12
 
     def test_average_mismatched_names_rejected(self):
-        a, b = ParamStore(), ParamStore()
-        a.add("w", np.ones(2))
-        b.add("x", np.ones(2))
+        a, b = store_of({"w": np.ones(2)}), store_of({"x": np.ones(2)})
         with pytest.raises(ContractError):
             average_checkpoints([a, b])
+        with pytest.raises(ContractError, match="names or shapes"):
+            average_checkpoints([a, ParamStore({"w": (1, 2)})])
         with pytest.raises(ContractError):
             average_checkpoints([])
 
@@ -600,7 +594,7 @@ class TestParameterMemory:
         model = EncoderModel(ModelConfig(), PlacementConfig.from_strategy("alternate", 6), 30, 20)
         path = tmp_path / "params.ntc"
         model.store.save(path)
-        param_bytes = 8 * model.store.total_parameters
+        param_bytes = model.store.flat.nbytes
 
         def held(make) -> float:
             tracemalloc.start()
