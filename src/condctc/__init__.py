@@ -5,7 +5,7 @@ from .labels import BLANK_ID, BLANK_TOKEN, EditCounts, Vocabulary, edit_distance
 from .ctc import CtcResult, brute_force_loss, ctc_loss, greedy_decode
 from .diffcore import ParamStore, Tensor, backward, grad_check
 from .encoder import EncoderModel, ForwardOutput, ModelConfig, PlacementConfig
-from .synthdata import ToyLanguage, Utterance, generate_dataset, make_language, synthesize_utterance
+from .synthdata import ToyLanguage, Utterance, generate_dataset, make_language
 from .trainer import (
     TrainConfig, TrainResult, adam_moments, adam_step, average_checkpoints, noam_lr, total_loss, train,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "greedy_decode",
     "make_language",
     "noam_lr",
-    "synthesize_utterance",
     "total_loss",
     "train",
 ]

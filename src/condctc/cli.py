@@ -59,21 +59,21 @@ class TrainCmdConfig:
     out_dir: str = ""
     strategy: str = "alternate"
     n_layers: int = 6
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    conv_kernel: int = 7
-    mix_weight: float = 0.5
-    epochs: int = 200
-    batch_size: int = 10
-    warmup_steps: int = 500
-    lr_factor: float = 2.0
-    seed: int = 0
-    average_k: int = 10
-    max_steps: int = 0
-    eval_interval: int = 50
-    grad_clip: float = 5.0
-    early_stop_train_cer: float = -1.0
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    d_ff: int = ModelConfig.d_ff
+    conv_kernel: int = ModelConfig.conv_kernel
+    mix_weight: float = TrainConfig.mix_weight
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    warmup_steps: int = TrainConfig.warmup_steps
+    lr_factor: float = TrainConfig.lr_factor
+    seed: int = 0  # the model's; the training loop's is seed + 1
+    average_k: int = TrainConfig.average_k
+    max_steps: int = 0  # 0: no limit
+    eval_interval: int = TrainConfig.eval_interval
+    grad_clip: float = TrainConfig.grad_clip
+    early_stop_train_cer: float = -1.0  # < 0: no early stop
 
 
 @dataclass
@@ -425,6 +425,9 @@ def cmd_eval(cfg: EvalConfig) -> int:
     cer = score([(refs[i]["chars"], hyps[i]["chars"]) for i in ids], "chars")
     rows: list[tuple[str, int, float]] = []
     with_layers = [i for i in ids if "layers" in hyps[i]]
+    if 0 < len(with_layers) < len(ids):
+        bare = next(i for i in ids if "layers" not in hyps[i])
+        raise DataError(f"{hyp_path}: record {bare!r} has no 'layers', which other records have")
     for level, ref_key in (("char", "chars"), ("syl", "syllables")):
         for layer in sorted({int(n) for i in with_layers for n in hyps[i]["layers"][level]}):
             pairs = []

@@ -186,20 +186,6 @@ def sinusoidal_positions(n_rows: int, dim: int) -> np.ndarray:
     return pe
 
 
-# Parameter name roles that make up the shared heads.  Exactly one tensor per
-# role exists no matter how many layers predict or condition.
-HEAD_PARAMS = (
-    "char_head.w",
-    "char_head.b",
-    "syl_head.w",
-    "syl_head.b",
-    "char_cond.w",
-    "char_cond.b",
-    "syl_cond.w",
-    "syl_cond.b",
-)
-
-
 class EncoderModel:
     """N residual blocks (attention, depthwise conv mixing, feed-forward, each
     pre-normalized) plus the shared output heads and conditioning projections."""
@@ -273,10 +259,6 @@ class EncoderModel:
     @property
     def parameter_count(self) -> int:
         return self.store.flat.size
-
-    @property
-    def head_parameter_count(self) -> int:
-        return sum(self.store[name].value.size for name in HEAD_PARAMS)
 
     # -- forward pieces -----------------------------------------------------
 

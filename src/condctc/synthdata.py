@@ -18,10 +18,11 @@ from .labels import InvalidTokenError, Vocabulary
 _CONSONANTS = "kstnhmyrwgzdbp"
 _VOWELS = "aiueo"
 
-DEFAULT_DUR_RANGE = (2, 4)
+# Frames per syllable, inclusive.
+DUR_RANGE = (2, 4)
 # Strong enough that single frames do not identify a syllable outright;
 # recognition has to integrate over a syllable's 2-4 frames.
-DEFAULT_NOISE_SIGMA = 1.0
+NOISE_SIGMA = 1.0
 
 
 class LanguageSpecError(ValueError):
@@ -52,8 +53,6 @@ class ToyLanguage:
     characters: list[str]
     pronunciations: dict[str, tuple[tuple[str, ...], ...]]
     prototypes: np.ndarray
-    seed: int
-    d_in: int
 
     def char_vocab(self) -> Vocabulary:
         return Vocabulary.from_labels(self.characters)
@@ -110,6 +109,8 @@ def make_language(
     A homophone pair and a polyphone are injected if random assignment did
     not already produce them, and every syllable is guaranteed to appear.
     """
+    if seed < 0:
+        raise LanguageSpecError(f"seed must be >= 0, got {seed}")
     if n_syllables < 2:
         raise LanguageSpecError(f"need at least 2 syllables, got {n_syllables}")
     if n_characters <= n_syllables:
@@ -119,6 +120,11 @@ def make_language(
     if max_pronunciations < 2:
         raise LanguageSpecError(
             f"max_pronunciations must be >= 2 so a polyphone can exist, got {max_pronunciations}"
+        )
+    if max_pronunciations > n_syllables + n_syllables**2:
+        raise LanguageSpecError(
+            f"max_pronunciations {max_pronunciations} exceeds the {n_syllables + n_syllables**2} "
+            f"pronunciations of 1 or 2 syllables that {n_syllables} syllables allow"
         )
     if d_in < 1:
         raise LanguageSpecError(f"d_in must be >= 1, got {d_in}")
@@ -172,71 +178,9 @@ def make_language(
         characters=characters,
         pronunciations={c: tuple(p) for c, p in prons.items()},
         prototypes=rng.normal(0.0, 1.0, size=(n_syllables, d_in)),
-        seed=seed,
-        d_in=d_in,
     )
     assert lang.homophone_groups() and lang.polyphones()
     return lang
-
-
-def _synthesize(
-    lang: ToyLanguage,
-    char_seq: Sequence[str],
-    rng: np.random.Generator,
-    utt_id: str,
-    pron_choice: Sequence[tuple[str, ...]] | None = None,
-    dur_range: tuple[int, int] = DEFAULT_DUR_RANGE,
-    noise_sigma: float = DEFAULT_NOISE_SIGMA,
-) -> Utterance:
-    char_vocab = lang.char_vocab()
-    syl_vocab = lang.syl_vocab()
-    syl_index = {s: i for i, s in enumerate(lang.syllables)}
-    syllable_seq: list[str] = []
-    for pos, char in enumerate(char_seq):
-        if pron_choice is not None:
-            pron = pron_choice[pos]
-        else:
-            options = lang.pronunciations[char]
-            pron = options[int(rng.integers(0, len(options)))]
-        syllable_seq.extend(pron)
-    frames = []
-    lo, hi = dur_range
-    for syl in syllable_seq:
-        duration = int(rng.integers(lo, hi + 1))
-        proto = lang.prototypes[syl_index[syl]]
-        block = np.tile(proto, (duration, 1))
-        if noise_sigma > 0.0:
-            block = block + rng.normal(0.0, noise_sigma, size=block.shape)
-        frames.append(block)
-    features = np.concatenate(frames, axis=0)
-    return Utterance(
-        utt_id=utt_id,
-        features=features,
-        char_ids=char_vocab.encode(char_seq),
-        syl_ids=syl_vocab.encode(syllable_seq),
-    )
-
-
-def synthesize_utterance(
-    lang: ToyLanguage,
-    char_seq: Sequence[str],
-    seed: int,
-    dur_range: tuple[int, int] = DEFAULT_DUR_RANGE,
-    noise_sigma: float = DEFAULT_NOISE_SIGMA,
-) -> Utterance:
-    """Sample one pronunciation per character and emit noisy prototype frames.
-
-    Every syllable takes at least two frames, which keeps both target
-    sequences alignable under CTC for any utterance this produces.
-    """
-    if not char_seq:
-        raise LanguageSpecError("character sequence must be nonempty")
-    if dur_range[0] < 2:
-        raise LanguageSpecError("syllables need >= 2 frames to keep targets alignable")
-    rng = np.random.default_rng(seed)
-    return _synthesize(
-        lang, char_seq, rng, utt_id=f"utt-{seed}", dur_range=dur_range, noise_sigma=noise_sigma
-    )
 
 
 def sample_utterances(
@@ -248,30 +192,43 @@ def sample_utterances(
     prefix: str,
     char_pool: Sequence[str] | None = None,
 ) -> list[Utterance]:
-    """Draw `n` utterances with independent per-utterance RNG streams."""
+    """Draw `n` utterances, the i-th from its own RNG stream `[seed, stream, i]`.
+
+    Each stream draws the length, the characters, one pronunciation per
+    character, then per syllable a duration in `DUR_RANGE` and the
+    N(0, NOISE_SIGMA) noise added to that many copies of the syllable's
+    prototype.  Every syllable takes at least two frames, which keeps both
+    target sequences alignable under CTC.
+    """
     lo, hi = len_range
     if not 1 <= lo <= hi:
         raise LanguageSpecError(f"bad length range {len_range}")
+    if seed < 0:
+        raise LanguageSpecError(f"seed must be >= 0, got {seed}")
     pool = list(char_pool) if char_pool is not None else lang.characters
+    char_vocab, syl_vocab = lang.char_vocab(), lang.syl_vocab()
+    syl_index = {s: i for i, s in enumerate(lang.syllables)}
     out = []
     for i in range(n):
         rng = np.random.default_rng([seed, stream, i])
         length = int(rng.integers(lo, hi + 1))
         chars = [pool[int(j)] for j in rng.integers(0, len(pool), size=length)]
-        out.append(_synthesize(lang, chars, rng, utt_id=f"{prefix}-{i:04d}"))
+        syllables: list[str] = []
+        for char in chars:
+            options = lang.pronunciations[char]
+            syllables.extend(options[int(rng.integers(0, len(options)))])
+        frames = []
+        for syl in syllables:
+            duration = int(rng.integers(DUR_RANGE[0], DUR_RANGE[1] + 1))
+            proto = lang.prototypes[syl_index[syl]]
+            frames.append(proto + rng.normal(0.0, NOISE_SIGMA, size=(duration, proto.size)))
+        out.append(Utterance(
+            utt_id=f"{prefix}-{i:04d}",
+            features=np.concatenate(frames, axis=0),
+            char_ids=char_vocab.encode(chars),
+            syl_ids=syl_vocab.encode(syllables),
+        ))
     return out
-
-
-def ambiguous_pair(lang: ToyLanguage, seed: int = 0) -> tuple[Utterance, Utterance]:
-    """Two utterances with identical syllable targets but different characters."""
-    groups = lang.homophone_groups()
-    pron = sorted(groups)[0]
-    first, second = sorted(groups[pron])[:2]
-    rng_a = np.random.default_rng([seed, 0])
-    rng_b = np.random.default_rng([seed, 1])
-    a = _synthesize(lang, [first], rng_a, "ambig-a", pron_choice=[pron])
-    b = _synthesize(lang, [second], rng_b, "ambig-b", pron_choice=[pron])
-    return a, b
 
 
 def utterance_to_record(utt: Utterance, lang: ToyLanguage) -> dict:
@@ -377,6 +334,8 @@ def generate_dataset(
     """
     if n_train < 1 or n_valid < 1:
         raise LanguageSpecError("n_train and n_valid must be >= 1")
+    if n_homophone_eval < 0:
+        raise LanguageSpecError(f"n_homophone_eval must be >= 0, got {n_homophone_eval}")
     out = Path(out_dir)
     paths = {
         "train": out / "train.jsonl",

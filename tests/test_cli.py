@@ -114,6 +114,20 @@ class TestGenData:
                     "--n-characters", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--n-homophone-eval", "-3"],
+        ["--n-syllables", "2", "--n-characters", "60", "--max-pronunciations", "7"],
+    ], ids=["negative-seed", "negative-count", "too-many-pronunciations"])
+    def test_out_of_range_value_exits_2_writing_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run(["gen-data", "--out-dir", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
 
 class TestConfigHandling:
     def test_print_config_echoes_resolved_values(self, tmp_path, capsys):
@@ -1002,6 +1016,23 @@ class TestBadEvalRecords:
         capsys.readouterr()
         assert run(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 3
         assert capsys.readouterr().err == f"data error: {hyp}: record 'u2' has no layers.char.1\n"
+
+    def test_hypothesis_without_layers_among_ones_with_them_exits_3(self, tmp_path, capsys):
+        ref = tmp_path / "r.jsonl"
+        hyp = tmp_path / "h.jsonl"
+        ref.write_text("".join(json.dumps({"id": u, "chars": [u], "syllables": ["s"]}) + "\n"
+                               for u in ("a", "b")))
+        hyp.write_text(
+            json.dumps({"id": "a", "chars": ["a"], "layers": {"char": {"2": ["a"]}, "syl": {}}})
+            + "\n"
+            + json.dumps({"id": "b", "chars": ["b"]})
+            + "\n"
+        )
+        capsys.readouterr()
+        assert run(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {hyp}: record 'b' has no 'layers', which other records have\n"
+        )
 
     def test_reference_without_syllables_names_the_record(self, tmp_path, capsys):
         ref = tmp_path / "r.jsonl"

@@ -6,7 +6,6 @@ import pytest
 from condctc import diffcore as dc
 from condctc.diffcore import ContractError, NumericError, ShapeError, Tensor
 from condctc.encoder import (
-    HEAD_PARAMS,
     EncoderModel,
     ModelConfig,
     PlacementConfig,
@@ -289,8 +288,16 @@ class TestForward:
     def test_head_parameter_count_fixed(self):
         a = small_model(PlacementConfig(n_layers=2, char_layers={1}, syl_layers={1}, condition=True))
         b = small_model(PlacementConfig(n_layers=2))
-        assert a.head_parameter_count == b.head_parameter_count
-        assert set(HEAD_PARAMS) <= set(a.store.names())
+
+        def outside_blocks(model):
+            return {name: model.store[name].value.shape
+                    for name in model.store.names() if not name.startswith("block")}
+
+        assert outside_blocks(a) == outside_blocks(b)
+        assert set(outside_blocks(a)) == {
+            "input.w", "input.b", "char_head.w", "char_head.b", "syl_head.w", "syl_head.b",
+            "char_cond.w", "char_cond.b", "syl_cond.w", "syl_cond.b",
+        }
 
     def test_input_validation(self):
         model = small_model()

@@ -13,13 +13,11 @@ from condctc.labels import BLANK_TOKEN
 from condctc.synthdata import (
     LanguageSpecError,
     Utterance,
-    ambiguous_pair,
     generate_dataset,
     iter_jsonl,
     make_language,
     read_jsonl,
     sample_utterances,
-    synthesize_utterance,
     write_jsonl,
 )
 
@@ -69,6 +67,12 @@ class TestMakeLanguage:
             make_language(seed=0, n_syllables=5, n_characters=5)
         with pytest.raises(LanguageSpecError):
             make_language(seed=0, n_syllables=5, n_characters=9, max_pronunciations=1)
+        with pytest.raises(LanguageSpecError):
+            make_language(seed=-1, n_syllables=5, n_characters=9)
+        # 2 syllables make 2 + 4 pronunciations of one or two syllables
+        with pytest.raises(LanguageSpecError, match="max_pronunciations 7 exceeds the 6"):
+            make_language(seed=0, n_syllables=2, n_characters=60, max_pronunciations=7)
+        assert make_language(seed=0, n_syllables=2, n_characters=60, max_pronunciations=6)
 
     def test_vocabularies_have_blank_first(self, lang):
         assert lang.char_vocab().tokens[0] == BLANK_TOKEN
@@ -77,62 +81,51 @@ class TestMakeLanguage:
 
 
 class TestSynthesize:
-    def test_two_syllables_three_frames_each(self, lang):
-        # a character whose every pronunciation has two syllables, so the
-        # sampled one is two syllables regardless of the draw
-        char = next(
-            c
-            for c in lang.characters
-            if all(len(p) == 2 for p in lang.pronunciations[c])
-        )
-        utt = synthesize_utterance(lang, [char], seed=3, dur_range=(3, 3), noise_sigma=0.0)
-        assert utt.features.shape == (6, lang.d_in)
-        assert len(utt.syl_ids) == 2
-
-    def test_zero_noise_fixed_duration_gives_exact_prototypes(self, lang):
-        utt = synthesize_utterance(lang, [lang.characters[0]], seed=5, dur_range=(2, 2), noise_sigma=0.0)
-        syl_tokens = lang.syl_vocab().decode(utt.syl_ids)
-        frames = utt.features
-        for i, syl in enumerate(syl_tokens):
-            proto = lang.prototypes[lang.syllables.index(syl)]
-            assert np.array_equal(frames[2 * i], proto)
-            assert np.array_equal(frames[2 * i + 1], proto)
+    def test_output_is_the_documented_draws(self, lang):
+        pool = lang.homophone_characters()
+        utts = sample_utterances(lang, 6, (1, 5), seed=3, stream=2, prefix="r", char_pool=pool)
+        char_vocab, syl_vocab = lang.char_vocab(), lang.syl_vocab()
+        for i, utt in enumerate(utts):
+            rng = np.random.default_rng([3, 2, i])
+            length = rng.integers(1, 6)
+            chars = [pool[j] for j in rng.integers(0, len(pool), size=length)]
+            syllables = []
+            for char in chars:
+                options = lang.pronunciations[char]
+                syllables += options[rng.integers(0, len(options))]
+            blocks = []
+            for syl in syllables:
+                duration = rng.integers(2, 5)
+                proto = np.tile(lang.prototypes[lang.syllables.index(syl)], (duration, 1))
+                blocks.append(proto + rng.normal(0.0, 1.0, size=proto.shape))
+            want = np.concatenate(blocks)
+            assert utt.utt_id == f"r-{i:04d}"
+            assert utt.features.shape == want.shape
+            assert utt.features.tobytes() == want.tobytes()
+            assert utt.char_ids == char_vocab.encode(chars)
+            assert utt.syl_ids == syl_vocab.encode(syllables)
 
     def test_targets_always_ctc_feasible(self, lang):
         for seed in range(20):
-            chars = [lang.characters[i % len(lang.characters)] for i in range(seed % 5 + 1)]
-            utt = synthesize_utterance(lang, chars, seed=seed)
-            frames = utt.features.shape[0]
-            assert frames >= min_frames(utt.char_ids)
-            assert frames >= min_frames(utt.syl_ids)
+            for utt in sample_utterances(lang, 3, (1, 5), seed=seed, stream=0, prefix="t"):
+                frames = utt.features.shape[0]
+                assert frames >= min_frames(utt.char_ids)
+                assert frames >= min_frames(utt.syl_ids)
 
     def test_dual_target_consistency(self, lang):
         # some combination of per-character pronunciations reproduces Q
         char_vocab = lang.char_vocab()
         syl_vocab = lang.syl_vocab()
         for seed in range(10):
-            utt = synthesize_utterance(lang, [lang.characters[seed], lang.characters[-1 - seed % 3]], seed=seed)
-            chars = char_vocab.decode(utt.char_ids)
-            target = tuple(syl_vocab.decode(utt.syl_ids))
-            options = [lang.pronunciations[c] for c in chars]
-            combos = {
-                tuple(itertools.chain.from_iterable(choice))
-                for choice in itertools.product(*options)
-            }
-            assert target in combos
-
-    def test_empty_sequence_rejected(self, lang):
-        with pytest.raises(LanguageSpecError):
-            synthesize_utterance(lang, [], seed=0)
-
-    def test_single_frame_durations_rejected(self, lang):
-        with pytest.raises(LanguageSpecError):
-            synthesize_utterance(lang, [lang.characters[0]], seed=0, dur_range=(1, 2))
-
-    def test_ambiguous_pair_same_syllables_different_chars(self, lang):
-        a, b = ambiguous_pair(lang, seed=0)
-        assert a.syl_ids == b.syl_ids
-        assert a.char_ids != b.char_ids
+            for utt in sample_utterances(lang, 2, (2, 2), seed=seed, stream=0, prefix="t"):
+                chars = char_vocab.decode(utt.char_ids)
+                target = tuple(syl_vocab.decode(utt.syl_ids))
+                options = [lang.pronunciations[c] for c in chars]
+                combos = {
+                    tuple(itertools.chain.from_iterable(choice))
+                    for choice in itertools.product(*options)
+                }
+                assert target in combos
 
 
 class TestDataset:
@@ -214,4 +207,10 @@ class TestDataset:
         with pytest.raises(LanguageSpecError):
             generate_dataset(lang, tmp_path, 0, 1)
         with pytest.raises(LanguageSpecError):
-            sample_utterances(lang, 2, (3, 2), seed=0, stream=0, prefix="x")
+            generate_dataset(lang, tmp_path, 1, 1, n_homophone_eval=-3)
+        for len_range in ((3, 2), (0, 2)):
+            with pytest.raises(LanguageSpecError):
+                sample_utterances(lang, 2, len_range, seed=0, stream=0, prefix="x")
+        with pytest.raises(LanguageSpecError):
+            sample_utterances(lang, 2, (1, 2), seed=-1, stream=0, prefix="x")
+        assert list(tmp_path.iterdir()) == []
