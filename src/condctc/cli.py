@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -309,10 +310,10 @@ def cmd_decode(cfg: DecodeConfig) -> int:
             f"for vocabulary sizes {model.char_vocab_size} and {model.syl_vocab_size}"
         )
     # Each record is decoded, one utterance per forward (the fastest way to
-    # decode long utterances), and written before the next is read.  The
-    # output replaces cfg.out only once complete.
+    # decode long utterances), and written (line-buffered) before the next
+    # is read.  The output replaces cfg.out only once complete.
     count = 0
-    with atomic_write(cfg.out, "w", encoding="utf-8") as fh:
+    with atomic_write(cfg.out, "w", encoding="utf-8", buffering=1) as fh:
         for utt in synthdata.iter_jsonl(data_path, char_vocab, syl_vocab):
             _check_frames(data_path, utt, model.cfg.d_in, "the model")
             hyp = trainer.decode_points(model, [utt], 1)[0][0]
@@ -468,7 +469,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser is a web
+    of reference cycles that only the cyclic collector frees, so one built
+    per `main` call would leave its objects to whichever later call the
+    collector happens to run in."""
     parser = argparse.ArgumentParser(prog="condctc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (cls, _) in _COMMANDS.items():

@@ -243,14 +243,18 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _record(Tensor(a.value * factor, (a,), "scale"), _bwd)
 
 
+def _require_linear(name: str, x: Tensor, weight: Tensor, bias: Tensor) -> None:
+    _require_2d(name, x, weight)
+    if x.value.shape[1] != weight.value.shape[0]:
+        raise ShapeError(f"{name}: inner dims differ, {x.value.shape} @ {weight.value.shape}")
+    if bias.value.ndim != 1 or bias.value.shape[0] != weight.value.shape[1]:
+        raise ShapeError(f"{name}: bias {bias.value.shape} does not fit {weight.value.shape}")
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one node; the workhorse projection (also the
     embedding-free input projection)."""
-    _require_2d("linear", x, weight)
-    if x.value.shape[1] != weight.value.shape[0]:
-        raise ShapeError(f"linear: inner dims differ, {x.value.shape} @ {weight.value.shape}")
-    if bias.value.ndim != 1 or bias.value.shape[0] != weight.value.shape[1]:
-        raise ShapeError(f"linear: bias {bias.value.shape} does not fit {weight.value.shape}")
+    _require_linear("linear", x, weight, bias)
     xv, wv = x.value, weight.value
     y = xv @ wv
     y += bias.value
@@ -329,30 +333,42 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _sigmoid(xv: np.ndarray) -> np.ndarray:
-    # Built in one buffer; `out=` keeps it an array for 0-d x.
+    # Built in one buffer.
     sig = np.negative(xv, out=np.empty_like(xv))
     np.exp(sig, out=sig)
     sig += 1.0
     return np.divide(1.0, sig, out=sig)
 
 
-def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x).  A recorded step keeps only x for backward, which
-    rebuilds the sigmoid by the same operations, so the sigmoid is not held
-    from forward to backward."""
-    xv, nx = x.value, x.node
+def swish_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """swish(x) @ weight + bias, with swish(x) = x * sigmoid(x), as one node.
+
+    A recorded step keeps only x and the weight for backward, which rebuilds
+    the sigmoid by the forward's operations and from it swish(x), so neither
+    is held from forward to backward.  Values and gradients are bitwise
+    those of a swish whose output feeds `linear`."""
+    _require_linear("swish_linear", x, weight, bias)
+    xv, wv = x.value, weight.value
+    act = _sigmoid(xv)
+    act *= xv
+    y = act @ wv
+    y += bias.value
+    nx, nw, nb = x.node, weight.node, bias.node
 
     def _bwd(g: np.ndarray) -> None:
-        # g * sig * (1 + x * (1 - sig)), in two buffers
         sig = _sigmoid(xv)
-        gx = g * sig
+        _acc(nw, (xv * sig).T @ g)
+        _acc(nb, g.sum(axis=0))
+        # (g @ weight.T) * sig * (1 + x * (1 - sig)), in two buffers
+        gx = g @ wv.T
+        gx *= sig
         slope = np.subtract(1.0, sig, out=sig)
         slope *= xv
         slope += 1.0
         gx *= slope
         _acc(nx, gx)
 
-    return _record(Tensor(xv * _sigmoid(xv), (x,), "swish"), _bwd)
+    return _record(Tensor(y, (x, weight, bias), "swish_linear"), _bwd)
 
 
 def _segment_bounds(name: str, rows: int, lengths: Sequence[int]) -> list[tuple[int, int]]:
@@ -542,6 +558,17 @@ def atomic_write(path: str | Path, mode: str = "wb", **kwargs) -> Iterator:
         raise
 
 
+def _index_record(rec: dict) -> tuple[str, tuple[int, ...], object, int]:
+    """(name, shape, dtype, crc32) of a container index record, each field of
+    the JSON type `ParamStore.save` writes; a shape entry may be negative,
+    which the caller rejects."""
+    name, shape, dtype, crc = rec["name"], rec["shape"], rec["dtype"], rec["crc32"]
+    if (type(name) is not str or type(shape) is not list or type(crc) is not int
+            or any(type(n) is not int for n in shape)):
+        raise TypeError(f"record {name!r} has a name, shape or crc32 of the wrong JSON type")
+    return name, tuple(shape), dtype, crc
+
+
 class ParamStore:
     """Named trainable tensors in one flat float64 vector, in name order,
     each tensor's `value` a view into it: a new zeroed vector, or `flat` when
@@ -632,21 +659,20 @@ class ParamStore:
     def load(cls, path: str | Path) -> tuple["ParamStore", dict]:
         """Read a container written by `save`; a file that is not exactly one
         (checked against the index before anything is allocated), an index
-        record without a checksum, a tensor whose dtype is not float64, or a
-        payload that does not match its checksum, raises FormatError."""
+        record without a checksum or with a field of another JSON type than
+        `save` writes, a tensor whose dtype is not float64, or a payload that
+        does not match its checksum, raises FormatError."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_CONTAINER_MAGIC))
             if magic != _CONTAINER_MAGIC:
                 raise FormatError(f"{path}: not a named-tensor container")
             try:
                 index = json.loads(fh.readline().decode("utf-8"))
-                records = [
-                    (str(rec["name"]), tuple(int(n) for n in rec["shape"]), rec["dtype"],
-                     int(rec["crc32"]))
-                    for rec in index["tensors"]
-                ]
+                records = [_index_record(rec) for rec in index["tensors"]]
                 meta = index["meta"]
-            except (ArithmeticError, ValueError, KeyError, TypeError) as exc:
+                if type(meta) is not dict:
+                    raise TypeError(f"meta is {type(meta).__name__}, not an object")
+            except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: unreadable index ({exc})") from None
             left = os.fstat(fh.fileno()).st_size - fh.tell()
             shapes: dict[str, tuple[int, ...]] = {}

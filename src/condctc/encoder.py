@@ -96,13 +96,27 @@ class PlacementConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PlacementConfig":
-        return cls(
-            n_layers=int(d["n_layers"]),
-            char_layers=frozenset(int(i) for i in d["char_layers"]),
-            syl_layers=frozenset(int(i) for i in d["syl_layers"]),
-            condition=bool(d["condition"]),
-            strategy=str(d.get("strategy", "custom")),
-        )
+        """Inverse of `to_dict`.  Each field must have the JSON type that
+        `to_dict` writes: an int (not a bool) for `n_layers`, lists of such
+        ints for the layer sets, a bool for `condition` and a string for
+        `strategy` (which may be absent); anything else raises ContractError."""
+        fields = {key: d[key] for key in ("n_layers", "char_layers", "syl_layers", "condition")}
+        fields["strategy"] = d.get("strategy", "custom")
+
+        def int_list(v) -> bool:
+            return type(v) is list and all(type(i) is int for i in v)
+
+        valid = {
+            "n_layers": type(fields["n_layers"]) is int,
+            "char_layers": int_list(fields["char_layers"]),
+            "syl_layers": int_list(fields["syl_layers"]),
+            "condition": type(fields["condition"]) is bool,
+            "strategy": type(fields["strategy"]) is str,
+        }
+        wrong = {key: fields[key] for key, ok in valid.items() if not ok}
+        if wrong:
+            raise ContractError(f"placement fields of the wrong JSON type: {wrong}")
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -278,13 +292,13 @@ class EncoderModel:
         p = self.store
         pre = f"block{layer:02d}.conv"
         mixed = dc.depthwise_conv_rows(x, p[f"{pre}.depth"], lengths)
-        return dc.linear(dc.swish(mixed), p[f"{pre}.point.w"], p[f"{pre}.point.b"])
+        return dc.swish_linear(mixed, p[f"{pre}.point.w"], p[f"{pre}.point.b"])
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
         p = self.store
         pre = f"block{layer:02d}.ffn"
-        hidden = dc.swish(dc.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"]))
-        return dc.linear(hidden, p[f"{pre}.w2"], p[f"{pre}.b2"])
+        hidden = dc.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"])
+        return dc.swish_linear(hidden, p[f"{pre}.w2"], p[f"{pre}.b2"])
 
     def block_forward(self, x: Tensor, layer: int, lengths: Sequence[int]) -> Tensor:
         """One residual block; the (T, d_model) shape is preserved.

@@ -33,7 +33,9 @@ class Vocabulary:
             raise InvalidTokenError(f"token 0 must be {BLANK_TOKEN!r}")
         if len(set(self.tokens)) != len(self.tokens):
             raise InvalidTokenError("vocabulary tokens must be unique")
-        if any("\n" in t or not t for t in self.tokens):
+        # `load` splits lines as `str.splitlines` does, so a token that it
+        # would split (or drop, if empty) could not be read back.
+        if any(type(t) is not str or t.splitlines() != [t] for t in self.tokens):
             raise InvalidTokenError("tokens must be nonempty single-line strings")
 
     @classmethod

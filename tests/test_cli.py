@@ -667,6 +667,18 @@ class TestBadInputFiles:
         assert err.startswith(f"data error: {model}: header block {block!r} does not construct")
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_layers", 2.9), ("syl_layers", "12"), ("condition", "false"),
+    ])
+    def test_placement_field_of_other_json_type_exits_3(self, trained_dir, data_dir, tmp_path,
+                                                        capsys, field, value):
+        # The trained placement is n_layers 2, syl_layers [1, 2], condition
+        # true: int(), str() or bool() would decode each edited header.
+        model = self.resaved(trained_dir, tmp_path,
+                             lambda meta: meta["placement"].update({field: value}))
+        err = self.decode_error(model, data_dir, tmp_path, capsys)
+        assert "header block 'placement' does not construct" in err and field in err
+
     def resaved(self, trained_dir, tmp_path, edit):
         store, meta = ParamStore.load(trained_dir / "model_avg.ntc")
         edit(meta)

@@ -80,10 +80,10 @@ class TestOpGradients:
         w = make((5, 6))
         self.check(lambda: weighted_mean(dc.log_softmax_rows(x), w), [x])
 
-    def test_swish(self):
-        x = make((5, 6))
+    def test_swish_linear(self):
+        x, wgt, b = make((5, 4)), make((4, 6)), make((6,))
         w = make((5, 6))
-        self.check(lambda: weighted_mean(dc.swish(x), w), [x])
+        self.check(lambda: weighted_mean(dc.swish_linear(x, wgt, b), w), [x, wgt, b])
 
     def test_depthwise_conv_rows(self):
         x, k = make((7, 5)), make((3, 5))
@@ -105,12 +105,14 @@ class TestOpGradients:
         rng = np.random.default_rng(0)
         for _ in range(5):
             rows = int(rng.integers(1, 9))
-            cols = int(rng.integers(2, 9))
+            cols, out = (int(n) for n in rng.integers(2, 9, size=2))
             x = Tensor(rng.normal(size=(rows, cols)))
             gain, bias = Tensor(rng.normal(size=cols)), Tensor(rng.normal(size=cols))
-            w = Tensor(rng.normal(size=(rows, cols)))
-            self.check(lambda: weighted_mean(dc.swish(dc.layer_norm_affine(x, gain, bias)), w),
-                       [x, gain, bias])
+            wgt, b = Tensor(rng.normal(size=(cols, out))), Tensor(rng.normal(size=out))
+            w = Tensor(rng.normal(size=(rows, out)))
+            self.check(lambda: weighted_mean(
+                dc.swish_linear(dc.layer_norm_affine(x, gain, bias), wgt, b), w),
+                [x, gain, bias, wgt, b])
 
 
 class TestBackwardSemantics:
@@ -126,9 +128,10 @@ class TestBackwardSemantics:
         assert y.grad == pytest.approx(2.0)
 
     def test_swish_derivative_at_zero(self):
-        x = Tensor(np.zeros(()))
-        dc.backward(dc.swish(x))
-        assert float(x.grad) == pytest.approx(0.5)
+        x = Tensor(np.zeros((1, 1)))
+        one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
+        dc.backward(dc.mean_reduce(dc.swish_linear(x, one, zero)))
+        assert float(x.grad[0, 0]) == pytest.approx(0.5)
 
     def test_repeated_backward_is_identical(self):
         x = Tensor(RNG.normal(size=(3, 3)))
@@ -141,17 +144,19 @@ class TestBackwardSemantics:
 
     def test_only_leaves_keep_gradients(self):
         rng = np.random.default_rng(5)
-        store = store_of({"w": rng.normal(size=(3, 2)), "b": np.zeros(2)})
-        w, b = store["w"], store["b"]
+        store = store_of({"w": rng.normal(size=(3, 2)), "b": np.zeros(2),
+                          "v": rng.normal(size=(2, 2)), "c": np.zeros(2)})
+        w, b, v, c = store["w"], store["b"], store["v"], store["c"]
         x = Tensor(rng.normal(size=(4, 3)))
         with dc.no_grad():
             gain = dc.scale(Tensor(np.ones((4, 2))), 2.0)
-        hidden = dc.swish(dc.linear(x, w, b))
+        inner = dc.linear(x, w, b)
+        hidden = dc.swish_linear(inner, v, c)
         scaled = dc.mul(hidden, gain)
         loss = dc.mean_reduce(scaled)
         dc.backward(loss)
-        assert all(t.grad is not None for t in (w, b, x, gain))
-        assert all(t.grad is None for t in (hidden, hidden.parents[0], scaled, loss))
+        assert all(t.grad is not None for t in (w, b, v, c, x, gain))
+        assert all(t.grad is None for t in (inner, hidden, scaled, loss))
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
@@ -192,6 +197,10 @@ class TestBackwardSemantics:
             dc.multi_head_attention(make((2, 3)), make((2, 3)), make((2, 3)), 2, [2])
         with pytest.raises(ShapeError, match="depthwise"):
             dc.depthwise_conv_rows(make((4, 3)), make((3, 3)), [2, 1])
+        with pytest.raises(ShapeError, match="swish_linear"):
+            dc.swish_linear(make((3, 4)), make((5, 2)), make((2,)))
+        with pytest.raises(ShapeError, match="swish_linear"):
+            dc.swish_linear(make((3, 4)), make((4, 2)), make((3,)))
 
     def test_determinism_bitwise(self):
         def run():
@@ -199,7 +208,7 @@ class TestBackwardSemantics:
             x = Tensor(rng.normal(size=(6, 6)))
             w = Tensor(dc.glorot_uniform(rng, (6, 6)))
             b = Tensor(np.zeros(6))
-            loss = dc.mean_reduce(dc.mul(dc.swish(dc.linear(x, w, b)), x))
+            loss = dc.mean_reduce(dc.mul(dc.swish_linear(x, w, b), x))
             dc.backward(loss)
             return loss.value.copy(), x.grad.copy(), w.grad.copy()
 
@@ -416,8 +425,8 @@ class TestRecordedStepMemory:
 
     # (op, input position) whose backward function does not read that input.
     UNREAD = {("add", 0), ("add", 1), ("scale", 0), ("mean_reduce", 0), ("linear", 2),
-              ("softmax_rows", 0), ("log_softmax_rows", 0), ("layer_norm_affine", 0),
-              ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
+              ("swish_linear", 2), ("softmax_rows", 0), ("log_softmax_rows", 0),
+              ("layer_norm_affine", 0), ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
     # Ops whose backward function reads their own output.
     READS_OUTPUT = {"softmax_rows", "log_softmax_rows"}
 
@@ -462,8 +471,8 @@ class TestRecordedStepMemory:
 
         freed = {id(node) for node, ref in made if ref() is None}
         unread_values = [node for node, _ in made if unread(node)]
-        into_add = [node for node, _ in made
-                    if node.op == "linear" and {op for op, _ in consumers[id(node)]} == {"add"}]
+        into_add = [node for node, _ in made if node.op in ("linear", "swish_linear")
+                    and {op for op, _ in consumers[id(node)]} == {"add"}]
         # 24 adds: 18 residual, 5 feedback, 1 position code; the 6 block
         # outputs that feed a head's linear are read by its backward.
         assert sum(node.op == "add" for node, _ in made) == 24
@@ -479,34 +488,47 @@ class TestRecordedStepMemory:
         assert loss.value.ndim == 0
 
 
-class TestSwish:
-    """Backward rebuilds the sigmoid rather than keeping it from forward; the
-    values and gradients must be bitwise those of the kept sigmoid."""
+class TestSwishLinear:
+    """Backward rebuilds the sigmoid and the swish output rather than keeping
+    them from forward; the value and all three gradients must be bitwise
+    those of `linear` of the kept-sigmoid swish."""
 
     @pytest.mark.parametrize("value", [
-        np.float64(0.3),
-        np.float64(-800.0),
-        np.array([-800.0, -30.0, -1e-3, 0.0, 2.5, 800.0]),
         np.array([[-800.0, 1.0, -2.0], [0.5, 800.0, -0.0], [3.0, -4.5, 40.0]]),
-    ], ids=["0-d", "0-d-800", "1-d", "2-d"])
-    def test_matches_the_kept_sigmoid_formula(self, value):
-        g = np.linspace(-2.0, 3.0, value.size).reshape(value.shape)
+        np.array([[0.0, -0.0, 800.0, -800.0]]),
+        np.linspace(-30.0, 30.0, 35).reshape(7, 5),
+    ], ids=["2-d", "signed-zeros", "ramp"])
+    def test_matches_linear_of_the_kept_sigmoid_swish(self, value):
+        rng = np.random.default_rng(7)
+        rows, cols = value.shape
+        weight, bias = rng.normal(size=(cols, 4)), rng.normal(size=4)
+        g = np.linspace(-2.0, 3.0, rows * 4).reshape(rows, 4)
         with np.errstate(over="ignore"):
-            x = Tensor(value)
-            out = dc.swish(x)
+            x, w, b = Tensor(value), Tensor(weight), Tensor(bias)
+            out = dc.swish_linear(x, w, b)
             out.node._backward(g)
+            with dc.no_grad():
+                free = dc.swish_linear(x, w, b)
             sig = np.negative(value, out=np.empty_like(value))
             np.exp(sig, out=sig)
             sig += 1.0
             np.divide(1.0, sig, out=sig)
-        want_grad = g * sig
+        # linear(kept, weight, bias) and its gradients, then swish's slope
+        kept = value * sig
+        want = kept @ weight
+        want += bias
+        want_x = g @ weight.T
+        want_x *= sig
         slope = np.subtract(1.0, sig, out=np.empty_like(sig))
         slope *= value
         slope += 1.0
-        want_grad *= slope
-        for got, want in ((out.value, value * sig), (x.grad, want_grad)):
-            assert got.shape == want.shape
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        want_x *= slope
+        pairs = ((out.value, want), (free.value, want), (x.grad, want_x),
+                 (w.grad, kept.T @ g), (b.grad, g.sum(axis=0)))
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestGradCheckHarness:
@@ -590,7 +612,7 @@ class TestParamStore:
                           "unused": np.ones(3)})
         w, b, unused = store["w"], store["b"], store["unused"]
         x = Tensor(RNG.normal(size=(4, 3)))
-        loss = dc.mean_reduce(dc.swish(dc.linear(x, w, b)))
+        loss = dc.mean_reduce(dc.swish_linear(x, w, b))
         store.zero_grad()
         _, grads = store.arena()
         unused.grad[...] = 5.0  # a stale gradient that no loss reaches
@@ -631,6 +653,7 @@ class TestParamStore:
         good = tmp_path / "good.ntc"
         store.save(good)
         data = good.read_bytes()
+        crc_b = zlib.crc32(store["b"].value.tobytes())
         damaged = {
             "truncated": (data[:-1], "truncated"),
             "trailing": (data + b"\0", "trailing bytes"),
@@ -640,8 +663,18 @@ class TestParamStore:
             "dtype": (data.replace(b'"float64"', b'"float32"', 1),
                       "tensor 'b' has dtype 'float32', not float64"),
             "duplicate": (data.replace(b'"name": "w"', b'"name": "b"', 1), "bad index record"),
+            # Fields of another JSON type than `save` writes, each of which
+            # int() or str() would turn into a loadable record.
+            "float-shape": (data.replace(b'[3, 4]', b'[3.0, 4.9]', 1), "wrong JSON type"),
+            "string-shape": (data.replace(b'[3, 4]', b'"34"', 1), "wrong JSON type"),
+            "bool-shape": (data.replace(b'[4]', b'[true, 4]', 1), "wrong JSON type"),
+            "string-crc32": (data.replace(b'"crc32": %d' % crc_b, b'"crc32": "%d"' % crc_b, 1),
+                             "wrong JSON type"),
+            "int-name": (data.replace(b'"name": "w"', b'"name": 7', 1), "wrong JSON type"),
+            "list-meta": (data.replace(b'"meta": {}', b'"meta": []', 1), "not an object"),
         }
         for name, (payload, message) in damaged.items():
+            assert payload != data, name
             path = tmp_path / f"{name}.ntc"
             path.write_bytes(payload)
             with pytest.raises(FormatError, match=message):

@@ -10,6 +10,7 @@ from condctc.encoder import (
     ModelConfig,
     PlacementConfig,
     sinusoidal_positions,
+    strategy_names,
 )
 from condctc import trainer
 
@@ -74,8 +75,22 @@ class TestPlacementConfig:
             PlacementConfig.from_strategy("nope", 6)
 
     def test_dict_roundtrip(self):
-        pl = PlacementConfig.from_strategy("alternate", 6)
-        assert PlacementConfig.from_dict(pl.to_dict()) == pl
+        for name in strategy_names():
+            for n_layers in (1, 2, 6, 18):
+                pl = PlacementConfig.from_strategy(name, n_layers)
+                assert PlacementConfig.from_dict(pl.to_dict()) == pl
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_layers", 6.9), ("n_layers", True), ("char_layers", [2.0, 4]),
+        ("char_layers", [True, 4]), ("syl_layers", "135"), ("syl_layers", {1: 3}),
+        ("condition", "false"), ("condition", 0), ("strategy", 7),
+    ])
+    def test_dict_of_other_json_types_rejected(self, field, value):
+        # Each of these once loaded through int(), bool() or str().
+        d = PlacementConfig.from_strategy("alternate", 6).to_dict()
+        d[field] = value
+        with pytest.raises(ContractError, match=field):
+            PlacementConfig.from_dict(d)
 
 
 class TestBlocks:

@@ -130,6 +130,18 @@ class TestVocabulary:
         assert lines[0] == BLANK_TOKEN
         assert Vocabulary.load(path) == vocab
 
+    def test_tokens_with_blanks_and_tabs_roundtrip(self, tmp_path):
+        vocab = Vocabulary.from_labels(["a b", "a\tb", " c ", "\u00fc", "\u2027"])
+        path = tmp_path / "tokens.vocab"
+        vocab.save(path)
+        assert Vocabulary.load(path) == vocab
+
+    @pytest.mark.parametrize("sep", ["\n", "\r", "\x0c", "\x85", "\u2028"])
+    def test_tokens_that_load_would_split_rejected(self, sep):
+        # Saved, ("<blank>", "a\rb", "c") would load as ("<blank>", "a", "b", "c").
+        with pytest.raises(InvalidTokenError, match="single-line"):
+            Vocabulary.from_labels([f"a{sep}b", "c"])
+
 
 class TestEditDistance:
     def test_identity(self):
