@@ -5,6 +5,7 @@ path-enumeration oracle for tests."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -235,7 +236,7 @@ def ctc_loss_batch(
     if len(log_probs) != len(targets):
         raise ValueError(f"{len(log_probs)} log-probability matrices but {len(targets)} target lists")
     rows = sum(sizes)
-    starts = np.cumsum([0, *sizes[:-1]]).tolist()
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
     mats = [np.asarray(m, dtype=np.float64) for m in log_probs]
 
     # One entry per lattice, point-major: its point, extended labels, first

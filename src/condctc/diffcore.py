@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import json
 import math
 import os
@@ -71,13 +72,19 @@ class Tensor:
     `backward` leaves a gradient on leaves only (see there).  An op's output
     made inside `no_grad` has no parents and no backward function: it is a
     leaf that `backward` cannot see past.
+
+    `rebuild` is None or a no-argument function returning a new array bitwise
+    equal to `value`, made only from arrays its node's backward keeps; `linear`
+    keeps it in place of the value, which backward then makes again.  Op
+    outputs made inside `no_grad` have none.
     """
 
-    __slots__ = ("value", "node")
+    __slots__ = ("value", "node", "rebuild")
 
     def __init__(self, value, parents: tuple["Tensor", ...] = (), op: str = "leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.node = Node(tuple([p.node for p in parents]), op)
+        self.rebuild: Callable[[], np.ndarray] | None = None
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -128,11 +135,14 @@ def is_recording() -> bool:
     return _recording.get()
 
 
-def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Give an op's output node its backward function, or, inside `no_grad`,
-    make the output a leaf whose node holds neither parents nor `backward_fn`."""
+def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None],
+            rebuild: Callable[[], np.ndarray] | None = None) -> Tensor:
+    """Give an op's output node its backward function and the output its
+    `rebuild`, or, inside `no_grad`, make the output a leaf whose node holds
+    neither parents nor `backward_fn`, and which has no `rebuild`."""
     if _recording.get():
         out.node._backward = backward_fn
+        out.rebuild = rebuild
     else:
         out.node.parents = ()
     return out
@@ -243,26 +253,21 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _record(Tensor(a.value * factor, (a,), "scale"), _bwd)
 
 
-def _require_linear(name: str, x: Tensor, weight: Tensor, bias: Tensor) -> None:
-    _require_2d(name, x, weight)
-    if x.value.shape[1] != weight.value.shape[0]:
-        raise ShapeError(f"{name}: inner dims differ, {x.value.shape} @ {weight.value.shape}")
-    if bias.value.ndim != 1 or bias.value.shape[0] != weight.value.shape[1]:
-        raise ShapeError(f"{name}: bias {bias.value.shape} does not fit {weight.value.shape}")
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one node; the workhorse projection (also the
     embedding-free input projection)."""
-    _require_linear("linear", x, weight, bias)
-    xv, wv = x.value, weight.value
-    y = xv @ wv
+    _require_2d("linear", x, weight)
+    if x.value.shape[1] != weight.value.shape[0] or bias.value.shape != weight.value.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.value.shape} @ {weight.value.shape} + {bias.value.shape} do not fit")
+    wv = weight.value
+    y = x.value @ wv
     y += bias.value
+    x_value = x.rebuild or x.value.view  # a new array, or a view of the kept one
     nx, nw, nb = x.node, weight.node, bias.node
 
     def _bwd(g: np.ndarray) -> None:
         _acc(nx, g @ wv.T)
-        _acc(nw, xv.T @ g)
+        _acc(nw, x_value().T @ g)
         _acc(nb, g.sum(axis=0))
 
     return _record(Tensor(y, (x, weight, bias), "linear"), _bwd)
@@ -312,10 +317,12 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     y = a - a.sum(axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt((y * y).sum(axis=1, keepdims=True) / n + LN_EPS)
     y *= inv
-    gv = gain.value
-    out_value = y * gv
-    out_value += bias.value
+    gv, bv = gain.value, bias.value
     nx, ng, nb = x.node, gain.node, bias.node
+
+    def value() -> np.ndarray:
+        out = y * gv
+        return np.add(out, bv, out=out)
 
     def _bwd(g: np.ndarray) -> None:
         _acc(ng, (g * y).sum(axis=0))
@@ -329,7 +336,7 @@ def layer_norm_affine(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gy *= inv
         _acc(nx, gy)
 
-    return _record(Tensor(out_value, (x, gain, bias), "layer_norm_affine"), _bwd)
+    return _record(Tensor(value(), (x, gain, bias), "layer_norm_affine"), _bwd, value)
 
 
 def _sigmoid(xv: np.ndarray) -> np.ndarray:
@@ -340,35 +347,27 @@ def _sigmoid(xv: np.ndarray) -> np.ndarray:
     return np.divide(1.0, sig, out=sig)
 
 
-def swish_linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """swish(x) @ weight + bias, with swish(x) = x * sigmoid(x), as one node.
+def swish(x: Tensor) -> Tensor:
+    """x * sigmoid(x).  A recorded step keeps only x: backward makes the
+    sigmoid again by the same operations, and the output's `rebuild` the
+    output."""
+    xv, nx = x.value, x.node
 
-    A recorded step keeps only x and the weight for backward, which rebuilds
-    the sigmoid by the forward's operations and from it swish(x), so neither
-    is held from forward to backward.  Values and gradients are bitwise
-    those of a swish whose output feeds `linear`."""
-    _require_linear("swish_linear", x, weight, bias)
-    xv, wv = x.value, weight.value
-    act = _sigmoid(xv)
-    act *= xv
-    y = act @ wv
-    y += bias.value
-    nx, nw, nb = x.node, weight.node, bias.node
+    def value() -> np.ndarray:
+        act = _sigmoid(xv)
+        return np.multiply(act, xv, out=act)
 
     def _bwd(g: np.ndarray) -> None:
+        # g * sig * (1 + x * (1 - sig)), in two buffers
         sig = _sigmoid(xv)
-        _acc(nw, (xv * sig).T @ g)
-        _acc(nb, g.sum(axis=0))
-        # (g @ weight.T) * sig * (1 + x * (1 - sig)), in two buffers
-        gx = g @ wv.T
-        gx *= sig
+        gx = g * sig
         slope = np.subtract(1.0, sig, out=sig)
         slope *= xv
         slope += 1.0
         gx *= slope
         _acc(nx, gx)
 
-    return _record(Tensor(y, (x, weight, bias), "swish_linear"), _bwd)
+    return _record(Tensor(value(), (x,), "swish"), _bwd, value)
 
 
 def _segment_bounds(name: str, rows: int, lengths: Sequence[int]) -> list[tuple[int, int]]:
@@ -376,8 +375,7 @@ def _segment_bounds(name: str, rows: int, lengths: Sequence[int]) -> list[tuple[
     sizes = [int(n) for n in lengths]
     if not sizes or min(sizes) < 1 or sum(sizes) != rows:
         raise ShapeError(f"{name}: segment lengths {sizes} do not split {rows} rows")
-    stops = np.cumsum(sizes).tolist()
-    return list(zip([0, *stops[:-1]], stops))
+    return list(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
 
 
 def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int]) -> Tensor:

@@ -4,6 +4,7 @@ heads and additive feedback of intermediate posteriors into the next block."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -185,8 +186,8 @@ class ForwardOutput:
 
     def segments(self) -> list[slice]:
         """Row range of each segment, in input order."""
-        stops = np.cumsum(self.lengths).tolist()
-        return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
+        bounds = itertools.pairwise(itertools.accumulate(self.lengths, initial=0))
+        return [slice(start, stop) for start, stop in bounds]
 
 
 def sinusoidal_positions(n_rows: int, dim: int) -> np.ndarray:
@@ -292,13 +293,13 @@ class EncoderModel:
         p = self.store
         pre = f"block{layer:02d}.conv"
         mixed = dc.depthwise_conv_rows(x, p[f"{pre}.depth"], lengths)
-        return dc.swish_linear(mixed, p[f"{pre}.point.w"], p[f"{pre}.point.b"])
+        return dc.linear(dc.swish(mixed), p[f"{pre}.point.w"], p[f"{pre}.point.b"])
 
     def _ffn(self, x: Tensor, layer: int) -> Tensor:
         p = self.store
         pre = f"block{layer:02d}.ffn"
-        hidden = dc.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"])
-        return dc.swish_linear(hidden, p[f"{pre}.w2"], p[f"{pre}.b2"])
+        hidden = dc.swish(dc.linear(x, p[f"{pre}.w1"], p[f"{pre}.b1"]))
+        return dc.linear(hidden, p[f"{pre}.w2"], p[f"{pre}.b2"])
 
     def block_forward(self, x: Tensor, layer: int, lengths: Sequence[int]) -> Tensor:
         """One residual block; the (T, d_model) shape is preserved.

@@ -250,8 +250,10 @@ _RECORD_FIELDS = (("id", str, "a string"), ("features", dict, "an object"),
 
 def record_to_utterance(record: dict, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> Utterance:
     """Inverse of `utterance_to_record`.  A record that is not a JSON object,
-    lacks a field or holds one of the wrong type, feature values that do not
-    fill their shape, or a token outside the vocabularies, raise FormatError
+    lacks a field or holds one of the wrong type, a feature shape that is not
+    a list of JSON ints or feature data that is not a list of JSON numbers
+    (bools and numeric strings are neither), feature values that do not fill
+    their shape, or a token outside the vocabularies, raise FormatError
     naming the field."""
     if not isinstance(record, dict):
         raise FormatError(f"expected a JSON object, got {json.dumps(record)[:40]}")
@@ -266,12 +268,23 @@ def record_to_utterance(record: dict, char_vocab: Vocabulary, syl_vocab: Vocabul
     for key in ("shape", "data"):
         if key not in features:
             raise FormatError(f"record {utt_id!r}: 'features' has no {key!r}")
+    shape, values = features["shape"], features["data"]
+    if type(shape) is not list or not all(type(n) is int for n in shape):
+        raise FormatError(f"record {utt_id!r}: 'features' field 'shape' must be a list of "
+                          f"JSON ints, got {json.dumps(shape)[:40]}")
+    # The value types are read in one pass in C, not by numpy: asked for
+    # float64 it reads true as 1.0 and "0.5" as 0.5, and left to infer the
+    # dtype it reads true among numbers as a number.
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        bad = values if type(values) is not list else next(
+            v for v in values if type(v) not in (int, float))
+        raise FormatError(f"record {utt_id!r}: 'features' field 'data' must be a list of "
+                          f"JSON numbers, got {json.dumps(bad)[:40]}")
     try:
-        shape = tuple(int(n) for n in features["shape"])
-        data = np.asarray(features["data"], dtype=np.float64)
-    except (ArithmeticError, TypeError, ValueError) as exc:
+        data = np.asarray(values, dtype=np.float64)
+    except OverflowError as exc:
         raise FormatError(f"record {utt_id!r}: unreadable features ({exc})") from None
-    if len(shape) != 2 or min(shape) < 0 or data.ndim != 1 or data.size != math.prod(shape):
+    if len(shape) != 2 or min(shape) < 0 or data.size != math.prod(shape):
         raise FormatError(
             f"record {utt_id!r}: {data.size} feature values do not fill shape {list(shape)}"
         )

@@ -111,7 +111,7 @@ def test_criterion_3_autodiff_gradients():
         "linear": (lambda: wmean(dc.linear(x, w56, b6), w66), [x, w56, b6]),
         "softmax_rows": (lambda: wmean(dc.softmax_rows(x), w), [x]),
         "log_softmax_rows": (lambda: wmean(dc.log_softmax_rows(x), w), [x]),
-        "swish_linear": (lambda: wmean(dc.swish_linear(x, w56, b6), w66), [x, w56, b6]),
+        "swish": (lambda: wmean(dc.swish(x), w), [x]),
         "depthwise_conv_rows": (lambda: wmean(dc.depthwise_conv_rows(x, kern, [6]), w), [x, kern]),
         "depthwise_conv_rows/segments": (
             lambda: wmean(dc.depthwise_conv_rows(x, kern, segments), w), [x, kern]),

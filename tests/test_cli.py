@@ -834,6 +834,36 @@ class TestBadInputFiles:
         data = self.damaged_record(data_dir, tmp_path, edit)
         assert self.decode(trained_dir / "model_avg.ntc", data, tmp_path, capsys) == 3
 
+    @pytest.mark.parametrize("field,edit,got", [
+        ("shape", lambda f: f.update(shape=[str(n) for n in f["shape"]]), '["'),
+        ("shape", lambda f: f.update(shape=[f["shape"][0] + 0.9, f["shape"][1] + 0.2]), "["),
+        ("shape", lambda f: f.update(shape=[True, f["shape"][1]], data=f["data"][:f["shape"][1]]),
+         "[true, 8]"),
+        ("data", lambda f: f["data"].__setitem__(3, "0.5"), '"0.5"'),
+        ("data", lambda f: f["data"].__setitem__(3, True), "true"),
+    ], ids=["string-shape", "float-shape", "bool-shape", "string-value", "bool-value"])
+    def test_features_of_other_json_type_exit_3(self, trained_dir, data_dir, tmp_path, capsys,
+                                                field, edit, got):
+        # int() and np.asarray(..., dtype=float64) would read each edited
+        # record as a shape or values of the right size.
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        lines = (data / "train.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        edit(record["features"])
+        (data / "train.jsonl").write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+        message = (f"data error: {data / 'train.jsonl'}:1: record {record['id']!r}: "
+                   f"'features' field {field!r} must be a list of JSON ")
+        out = tmp_path / "run"
+        out.mkdir()
+        capsys.readouterr()
+        for argv in (["train", "--data-dir", str(data), "--out-dir", str(out), *SMALL_TRAIN],
+                     ["decode", "--model", str(trained_dir / "model_avg.ntc"),
+                      "--data", str(data / "train.jsonl"), "--out", str(out / "h.jsonl")]):
+            assert run(argv) == 3, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith(message) and f", got {got}" in err, err
+            assert err.count("\n") == 1, err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("edit,message", [
         (lambda rec: [1, 2], "expected a JSON object, got [1, 2]"),
@@ -846,7 +876,8 @@ class TestBadInputFiles:
         (lambda rec: {**rec, "features": {**rec["features"], "data": [10**400]}},
          "record 'valid-0000': unreadable features (int too large to convert to float)"),
         (lambda rec: {**rec, "features": {**rec["features"], "shape": [float("inf"), 8]}},
-         "record 'valid-0000': unreadable features (cannot convert float infinity to integer)"),
+         "record 'valid-0000': 'features' field 'shape' must be a list of JSON ints, "
+         "got [Infinity, 8]"),
     ], ids=["list", "string", "no-id", "no-features", "null-chars", "number-id", "huge-value",
             "infinite-shape"])
     def test_record_not_an_utterance_names_file_line_and_field(self, trained_dir, data_dir,
@@ -971,6 +1002,53 @@ class TestFuzzedDecodeInputs:
         assert (code, err.count("\n")) in ((0, 0), (3, 1), (4, 1)), err
         assert code != 3 or err.startswith(f"data error: {records}"), err
         assert code != 4 or err.startswith("numeric failure: "), err
+
+
+class TestFuzzedEvalInputs:
+    """`eval` of a damaged reference or hypothesis file never raises: it
+    exits 0 with nothing on stderr, or 3 with one data-error line, and a
+    failed run leaves an existing `--csv` file as it was."""
+
+    CSV = "level,layer,rate\nchar,final,0.5\n"
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory, trained_dir, data_dir):
+        """The validation references without their features (which `eval`
+        drops unread), and their hypotheses with every layer's tokens."""
+        work = tmp_path_factory.mktemp("fuzz-eval")
+        ref, hyp = work / "ref.jsonl", work / "hyp.jsonl"
+        records = [json.loads(line) for line in (data_dir / "valid.jsonl").read_text().splitlines()]
+        ref.write_text("".join(json.dumps({k: v for k, v in rec.items() if k != "features"}) + "\n"
+                               for rec in records))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["decode", "--model", str(trained_dir / "model_avg.ntc"),
+                        "--data", str(data_dir / "valid.jsonl"), "--out", str(hyp),
+                        "--dump-intermediate", "true"]) == 0
+        return work, {"ref": ref, "hyp": hyp}
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_file(self, files, data):
+        work, paths = files
+        side = data.draw(st.sampled_from(["ref", "hyp"]))
+        lines = paths[side].read_bytes().splitlines(keepends=True)
+        at = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):
+            lines[at] = edit_bytes(lines[at], data)
+        else:
+            lines[at] = json.dumps(edit_json(json.loads(lines[at]), data)).encode() + b"\n"
+        damaged = work / "damaged.jsonl"
+        damaged.write_bytes(b"".join(lines))
+        files_in = {**paths, side: damaged}
+        csv = work / "rates.csv"
+        csv.write_text(self.CSV)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(["eval", "--ref", str(files_in["ref"]), "--hyp", str(files_in["hyp"]),
+                        "--csv", str(csv)])
+        err = err.getvalue()
+        assert (code, err.count("\n")) in ((0, 0), (3, 1)), err
+        assert code == 0 or (err.startswith("data error: ") and csv.read_text() == self.CSV), err
 
 
 class TestBadEvalRecords:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import weakref
 import zlib
 from collections import defaultdict
@@ -80,10 +81,16 @@ class TestOpGradients:
         w = make((5, 6))
         self.check(lambda: weighted_mean(dc.log_softmax_rows(x), w), [x])
 
+    def test_swish(self):
+        x = make((5, 6))
+        w = make((5, 6))
+        self.check(lambda: weighted_mean(dc.swish(x), w), [x])
+
     def test_swish_linear(self):
+        # linear's weight gradient reads the swish output's rebuild
         x, wgt, b = make((5, 4)), make((4, 6)), make((6,))
         w = make((5, 6))
-        self.check(lambda: weighted_mean(dc.swish_linear(x, wgt, b), w), [x, wgt, b])
+        self.check(lambda: weighted_mean(dc.linear(dc.swish(x), wgt, b), w), [x, wgt, b])
 
     def test_depthwise_conv_rows(self):
         x, k = make((7, 5)), make((3, 5))
@@ -105,14 +112,18 @@ class TestOpGradients:
         rng = np.random.default_rng(0)
         for _ in range(5):
             rows = int(rng.integers(1, 9))
-            cols, out = (int(n) for n in rng.integers(2, 9, size=2))
+            cols, hidden = (int(n) for n in rng.integers(2, 9, size=2))
             x = Tensor(rng.normal(size=(rows, cols)))
             gain, bias = Tensor(rng.normal(size=cols)), Tensor(rng.normal(size=cols))
-            wgt, b = Tensor(rng.normal(size=(cols, out))), Tensor(rng.normal(size=out))
-            w = Tensor(rng.normal(size=(rows, out)))
-            self.check(lambda: weighted_mean(
-                dc.swish_linear(dc.layer_norm_affine(x, gain, bias), wgt, b), w),
-                [x, gain, bias, wgt, b])
+            w1, b1 = Tensor(rng.normal(size=(cols, hidden))), Tensor(rng.normal(size=hidden))
+            w2, b2 = Tensor(rng.normal(size=(hidden, cols))), Tensor(rng.normal(size=cols))
+            w = Tensor(rng.normal(size=(rows, cols)))
+
+            def ffn():  # the encoder's feed-forward: both linears read a rebuild
+                h = dc.swish(dc.linear(dc.layer_norm_affine(x, gain, bias), w1, b1))
+                return weighted_mean(dc.linear(h, w2, b2), w)
+
+            self.check(ffn, [x, gain, bias, w1, b1, w2, b2])
 
 
 class TestBackwardSemantics:
@@ -128,10 +139,9 @@ class TestBackwardSemantics:
         assert y.grad == pytest.approx(2.0)
 
     def test_swish_derivative_at_zero(self):
-        x = Tensor(np.zeros((1, 1)))
-        one, zero = Tensor(np.ones((1, 1))), Tensor(np.zeros(1))
-        dc.backward(dc.mean_reduce(dc.swish_linear(x, one, zero)))
-        assert float(x.grad[0, 0]) == pytest.approx(0.5)
+        x = Tensor(np.zeros(()))
+        dc.backward(dc.swish(x))
+        assert float(x.grad) == pytest.approx(0.5)
 
     def test_repeated_backward_is_identical(self):
         x = Tensor(RNG.normal(size=(3, 3)))
@@ -144,18 +154,17 @@ class TestBackwardSemantics:
 
     def test_only_leaves_keep_gradients(self):
         rng = np.random.default_rng(5)
-        store = store_of({"w": rng.normal(size=(3, 2)), "b": np.zeros(2),
-                          "v": rng.normal(size=(2, 2)), "c": np.zeros(2)})
-        w, b, v, c = store["w"], store["b"], store["v"], store["c"]
+        store = store_of({"w": rng.normal(size=(3, 2)), "b": np.zeros(2)})
+        w, b = store["w"], store["b"]
         x = Tensor(rng.normal(size=(4, 3)))
         with dc.no_grad():
             gain = dc.scale(Tensor(np.ones((4, 2))), 2.0)
         inner = dc.linear(x, w, b)
-        hidden = dc.swish_linear(inner, v, c)
+        hidden = dc.swish(inner)
         scaled = dc.mul(hidden, gain)
         loss = dc.mean_reduce(scaled)
         dc.backward(loss)
-        assert all(t.grad is not None for t in (w, b, v, c, x, gain))
+        assert all(t.grad is not None for t in (w, b, x, gain))
         assert all(t.grad is None for t in (inner, hidden, scaled, loss))
 
     def test_non_scalar_loss_rejected(self):
@@ -197,10 +206,9 @@ class TestBackwardSemantics:
             dc.multi_head_attention(make((2, 3)), make((2, 3)), make((2, 3)), 2, [2])
         with pytest.raises(ShapeError, match="depthwise"):
             dc.depthwise_conv_rows(make((4, 3)), make((3, 3)), [2, 1])
-        with pytest.raises(ShapeError, match="swish_linear"):
-            dc.swish_linear(make((3, 4)), make((5, 2)), make((2,)))
-        with pytest.raises(ShapeError, match="swish_linear"):
-            dc.swish_linear(make((3, 4)), make((4, 2)), make((3,)))
+        for shapes in [((3, 4), (5, 2), (2,)), ((3, 4), (4, 2), (3,)), ((3, 4), (4, 2), (1, 2))]:
+            with pytest.raises(ShapeError, match=re.escape("linear: shapes {} @ {} + {}".format(*shapes))):
+                dc.linear(*(make(shape) for shape in shapes))
 
     def test_determinism_bitwise(self):
         def run():
@@ -208,7 +216,7 @@ class TestBackwardSemantics:
             x = Tensor(rng.normal(size=(6, 6)))
             w = Tensor(dc.glorot_uniform(rng, (6, 6)))
             b = Tensor(np.zeros(6))
-            loss = dc.mean_reduce(dc.mul(dc.swish_linear(x, w, b), x))
+            loss = dc.mean_reduce(dc.mul(dc.linear(dc.swish(x), w, b), x))
             dc.backward(loss)
             return loss.value.copy(), x.grad.copy(), w.grad.copy()
 
@@ -425,10 +433,12 @@ class TestRecordedStepMemory:
 
     # (op, input position) whose backward function does not read that input.
     UNREAD = {("add", 0), ("add", 1), ("scale", 0), ("mean_reduce", 0), ("linear", 2),
-              ("swish_linear", 2), ("softmax_rows", 0), ("log_softmax_rows", 0),
-              ("layer_norm_affine", 0), ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
+              ("softmax_rows", 0), ("log_softmax_rows", 0), ("layer_norm_affine", 0),
+              ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
     # Ops whose backward function reads their own output.
     READS_OUTPUT = {"softmax_rows", "log_softmax_rows"}
+    # Ops whose output has a `rebuild`, which `linear` keeps in place of it.
+    REBUILT = {"layer_norm_affine", "swish"}
 
     @staticmethod
     def recorded_step(monkeypatch, made):
@@ -467,20 +477,28 @@ class TestRecordedStepMemory:
 
         def unread(node):
             uses = consumers[id(node)]
-            return bool(uses) and node.op not in self.READS_OUTPUT and set(uses) <= self.UNREAD
+            rebuilt = {("linear", 0)} if node.op in self.REBUILT else set()
+            return (bool(uses) and node.op not in self.READS_OUTPUT
+                    and set(uses) <= self.UNREAD | rebuilt)
 
         freed = {id(node) for node, ref in made if ref() is None}
         unread_values = [node for node, _ in made if unread(node)]
-        into_add = [node for node, _ in made if node.op in ("linear", "swish_linear")
-                    and {op for op, _ in consumers[id(node)]} == {"add"}]
+        into_add = [node for node, _ in made
+                    if node.op == "linear" and {op for op, _ in consumers[id(node)]} == {"add"}]
+        into_linear = [node for node, _ in made if node.op in self.REBUILT
+                       and {op for op, _ in consumers[id(node)]} == {"linear"}]
         # 24 adds: 18 residual, 5 feedback, 1 position code; the 6 block
         # outputs that feed a head's linear are read by its backward.
         assert sum(node.op == "add" for node, _ in made) == 24
         assert sum(node.op == "add" for node in unread_values) == 18
         assert len(into_add) == 24
+        # The 12 pre-norm outputs that feed q/k/v or ffn.w1, and the 12
+        # swish outputs, each feed a `linear` that keeps its rebuild.
+        assert sum(node.op == "layer_norm_affine" for node in into_linear) == 12
+        assert sum(node.op == "swish" for node in into_linear) == 12
         # head logits, the convolution's normalized input, the position code
         assert {"linear", "layer_norm_affine", "leaf"} <= {n.op for n in unread_values}
-        for node in into_add + unread_values:
+        for node in into_add + into_linear + unread_values:
             assert id(node) in freed, (node.op, consumers[id(node)])
         # ... while every value some backward function reads stays alive.
         read = [node for node, _ in made if consumers[id(node)] and not unread(node)]
@@ -488,16 +506,20 @@ class TestRecordedStepMemory:
         assert loss.value.ndim == 0
 
 
-class TestSwishLinear:
-    """Backward rebuilds the sigmoid and the swish output rather than keeping
-    them from forward; the value and all three gradients must be bitwise
-    those of `linear` of the kept-sigmoid swish."""
+# Inputs at which swish's sigmoid saturates or overflows, and signed zeros.
+EDGE_VALUES = pytest.mark.parametrize("value", [
+    np.array([[-800.0, 1.0, -2.0], [0.5, 800.0, -0.0], [3.0, -4.5, 40.0]]),
+    np.array([[0.0, -0.0, 800.0, -800.0]]),
+    np.linspace(-30.0, 30.0, 35).reshape(7, 5),
+], ids=["2-d", "signed-zeros", "ramp"])
 
-    @pytest.mark.parametrize("value", [
-        np.array([[-800.0, 1.0, -2.0], [0.5, 800.0, -0.0], [3.0, -4.5, 40.0]]),
-        np.array([[0.0, -0.0, 800.0, -800.0]]),
-        np.linspace(-30.0, 30.0, 35).reshape(7, 5),
-    ], ids=["2-d", "signed-zeros", "ramp"])
+
+class TestSwishLinear:
+    """`linear` of a swish output keeps the output's rebuild, not its value:
+    the value and all three gradients must be bitwise those of `linear` of
+    the kept-sigmoid swish."""
+
+    @EDGE_VALUES
     def test_matches_linear_of_the_kept_sigmoid_swish(self, value):
         rng = np.random.default_rng(7)
         rows, cols = value.shape
@@ -505,10 +527,16 @@ class TestSwishLinear:
         g = np.linspace(-2.0, 3.0, rows * 4).reshape(rows, 4)
         with np.errstate(over="ignore"):
             x, w, b = Tensor(value), Tensor(weight), Tensor(bias)
-            out = dc.swish_linear(x, w, b)
+            hidden = dc.swish(x)
+            swish_value = weakref.ref(hidden.value)
+            out = dc.linear(hidden, w, b)
+            del hidden
+            assert swish_value() is None  # freed: linear kept the rebuild
             out.node._backward(g)
+            swish_node = out.parents[0]
+            swish_node._backward(swish_node.grad)
             with dc.no_grad():
-                free = dc.swish_linear(x, w, b)
+                free = dc.linear(dc.swish(x), w, b)
             sig = np.negative(value, out=np.empty_like(value))
             np.exp(sig, out=sig)
             sig += 1.0
@@ -529,6 +557,37 @@ class TestSwishLinear:
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestRebuild:
+    """An op output's `rebuild()` is a new array bitwise equal to its value,
+    signs of zeros included; an output made inside `no_grad` has none."""
+
+    @staticmethod
+    def outputs(x):
+        # A zero gain and a -0.0 bias in the first two columns give the
+        # normalized output negative zeros.
+        gain, bias = np.linspace(-1.5, 2.0, x.shape[1]), np.full(x.shape[1], 0.25)
+        gain[:2], bias[:2] = 0.0, -0.0
+        gain, bias = Tensor(gain), Tensor(bias)
+        return [dc.swish(x), dc.layer_norm_affine(x, gain, bias)]
+
+    @EDGE_VALUES
+    def test_rebuild_is_bitwise_the_value(self, value):
+        with np.errstate(over="ignore"):
+            x = Tensor(value)
+            outs = self.outputs(x)
+            again = [out.rebuild() for out in outs]
+            with dc.no_grad():
+                free = self.outputs(x)
+        assert [out.op for out in outs] == ["swish", "layer_norm_affine"]
+        for out, made in zip(outs, again):
+            assert not np.shares_memory(made, out.value), out.op
+            assert np.array_equal(made, out.value), out.op
+            assert np.array_equal(np.signbit(made), np.signbit(out.value)), out.op
+        normed = outs[1].value
+        assert np.signbit(normed[normed == 0.0]).any()
+        assert all(out.rebuild is None for out in free)
 
 
 class TestGradCheckHarness:
@@ -612,7 +671,7 @@ class TestParamStore:
                           "unused": np.ones(3)})
         w, b, unused = store["w"], store["b"], store["unused"]
         x = Tensor(RNG.normal(size=(4, 3)))
-        loss = dc.mean_reduce(dc.swish_linear(x, w, b))
+        loss = dc.mean_reduce(dc.swish(dc.linear(x, w, b)))
         store.zero_grad()
         _, grads = store.arena()
         unused.grad[...] = 5.0  # a stale gradient that no loss reaches
