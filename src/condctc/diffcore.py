@@ -73,10 +73,16 @@ class Tensor:
     made inside `no_grad` has no parents and no backward function: it is a
     leaf that `backward` cannot see past.
 
-    `rebuild` is None or a no-argument function returning a new array bitwise
-    equal to `value`, made only from arrays its node's backward keeps; `linear`
-    keeps it in place of the value, which backward then makes again.  Op
-    outputs made inside `no_grad` have none.
+    `rebuild` is None or a no-argument function returning an array bitwise
+    equal to `value` but not sharing its memory, made only from arrays that
+    backward functions keep anyway.  The first call makes it and later calls
+    return that same array, until the backward function of the op that made
+    the tensor has run and drops it; so one backward makes each rebuilt value
+    once, and no reader writes to it.  `linear` keeps its input's `rebuild`
+    in place of the value, and `multi_head_attention` those of q, k and v.
+    Recorded `swish` and `layer_norm_affine` outputs have one, and so does a
+    recorded `linear` output whose input has one.  Op outputs made inside
+    `no_grad` have none.
     """
 
     __slots__ = ("value", "node", "rebuild")
@@ -139,12 +145,32 @@ def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None],
             rebuild: Callable[[], np.ndarray] | None = None) -> Tensor:
     """Give an op's output node its backward function and the output its
     `rebuild`, or, inside `no_grad`, make the output a leaf whose node holds
-    neither parents nor `backward_fn`, and which has no `rebuild`."""
-    if _recording.get():
-        out.node._backward = backward_fn
-        out.rebuild = rebuild
-    else:
+    neither parents nor `backward_fn`, and which has no `rebuild`.
+
+    The output's `rebuild` calls `rebuild` once and hands every later caller
+    the same array, until `backward_fn` has run and drops it: the consumers'
+    backward functions all run before their producer's, so one backward makes
+    each rebuilt value once."""
+    if not _recording.get():
         out.node.parents = ()
+    elif rebuild is None:
+        out.node._backward = backward_fn
+    else:
+        made = None
+
+        def once() -> np.ndarray:
+            nonlocal made
+            if made is None:
+                made = rebuild()
+            return made
+
+        def _bwd(g: np.ndarray) -> None:
+            nonlocal made
+            backward_fn(g)
+            made = None
+
+        out.node._backward = _bwd
+        out.rebuild = once
     return out
 
 
@@ -255,22 +281,29 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias as one node; the workhorse projection (also the
-    embedding-free input projection)."""
+    embedding-free input projection).  An input with a `rebuild` gives the
+    output one: the same two operations over the rebuilt input."""
     _require_2d("linear", x, weight)
     if x.value.shape[1] != weight.value.shape[0] or bias.value.shape != weight.value.shape[1:]:
         raise ShapeError(f"linear: shapes {x.value.shape} @ {weight.value.shape} + {bias.value.shape} do not fit")
-    wv = weight.value
-    y = x.value @ wv
-    y += bias.value
-    x_value = x.rebuild or x.value.view  # a new array, or a view of the kept one
+    wv, bv = weight.value, bias.value
+    x_value = x.rebuild or x.value.view  # the rebuilt array, or a view of the kept one
     nx, nw, nb = x.node, weight.node, bias.node
+
+    def project(a: np.ndarray) -> np.ndarray:
+        y = a @ wv
+        y += bv
+        return y
 
     def _bwd(g: np.ndarray) -> None:
         _acc(nx, g @ wv.T)
         _acc(nw, x_value().T @ g)
         _acc(nb, g.sum(axis=0))
 
-    return _record(Tensor(y, (x, weight, bias), "linear"), _bwd)
+    out = Tensor(project(x.value), (x, weight, bias), "linear")
+    if x.rebuild is None:
+        return _record(out, _bwd)
+    return _record(out, _bwd, lambda: project(x_value()))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -348,26 +381,32 @@ def _sigmoid(xv: np.ndarray) -> np.ndarray:
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x).  A recorded step keeps only x: backward makes the
-    sigmoid again by the same operations, and the output's `rebuild` the
-    output."""
+    """x * sigmoid(x).  A recorded step keeps only x: the output's `rebuild`
+    makes the sigmoid again by the same operations, and backward reads that
+    sigmoid, or makes its own when nothing called the rebuild."""
     xv, nx = x.value, x.node
+    sig = None  # the sigmoid the last rebuild made, until backward reads it
 
     def value() -> np.ndarray:
-        act = _sigmoid(xv)
-        return np.multiply(act, xv, out=act)
+        nonlocal sig
+        sig = _sigmoid(xv)
+        return sig * xv
 
     def _bwd(g: np.ndarray) -> None:
         # g * sig * (1 + x * (1 - sig)), in two buffers
-        sig = _sigmoid(xv)
-        gx = g * sig
-        slope = np.subtract(1.0, sig, out=sig)
+        nonlocal sig
+        s = sig if sig is not None else _sigmoid(xv)
+        sig = None
+        gx = g * s
+        slope = np.subtract(1.0, s, out=s)
         slope *= xv
         slope += 1.0
         gx *= slope
         _acc(nx, gx)
 
-    return _record(Tensor(value(), (x,), "swish"), _bwd, value)
+    out = Tensor(value(), (x,), "swish")
+    sig = None  # the forward keeps no sigmoid
+    return _record(out, _bwd, value)
 
 
 def _segment_bounds(name: str, rows: int, lengths: Sequence[int]) -> list[tuple[int, int]]:
@@ -458,45 +497,56 @@ def multi_head_attention(
         # (rows, d) -> (n_heads, rows, d_head) view
         return a.reshape(rows, n_heads, d_head).transpose(1, 0, 2)
 
+    def exps(qs: np.ndarray, kh: np.ndarray, seg: slice, shift_axes) -> np.ndarray:
+        # One segment's exponentials of the scores of the scaled q, made in
+        # place in one (heads, T, T) buffer and shifted by the maximum over
+        # `shift_axes`: one per head, or one per row.
+        w = qs[:, seg] @ kh[:, seg].transpose(0, 2, 1)
+        w -= w.max(axis=shift_axes, keepdims=True)
+        return np.exp(w, out=w)
+
+    # What the node keeps is made before the scratch buffers, which so go
+    # back to the top of the heap when freed instead of leaving holes under
+    # the kept arrays that later steps' larger arrays do not fit.
+    y = np.empty((rows, d))  # C order, so that `heads` of it is a view
+    yh = heads(y)
+    # Backward keeps no weights: it makes each segment's exponentials again
+    # with the shift the forward used, and divides them by the same sums.
+    sums = np.empty((n_heads, rows, 1))
+    shifts = []
     # Scaling q, not the (heads, T, T) scores, is bitwise the same when the
     # factor is a power of two (d_head 4, 16, 64, ...).
-    qh, kh, vh = heads(q.value * factor), heads(k.value), heads(v.value)
+    qs, kh, vh = heads(q.value * factor), heads(k.value), heads(v.value)
     # v with a column of ones: the product with the exponentials holds each
     # row's sum in its last column, so the division runs on (heads, T,
     # d_head) rather than on the (heads, T, T) scores.
     v1 = np.empty((n_heads, rows, d_head + 1))
     v1[:, :, :d_head] = vh
     v1[:, :, d_head] = 1.0
-    y = np.empty((rows, d))  # C order, so that `heads` of it is a view
-    yh = heads(y)
-    recording = _recording.get()
-    weights = []
     for start, stop in bounds:
         seg = slice(start, stop)
-        # The exponentials are made in place in one (heads, T, T) buffer,
-        # shifted by one maximum per head.  A row whose maximum lies hundreds
-        # of nats under its head's sums to almost nothing and would lose
-        # precision, so a segment with one is redone with a shift per row.
+        # A row whose maximum lies hundreds of nats under its head's sums to
+        # almost nothing and would lose precision, so a segment with one is
+        # redone with a shift per row.
         for shift_axes in ((1, 2), 2):
-            w = qh[:, seg] @ kh[:, seg].transpose(0, 2, 1)
-            w -= w.max(axis=shift_axes, keepdims=True)
-            np.exp(w, out=w)
-            wv = w @ v1[:, seg]
-            sums = wv[:, :, d_head:]
-            if not sums.min() < _MIN_ROW_SUM:
+            wv = exps(qs, kh, seg, shift_axes) @ v1[:, seg]
+            if not wv[:, :, d_head:].min() < _MIN_ROW_SUM:
                 break
-        np.divide(wv[:, :, :d_head], sums, out=yh[:, seg])
-        if recording:
-            w /= sums
-            weights.append(w)
-    qv, nq, nk, nv = q.value, q.node, k.node, v.node
+        sums[:, seg] = wv[:, :, d_head:]
+        shifts.append(shift_axes)
+        np.divide(wv[:, :, :d_head], sums[:, seg], out=yh[:, seg])
+    q_value, k_value, v_value = (t.rebuild or t.value.view for t in (q, k, v))
+    nq, nk, nv = q.node, k.node, v.node
 
     def _bwd(g: np.ndarray) -> None:
+        qv = q_value()
+        qh, qs, kh, vh = heads(qv), heads(qv * factor), heads(k_value()), heads(v_value())
         gq, gk, gv = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
         gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
-        qh = heads(qv)  # unscaled: the scaled copy is not kept for backward
-        for (start, stop), w in zip(bounds, weights):
+        for (start, stop), shift_axes in zip(bounds, shifts):
             seg = slice(start, stop)
+            w = exps(qs, kh, seg, shift_axes)
+            w /= sums[:, seg]
             # Score gradient before the scale, w * (gw - rowsum(gw * w)) with
             # gw = g @ v^T, computed in gw's buffer.
             gs = gh[:, seg] @ vh[:, seg].transpose(0, 2, 1)

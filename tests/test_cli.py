@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -140,6 +142,16 @@ class TestConfigHandling:
         assert "seed=9" in out
         assert "n_train=4" in out
         assert "n_valid=2" in out
+
+    def test_package_runs_as_a_module(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(synthdata.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "condctc", "gen-data", "--print-config"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "seed=" in done.stdout
+        assert list(tmp_path.iterdir()) == []
 
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import weakref
 import zlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -321,6 +322,78 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths) 
     return dc._record(out, _bwd)
 
 
+def row_underflow_inputs():
+    """q, k, v, n_heads and lengths of attention whose segment [1, 6) needs
+    the shift per row.  There row 1's scores lie about 3,000 below row 2's
+    in head 0: shifted by the head's maximum, row 1's exponentials are all
+    zero, so only the shift per row gives finite, accurate values."""
+    d_head, n_heads, lengths = 4, 2, [1, 5, 3]
+    rng = np.random.default_rng(11)
+    q, k, v = (0.5 * rng.normal(size=(9, d_head * n_heads)) for _ in range(3))
+    u = np.array([1.0, 1.0, 0.0, 0.0])
+    k[1:6, :d_head] += 40.0 * u
+    q[1, :d_head] = -37.5 * u
+    q[2, :d_head] = 37.5 * u
+    scores = q[1:6, :d_head] @ k[1:6, :d_head].T / np.sqrt(d_head)
+    assert scores[1].max() - scores[0].max() > 2900
+    return q, k, v, n_heads, lengths
+
+
+def kept_weights_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, lengths) -> Tensor:
+    """`multi_head_attention` as it was when its forward kept every
+    segment's normalized weights and its backward read q, k and v's values:
+    the form whose value and gradients the rebuilt weights must give
+    bitwise."""
+    rows, d = q.value.shape
+    d_head = d // n_heads
+    factor = 1.0 / math.sqrt(d_head)
+    bounds = dc._segment_bounds("kept_weights_attention", rows, lengths)
+
+    def heads(a):
+        return a.reshape(rows, n_heads, d_head).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q.value * factor), heads(k.value), heads(v.value)
+    v1 = np.empty((n_heads, rows, d_head + 1))
+    v1[:, :, :d_head] = vh
+    v1[:, :, d_head] = 1.0
+    y = np.empty((rows, d))
+    yh = heads(y)
+    weights = []
+    for start, stop in bounds:
+        seg = slice(start, stop)
+        for shift_axes in ((1, 2), 2):
+            w = qh[:, seg] @ kh[:, seg].transpose(0, 2, 1)
+            w -= w.max(axis=shift_axes, keepdims=True)
+            np.exp(w, out=w)
+            wv = w @ v1[:, seg]
+            sums = wv[:, :, d_head:]
+            if not sums.min() < dc._MIN_ROW_SUM:
+                break
+        np.divide(wv[:, :, :d_head], sums, out=yh[:, seg])
+        w /= sums
+        weights.append(w)
+    qv = q.value
+
+    def _bwd(g):
+        gq, gk, gv = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
+        gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
+        qh = heads(qv)
+        for (start, stop), w in zip(bounds, weights):
+            seg = slice(start, stop)
+            gs = gh[:, seg] @ vh[:, seg].transpose(0, 2, 1)
+            gs -= (gs * w).sum(axis=2, keepdims=True)
+            gs *= w
+            np.matmul(gs, kh[:, seg], out=gqh[:, seg])
+            np.matmul(gs.transpose(0, 2, 1), qh[:, seg], out=gkh[:, seg])
+            np.matmul(w.transpose(0, 2, 1), gh[:, seg], out=gvh[:, seg])
+        gq *= factor
+        gk *= factor
+        for t, grad in zip((q, k, v), (gq, gk, gv)):
+            dc._acc(t.node, grad)
+
+    return dc._record(Tensor(y, (q, k, v), "kept_weights_attention"), _bwd)
+
+
 def value_and_grads(build, inputs, weights):
     out = build(*inputs)
     dc.backward(weighted_mean(out, weights))
@@ -373,24 +446,50 @@ class TestFusedKernels:
         self.assert_attention_matches_the_formula(qkv, n_heads, lengths, rng)
 
     def test_attention_shifts_per_row_when_a_row_sum_underflows(self):
-        # In segment [1, 6), row 1's scores lie about 3,000 below row 2's in
-        # head 0: shifted by the head's maximum, row 1's exponentials are all
-        # zero, so only the shift per row gives finite, accurate values.
-        d_head, n_heads, lengths = 4, 2, [1, 5, 3]
-        rng = np.random.default_rng(11)
-        q, k, v = (0.5 * rng.normal(size=(9, d_head * n_heads)) for _ in range(3))
-        u = np.array([1.0, 1.0, 0.0, 0.0])
-        k[1:6, :d_head] += 40.0 * u
-        q[1, :d_head] = -37.5 * u
-        q[2, :d_head] = 37.5 * u
-        scores = q[1:6, :d_head] @ k[1:6, :d_head].T / np.sqrt(d_head)
-        assert scores[1].max() - scores[0].max() > 2900
+        q, k, v, n_heads, lengths = row_underflow_inputs()
         self.assert_attention_matches_the_formula([Tensor(a) for a in (q, k, v)], n_heads,
-                                                  lengths, rng)
+                                                  lengths, np.random.default_rng(11))
 
     def test_layer_norm_affine_rejects_misfit_gain(self):
         with pytest.raises(ShapeError, match="layer_norm_affine"):
             dc.layer_norm_affine(make((3, 4)), make((3,)), make((4,)))
+
+
+class TestAttentionRebuild:
+    """Attention keeps no weights and no q, k or v value: backward makes each
+    segment's weights again, from q, k and v made again when they carry a
+    `rebuild`.  Its value and gradients are bitwise those of
+    `kept_weights_attention`."""
+
+    @staticmethod
+    def assert_bitwise_the_kept_weights_form(arrays, n_heads, lengths, rebuilt):
+        g = np.random.default_rng(3).normal(size=arrays[0].shape)
+        results = []
+        for op in (dc.multi_head_attention, kept_weights_attention):
+            qkv = [Tensor(a.copy()) for a in arrays]
+            if rebuilt:
+                for t in qkv:
+                    t.rebuild = t.value.copy
+            out = op(*qkv, n_heads, lengths)
+            out.node._backward(g)
+            results.append([out.value] + [t.grad for t in qkv])
+        for got, want in zip(*results):
+            assert np.isfinite(got).all()
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
+    @pytest.mark.parametrize("d_head,n_heads", [(4, 2), (16, 4), (8, 3)])
+    @pytest.mark.parametrize("lengths", [[9], [5, 1, 12, 3], [1, 1, 7, 1]])
+    def test_matches_the_kept_weights_form(self, d_head, n_heads, lengths, rebuilt):
+        rng = np.random.default_rng(d_head + len(lengths))
+        shape = (sum(lengths), d_head * n_heads)
+        arrays = [2.0 * rng.normal(size=shape) for _ in range(3)]
+        self.assert_bitwise_the_kept_weights_form(arrays, n_heads, lengths, rebuilt)
+
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
+    def test_rebuilds_the_weights_of_a_row_shifted_segment(self, rebuilt):
+        q, k, v, n_heads, lengths = row_underflow_inputs()
+        self.assert_bitwise_the_kept_weights_form([q, k, v], n_heads, lengths, rebuilt)
 
 
 class TestNoGrad:
@@ -437,8 +536,18 @@ class TestRecordedStepMemory:
               ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
     # Ops whose backward function reads their own output.
     READS_OUTPUT = {"softmax_rows", "log_softmax_rows"}
-    # Ops whose output has a `rebuild`, which `linear` keeps in place of it.
-    REBUILT = {"layer_norm_affine", "swish"}
+    # (op, input position) that keeps the input's `rebuild` in place of its value.
+    KEEPS_REBUILD = {("linear", 0), ("multi_head_attention", 0), ("multi_head_attention", 1),
+                     ("multi_head_attention", 2)}
+
+    @staticmethod
+    def rebuilt(node) -> bool:
+        """Whether the node's output has a `rebuild`: every recorded swish and
+        layer norm output has one, and `linear` gives its output one when
+        its input has one."""
+        if node.op == "linear":
+            return TestRecordedStepMemory.rebuilt(node.parents[0])
+        return node.op in ("layer_norm_affine", "swish")
 
     @staticmethod
     def recorded_step(monkeypatch, made):
@@ -477,7 +586,7 @@ class TestRecordedStepMemory:
 
         def unread(node):
             uses = consumers[id(node)]
-            rebuilt = {("linear", 0)} if node.op in self.REBUILT else set()
+            rebuilt = self.KEEPS_REBUILD if self.rebuilt(node) else set()
             return (bool(uses) and node.op not in self.READS_OUTPUT
                     and set(uses) <= self.UNREAD | rebuilt)
 
@@ -485,8 +594,10 @@ class TestRecordedStepMemory:
         unread_values = [node for node, _ in made if unread(node)]
         into_add = [node for node, _ in made
                     if node.op == "linear" and {op for op, _ in consumers[id(node)]} == {"add"}]
-        into_linear = [node for node, _ in made if node.op in self.REBUILT
+        into_linear = [node for node, _ in made if node.op in ("layer_norm_affine", "swish")
                        and {op for op, _ in consumers[id(node)]} == {"linear"}]
+        into_attention = [node for node, _ in made if node.op == "linear"
+                          and {op for op, _ in consumers[id(node)]} == {"multi_head_attention"}]
         # 24 adds: 18 residual, 5 feedback, 1 position code; the 6 block
         # outputs that feed a head's linear are read by its backward.
         assert sum(node.op == "add" for node, _ in made) == 24
@@ -496,14 +607,79 @@ class TestRecordedStepMemory:
         # swish outputs, each feed a `linear` that keeps its rebuild.
         assert sum(node.op == "layer_norm_affine" for node in into_linear) == 12
         assert sum(node.op == "swish" for node in into_linear) == 12
+        # The 18 q/k/v outputs, whose rebuilds attention keeps.
+        assert len(into_attention) == 18 and all(self.rebuilt(node) for node in into_attention)
         # head logits, the convolution's normalized input, the position code
         assert {"linear", "layer_norm_affine", "leaf"} <= {n.op for n in unread_values}
-        for node in into_add + into_linear + unread_values:
+        for node in into_add + into_linear + into_attention + unread_values:
             assert id(node) in freed, (node.op, consumers[id(node)])
         # ... while every value some backward function reads stays alive.
         read = [node for node, _ in made if consumers[id(node)] and not unread(node)]
         assert read and not freed & {id(node) for node in read}
         assert loss.value.ndim == 0
+
+
+    def test_no_attention_weights_outlive_the_forward(self, monkeypatch):
+        loss = self.recorded_step(monkeypatch, lambda t: None)
+        kept = [a for node in dc._topo_order(loss.node) if node._backward is not None
+                for a in reachable_arrays(node._backward)]
+        # attention keeps its (heads, rows, 1) row sums: 2 heads, 14 rows
+        assert sum(a.shape == (2, 14, 1) for a in kept) == 6
+        assert not [a.shape for a in kept if a.ndim == 3 and a.shape[1] == a.shape[2]]
+
+    def test_backward_makes_each_rebuilt_value_once(self, monkeypatch):
+        calls, ops = Counter(), {}  # build calls and op of each producer, by node id
+        record = dc._record
+
+        def counting_record(out, backward_fn, rebuild=None):
+            if rebuild is not None:
+                key, build = id(out.node), rebuild
+                ops[key] = out.op
+
+                def rebuild():
+                    calls[key] += 1
+                    return build()
+            return record(out, backward_fn, rebuild)
+
+        monkeypatch.setattr(dc, "_record", counting_record)
+        loss = self.recorded_step(monkeypatch, lambda t: None)  # undoes the patch
+        assert not calls
+        grads = []
+        for n_backward in (1, 2):
+            dc.backward(loss)
+            # The 12 pre-norm outputs that feed q/k/v or ffn.w1, the 12 swish
+            # outputs and the 18 q/k/v outputs, each made once per backward.
+            assert Counter(ops[key] for key in calls) == {
+                "layer_norm_affine": 12, "swish": 12, "linear": 18}
+            assert set(calls.values()) == {n_backward}
+            leaves = [n for n in dc._topo_order(loss.node) if n._backward is None]
+            grads.append([n.grad.copy() for n in leaves if n.grad is not None])
+        assert len(grads[0]) == len(grads[1]) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+def reachable_arrays(fn) -> list[np.ndarray]:
+    """Every array that a backward function can reach through closure cells,
+    containers and the arrays behind bound methods such as `value.view`;
+    nodes, and so other nodes' functions, are not followed."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+            stack.append(getattr(obj, "__self__", None))
+    return found
 
 
 # Inputs at which swish's sigmoid saturates or overflows, and signed zeros.
@@ -561,16 +737,19 @@ class TestSwishLinear:
 
 class TestRebuild:
     """An op output's `rebuild()` is a new array bitwise equal to its value,
-    signs of zeros included; an output made inside `no_grad` has none."""
+    signs of zeros included, and later calls return that same array until
+    the op's backward has run; an output made inside `no_grad` has none."""
 
     @staticmethod
     def outputs(x):
         # A zero gain and a -0.0 bias in the first two columns give the
         # normalized output negative zeros.
-        gain, bias = np.linspace(-1.5, 2.0, x.shape[1]), np.full(x.shape[1], 0.25)
+        cols = x.shape[1]
+        gain, bias = np.linspace(-1.5, 2.0, cols), np.full(cols, 0.25)
         gain[:2], bias[:2] = 0.0, -0.0
-        gain, bias = Tensor(gain), Tensor(bias)
-        return [dc.swish(x), dc.layer_norm_affine(x, gain, bias)]
+        normed = dc.layer_norm_affine(x, Tensor(gain), Tensor(bias))
+        weight = Tensor(np.linspace(-1.0, 1.0, 3 * cols).reshape(cols, 3))
+        return [dc.swish(x), normed, dc.linear(normed, weight, Tensor(np.full(3, -0.5)))]
 
     @EDGE_VALUES
     def test_rebuild_is_bitwise_the_value(self, value):
@@ -578,13 +757,18 @@ class TestRebuild:
             x = Tensor(value)
             outs = self.outputs(x)
             again = [out.rebuild() for out in outs]
+            kept = [out.rebuild() for out in outs]
+            for out in outs:
+                out.node._backward(np.ones_like(out.value))
+            after = [out.rebuild() for out in outs]
             with dc.no_grad():
                 free = self.outputs(x)
-        assert [out.op for out in outs] == ["swish", "layer_norm_affine"]
-        for out, made in zip(outs, again):
+        assert [out.op for out in outs] == ["swish", "layer_norm_affine", "linear"]
+        for out, made, same, new in zip(outs, again, kept, after):
             assert not np.shares_memory(made, out.value), out.op
             assert np.array_equal(made, out.value), out.op
             assert np.array_equal(np.signbit(made), np.signbit(out.value)), out.op
+            assert same is made and new is not made, out.op
         normed = outs[1].value
         assert np.signbit(normed[normed == 0.0]).any()
         assert all(out.rebuild is None for out in free)
