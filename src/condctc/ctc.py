@@ -157,13 +157,17 @@ class CtcBatchResult:
     grads: list[np.ndarray] | None  # one per point, shaped like its log-probabilities
 
 
-def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
-    top = np.maximum(a, b)
+def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray,
+                top: np.ndarray, term: np.ndarray, flag: np.ndarray) -> None:
+    """log(exp(a) + exp(b) + exp(c)) into `out`, working in `top`, `term`
+    and the bool `flag`, each of `out`'s size; `c` may be none of them."""
+    np.maximum(a, b, out=top)
     np.maximum(top, c, out=top)
-    top[top == -np.inf] = 0.0  # all three are -inf: exp() gives 0, log() gives -inf
+    # all three are -inf: exp() gives 0, log() gives -inf
+    np.copyto(top, 0.0, where=np.equal(top, -np.inf, out=flag))
     np.exp(np.subtract(a, top, out=out), out=out)
-    out += np.exp(b - top)
-    out += np.exp(c - top)
+    out += np.exp(np.subtract(b, top, out=term), out=term)
+    out += np.exp(np.subtract(c, top, out=term), out=term)
     np.log(out, out=out)
     out += top
 
@@ -192,15 +196,29 @@ def _log_alpha(
     column's label and state index.  Returns log-alpha in the same layout;
     it includes the emission at t.
     """
-    skip = np.full(ext.size, -np.inf)
-    skip[2:][(state[2:] >= 2) & (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])] = 0.0
+    # The masks, and each frame's temporaries, live in buffers of the widest
+    # frame, so a frame allocates nothing: numpy keeps small freed buffers
+    # where they were allocated, and buffers of every running width would be
+    # pinned all over the heap that later steps reuse.
+    n = ext.size
+    mask, flag = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    skip = np.full(n, -np.inf)
+    np.greater_equal(state, 2, out=mask)
+    mask[2:] &= np.not_equal(ext[2:], BLANK_ID, out=flag[2:])
+    mask[2:] &= np.not_equal(ext[2:], ext[:-2], out=flag[2:])
+    np.copyto(skip[2:], 0.0, where=mask[2:])
     alpha = np.full(em.size, -np.inf)
-    first = np.flatnonzero((state == 0) | (state == 1))
+    np.equal(state, 0, out=mask)
+    mask |= np.equal(state, 1, out=flag)
+    first = np.flatnonzero(mask)
     alpha[first] = em[first]
+    c, top, term = np.empty(n), np.empty(n), np.empty(n)
     for t in range(1, len(running)):
         w, start = running[t], offsets[t]
         prev, out = alpha[offsets[t - 1] :], alpha[start + 2 : start + w]
-        _logsumexp3(prev[2:w], prev[1 : w - 1], prev[: w - 2] + skip[2:w], out)
+        m = w - 2
+        np.add(prev[:m], skip[2:w], out=c[:m])
+        _logsumexp3(prev[2:w], prev[1 : w - 1], c[:m], out, top[:m], term[:m], flag[:m])
         out += em[start + 2 : start + w]
     return alpha
 
@@ -284,7 +302,8 @@ def ctc_loss_batch(
     lane = np.repeat(np.arange(widths.size), widths)
     state = np.arange(width) - first_col[lane] - 2  # -2 and -1 on the guards
     ext = np.zeros(width, dtype=np.int64)
-    ext[state >= 0] = np.concatenate(lane_ext)
+    forward = np.greater_equal(state, 0)  # the state columns; below, of forward lanes only
+    ext[forward] = np.concatenate(lane_ext)
     t_max = int(lane_t[0])
     running = np.append(first_col, width)[np.searchsorted(-lane_t, -np.arange(t_max))]
     offsets = np.cumsum(running) - running  # frame t's cells start at offsets[t]
@@ -298,8 +317,12 @@ def ctc_loss_batch(
     base = np.repeat(np.asarray(firsts)[order], lanes)
     base *= np.array([m.shape[1] for m in mats])[lane_point]
     base = base[lane] + ext
-    forward, col_point = (state >= 0) & (lane % lanes == 0), lane_point[lane]
-    point_cols = [np.flatnonzero(forward & (col_point == p)) for p in range(len(mats))]
+    mask = np.empty(width, dtype=bool)  # each mask of one point's columns in turn
+    forward &= np.equal(lane % lanes, 0, out=mask)
+    col_point, point_cols = lane_point[lane], []
+    for p in range(len(mats)):
+        np.equal(col_point, p, out=mask)
+        point_cols.append(np.flatnonzero(np.logical_and(mask, forward, out=mask)))
     if with_grads:
         last_frame = lane_t[lane] - 1
         mirror_col = first_col[lane ^ 1] + widths[lane] - 1 - state

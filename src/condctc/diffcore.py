@@ -78,11 +78,12 @@ class Tensor:
     backward functions keep anyway.  The first call makes it and later calls
     return that same array, until the backward function of the op that made
     the tensor has run and drops it; so one backward makes each rebuilt value
-    once, and no reader writes to it.  `linear` keeps its input's `rebuild`
-    in place of the value, and `multi_head_attention` those of q, k and v.
-    Recorded `swish` and `layer_norm_affine` outputs have one, and so does a
-    recorded `linear` output whose input has one.  Op outputs made inside
-    `no_grad` have none.
+    once, and no reader writes to it.  `linear`, `swish` and
+    `depthwise_conv_rows` keep their input's `rebuild` in place of the
+    value, and `multi_head_attention` those of q, k and v.  Recorded
+    `swish`, `layer_norm_affine` and `depthwise_conv_rows` outputs have one,
+    and so does a recorded `linear` output whose input has one.  Op outputs
+    made inside `no_grad` have none.
     """
 
     __slots__ = ("value", "node", "rebuild")
@@ -150,7 +151,9 @@ def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None],
     The output's `rebuild` calls `rebuild` once and hands every later caller
     the same array, until `backward_fn` has run and drops it: the consumers'
     backward functions all run before their producer's, so one backward makes
-    each rebuilt value once."""
+    each rebuilt value once, also along a chain of rebuilds that each call
+    their input's.  A `rebuild` may leave scratch that `backward_fn` reads
+    and drops (swish's sigmoid, the convolution's padded input)."""
     if not _recording.get():
         out.node.parents = ()
     elif rebuild is None:
@@ -175,9 +178,11 @@ def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None],
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
-    # First write copies: g may alias or view another node's grad buffer.
+    # The first write takes g, which callers pass only to this node.  A numpy
+    # scalar (an op on 0-d arrays gives one) becomes a 0-d array, so that a
+    # leaf's gradient can be zeroed in place.
     if node.grad is None:
-        node.grad = np.array(g, dtype=np.float64)
+        node.grad = g if type(g) is np.ndarray else np.array(g, dtype=np.float64)
     else:
         node.grad += g
 
@@ -252,7 +257,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb = a.node, b.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(na, g)
+        _acc(na, g.copy())
         _acc(nb, g)
 
     return _record(Tensor(a.value + b.value, (a, b), "add"), _bwd)
@@ -381,13 +386,15 @@ def _sigmoid(xv: np.ndarray) -> np.ndarray:
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x).  A recorded step keeps only x: the output's `rebuild`
-    makes the sigmoid again by the same operations, and backward reads that
-    sigmoid, or makes its own when nothing called the rebuild."""
-    xv, nx = x.value, x.node
+    """x * sigmoid(x).  A recorded step keeps only x's `rebuild`, or x when
+    it has none: the output's `rebuild` makes the sigmoid again by the same
+    operations, and backward reads that sigmoid, or makes its own when
+    nothing called the rebuild."""
+    x_value = x.rebuild or x.value.view  # the rebuilt array, or a view of the kept one
+    nx = x.node
     sig = None  # the sigmoid the last rebuild made, until backward reads it
 
-    def value() -> np.ndarray:
+    def act(xv: np.ndarray) -> np.ndarray:
         nonlocal sig
         sig = _sigmoid(xv)
         return sig * xv
@@ -395,6 +402,7 @@ def swish(x: Tensor) -> Tensor:
     def _bwd(g: np.ndarray) -> None:
         # g * sig * (1 + x * (1 - sig)), in two buffers
         nonlocal sig
+        xv = x_value()
         s = sig if sig is not None else _sigmoid(xv)
         sig = None
         gx = g * s
@@ -404,9 +412,9 @@ def swish(x: Tensor) -> Tensor:
         gx *= slope
         _acc(nx, gx)
 
-    out = Tensor(value(), (x,), "swish")
+    out = Tensor(act(x.value), (x,), "swish")
     sig = None  # the forward keeps no sigmoid
-    return _record(out, _bwd, value)
+    return _record(out, _bwd, lambda: act(x_value()))
 
 
 def _segment_bounds(name: str, rows: int, lengths: Sequence[int]) -> list[tuple[int, int]]:
@@ -423,7 +431,9 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int]) -> Te
     `kernel` has shape (k, n) with k odd: one length-k filter per column.
     The rows are split into segments of the given `lengths`; each segment is
     zero-padded at both of its edges, so no row sees a row of another
-    segment.
+    segment.  A recorded step keeps only x's `rebuild`, or x when it has
+    none: the output's `rebuild` pads x and sums the k taps again, and
+    backward reads the padded buffer that rebuild made, or pads its own.
     """
     _require_2d("depthwise_conv_rows", x, kernel)
     k, n = kernel.value.shape
@@ -438,30 +448,43 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int]) -> Te
     # zeros, so its windows start 2*i*pad rows after its first row.
     outs = [slice(a + 2 * pad * i, b + 2 * pad * i) for i, (a, b) in enumerate(bounds)]
     width = rows + 2 * pad * (len(bounds) - 1)  # window starts in the buffer
-    xp = np.zeros((width + 2 * pad, n))
-    for (a, b), out in zip(bounds, outs):
-        xp[out.start + pad : out.stop + pad] = x.value[a:b]
     kv = kernel.value
-    yp = np.zeros((width, n))
-    tap = np.empty((width, n))  # each tap's product, reused across the k taps
-    for j in range(k):
-        yp += np.multiply(kv[j], xp[j : j + width], out=tap)
-    y = yp if len(bounds) == 1 else np.concatenate([yp[out] for out in outs])
+    x_value = x.rebuild or x.value.view  # the rebuilt array, or a view of the kept one
     nx, nk = x.node, kernel.node
+    xp = None  # the padded input the last rebuild made, until backward reads it
+
+    def padded(xv: np.ndarray) -> np.ndarray:
+        buf = np.zeros((width + 2 * pad, n))
+        for (a, b), out in zip(bounds, outs):
+            buf[out.start + pad : out.stop + pad] = xv[a:b]
+        return buf
+
+    def conv(xv: np.ndarray) -> np.ndarray:
+        nonlocal xp
+        xp = padded(xv)
+        yp = np.zeros((width, n))
+        tap = np.empty((width, n))  # each tap's product, reused across the k taps
+        for j in range(k):
+            yp += np.multiply(kv[j], xp[j : j + width], out=tap)
+        return yp if len(bounds) == 1 else np.concatenate([yp[out] for out in outs])
 
     def _bwd(g: np.ndarray) -> None:
-        # Reads the padded copy `xp`, not the input's value.
+        nonlocal xp
+        xpad = xp if xp is not None else padded(x_value())
+        xp = None
         kg = _acc_zeros(nk, kv.shape)
         gyp = np.zeros((width, n))
         for (a, b), out in zip(bounds, outs):
             gyp[out] = g[a:b]
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros_like(xpad)
         for j in range(k):
-            kg[j] += (gyp * xp[j : j + width]).sum(axis=0)
+            kg[j] += (gyp * xpad[j : j + width]).sum(axis=0)
             gxp[j : j + width] += gyp * kv[j]
         _acc(nx, np.concatenate([gxp[out.start + pad : out.stop + pad] for out in outs]))
 
-    return _record(Tensor(y, (x, kernel), "depthwise_conv_rows"), _bwd)
+    out = Tensor(conv(x.value), (x, kernel), "depthwise_conv_rows")
+    xp = None  # the forward keeps no padded copy
+    return _record(out, _bwd, lambda: conv(x_value()))
 
 
 # Smallest softmax denominator attention accepts from the per-head shift.  A

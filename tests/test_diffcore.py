@@ -533,21 +533,21 @@ class TestRecordedStepMemory:
     # (op, input position) whose backward function does not read that input.
     UNREAD = {("add", 0), ("add", 1), ("scale", 0), ("mean_reduce", 0), ("linear", 2),
               ("softmax_rows", 0), ("log_softmax_rows", 0), ("layer_norm_affine", 0),
-              ("layer_norm_affine", 2), ("depthwise_conv_rows", 0)}
+              ("layer_norm_affine", 2)}
     # Ops whose backward function reads their own output.
     READS_OUTPUT = {"softmax_rows", "log_softmax_rows"}
     # (op, input position) that keeps the input's `rebuild` in place of its value.
     KEEPS_REBUILD = {("linear", 0), ("multi_head_attention", 0), ("multi_head_attention", 1),
-                     ("multi_head_attention", 2)}
+                     ("multi_head_attention", 2), ("swish", 0), ("depthwise_conv_rows", 0)}
 
     @staticmethod
     def rebuilt(node) -> bool:
-        """Whether the node's output has a `rebuild`: every recorded swish and
-        layer norm output has one, and `linear` gives its output one when
-        its input has one."""
+        """Whether the node's output has a `rebuild`: every recorded swish,
+        layer norm and convolution output has one, and `linear` gives its
+        output one when its input has one."""
         if node.op == "linear":
             return TestRecordedStepMemory.rebuilt(node.parents[0])
-        return node.op in ("layer_norm_affine", "swish")
+        return node.op in ("layer_norm_affine", "swish", "depthwise_conv_rows")
 
     @staticmethod
     def recorded_step(monkeypatch, made):
@@ -598,6 +598,7 @@ class TestRecordedStepMemory:
                        and {op for op, _ in consumers[id(node)]} == {"linear"}]
         into_attention = [node for node, _ in made if node.op == "linear"
                           and {op for op, _ in consumers[id(node)]} == {"multi_head_attention"}]
+        into_swish = [node for node, _ in made if {op for op, _ in consumers[id(node)]} == {"swish"}]
         # 24 adds: 18 residual, 5 feedback, 1 position code; the 6 block
         # outputs that feed a head's linear are read by its backward.
         assert sum(node.op == "add" for node, _ in made) == 24
@@ -609,9 +610,13 @@ class TestRecordedStepMemory:
         assert sum(node.op == "swish" for node in into_linear) == 12
         # The 18 q/k/v outputs, whose rebuilds attention keeps.
         assert len(into_attention) == 18 and all(self.rebuilt(node) for node in into_attention)
+        # The 6 convolution outputs and the 6 ffn.w1 outputs, whose rebuilds
+        # the swishes keep.
+        assert Counter(node.op for node in into_swish) == {"depthwise_conv_rows": 6, "linear": 6}
+        assert all(self.rebuilt(node) for node in into_swish)
         # head logits, the convolution's normalized input, the position code
         assert {"linear", "layer_norm_affine", "leaf"} <= {n.op for n in unread_values}
-        for node in into_add + into_linear + into_attention + unread_values:
+        for node in into_add + into_linear + into_attention + into_swish + unread_values:
             assert id(node) in freed, (node.op, consumers[id(node)])
         # ... while every value some backward function reads stays alive.
         read = [node for node, _ in made if consumers[id(node)] and not unread(node)]
@@ -626,6 +631,17 @@ class TestRecordedStepMemory:
         # attention keeps its (heads, rows, 1) row sums: 2 heads, 14 rows
         assert sum(a.shape == (2, 14, 1) for a in kept) == 6
         assert not [a.shape for a in kept if a.ndim == 3 and a.shape[1] == a.shape[2]]
+
+    def test_no_activation_or_padded_input_outlives_the_forward(self, monkeypatch):
+        loss = self.recorded_step(monkeypatch, lambda t: None)
+        kept = {a.shape for node in dc._topo_order(loss.node) if node._backward is not None
+                for a in reachable_arrays(node._backward)}
+        # 14 rows, d_ff 12: the ffn.w1 outputs that feed the swishes; 14 rows
+        # and 3 segments, each padded by 1 row at both edges, d_model 8: the
+        # convolution's padded input.  The convolution's own input is kept
+        # only as its rebuild, from the layer norm's kept arrays.
+        assert (14, 8) in kept
+        assert not kept & {(14, 12), (14 + 2 * 3, 8)}
 
     def test_backward_makes_each_rebuilt_value_once(self, monkeypatch):
         calls, ops = Counter(), {}  # build calls and op of each producer, by node id
@@ -647,10 +663,11 @@ class TestRecordedStepMemory:
         grads = []
         for n_backward in (1, 2):
             dc.backward(loss)
-            # The 12 pre-norm outputs that feed q/k/v or ffn.w1, the 12 swish
-            # outputs and the 18 q/k/v outputs, each made once per backward.
+            # The 18 pre-norm outputs, the 12 swish outputs, the 18 q/k/v and
+            # 6 ffn.w1 outputs and the 6 convolution outputs, each made once
+            # per backward.
             assert Counter(ops[key] for key in calls) == {
-                "layer_norm_affine": 12, "swish": 12, "linear": 18}
+                "layer_norm_affine": 18, "swish": 12, "linear": 24, "depthwise_conv_rows": 6}
             assert set(calls.values()) == {n_backward}
             leaves = [n for n in dc._topo_order(loss.node) if n._backward is None]
             grads.append([n.grad.copy() for n in leaves if n.grad is not None])
@@ -690,6 +707,13 @@ EDGE_VALUES = pytest.mark.parametrize("value", [
 ], ids=["2-d", "signed-zeros", "ramp"])
 
 
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    s = np.negative(v, out=np.empty_like(v))
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 class TestSwishLinear:
     """`linear` of a swish output keeps the output's rebuild, not its value:
     the value and all three gradients must be bitwise those of `linear` of
@@ -713,10 +737,7 @@ class TestSwishLinear:
             swish_node._backward(swish_node.grad)
             with dc.no_grad():
                 free = dc.linear(dc.swish(x), w, b)
-            sig = np.negative(value, out=np.empty_like(value))
-            np.exp(sig, out=sig)
-            sig += 1.0
-            np.divide(1.0, sig, out=sig)
+            sig = sigmoid(value)
         # linear(kept, weight, bias) and its gradients, then swish's slope
         kept = value * sig
         want = kept @ weight
@@ -733,6 +754,105 @@ class TestSwishLinear:
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def kept_input_swish(x: Tensor) -> Tensor:
+    """`swish` as it was when a recorded step kept its input's value: the
+    form whose value and gradient the rebuilt input must give bitwise."""
+    xv, nx = x.value, x.node
+
+    def _bwd(g):
+        s = sigmoid(xv)
+        gx = g * s
+        slope = np.subtract(1.0, s, out=s)
+        slope *= xv
+        slope += 1.0
+        gx *= slope
+        dc._acc(nx, gx)
+
+    return dc._record(Tensor(sigmoid(xv) * xv, (x,), "kept_input_swish"), _bwd)
+
+
+def kept_input_conv(x: Tensor, kernel: Tensor, lengths) -> Tensor:
+    """`depthwise_conv_rows` as it was when a recorded step kept its own
+    zero-padded copy of the input."""
+    k, n = kernel.value.shape
+    bounds = dc._segment_bounds("kept_input_conv", x.value.shape[0], lengths)
+    pad = k // 2
+    outs = [slice(a + 2 * pad * i, b + 2 * pad * i) for i, (a, b) in enumerate(bounds)]
+    width = x.value.shape[0] + 2 * pad * (len(bounds) - 1)
+    xp = np.zeros((width + 2 * pad, n))
+    for (a, b), out in zip(bounds, outs):
+        xp[out.start + pad : out.stop + pad] = x.value[a:b]
+    kv, nx, nk = kernel.value, x.node, kernel.node
+    yp = np.zeros((width, n))
+    tap = np.empty((width, n))
+    for j in range(k):
+        yp += np.multiply(kv[j], xp[j : j + width], out=tap)
+    y = yp if len(bounds) == 1 else np.concatenate([yp[out] for out in outs])
+
+    def _bwd(g):
+        kg = dc._acc_zeros(nk, kv.shape)
+        gyp = np.zeros((width, n))
+        for (a, b), out in zip(bounds, outs):
+            gyp[out] = g[a:b]
+        gxp = np.zeros_like(xp)
+        for j in range(k):
+            kg[j] += (gyp * xp[j : j + width]).sum(axis=0)
+            gxp[j : j + width] += gyp * kv[j]
+        dc._acc(nx, np.concatenate([gxp[out.start + pad : out.stop + pad] for out in outs]))
+
+    return dc._record(Tensor(y, (x, kernel), "kept_input_conv"), _bwd)
+
+
+class TestKeptInputRebuild:
+    """A recorded swish or convolution keeps only its input's `rebuild` (or
+    the input, when it has none), and its own output carries a `rebuild`.
+    Value, rebuild and gradients are bitwise those of the kept-input forms,
+    whether or not something called the output's rebuild before backward."""
+
+    @staticmethod
+    def assert_bitwise_the_kept_input_form(op, kept_op, arrays, rebuilt):
+        g = np.linspace(-2.0, 3.0, arrays[0].size).reshape(arrays[0].shape)
+        want_inputs = [Tensor(a.copy()) for a in arrays]
+        want = kept_op(*want_inputs)
+        want.node._backward(g)
+        for called in (False, True):
+            inputs = [Tensor(a.copy()) for a in arrays]
+            if rebuilt:
+                inputs[0].rebuild = arrays[0].copy
+            out = op(*inputs)
+            if rebuilt:
+                inputs[0].value[...] = np.nan  # backward must read the rebuild
+            made = out.rebuild() if called else None
+            out.node._backward(g)
+            again = out.rebuild()
+            assert again is not made and not np.shares_memory(again, out.value)
+            got = [out.value, again] + [t.grad for t in inputs]
+            expected = [want.value, want.value] + [t.grad for t in want_inputs]
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b), (called, rebuilt)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (called, rebuilt)
+
+    @EDGE_VALUES
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
+    def test_swish(self, value, rebuilt):
+        with np.errstate(over="ignore"):
+            self.assert_bitwise_the_kept_input_form(dc.swish, kept_input_swish, [value], rebuilt)
+
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
+    @pytest.mark.parametrize("k,lengths", [
+        (3, [9]),  # one segment
+        (3, [4, 2, 3]),  # several segments
+        (5, [4, 1, 2, 2]),  # segments shorter than the kernel's half width
+        (1, [3, 1, 5]),  # a kernel of length 1: no padding
+    ], ids=["one-segment", "segments", "short-segments", "k1"])
+    def test_depthwise_conv_rows(self, k, lengths, rebuilt):
+        rng = np.random.default_rng(k + len(lengths))
+        x, kernel = rng.normal(size=(sum(lengths), 5)), rng.normal(size=(k, 5))
+        self.assert_bitwise_the_kept_input_form(
+            lambda a, w: dc.depthwise_conv_rows(a, w, lengths),
+            lambda a, w: kept_input_conv(a, w, lengths), [x, kernel], rebuilt)
 
 
 class TestRebuild:
