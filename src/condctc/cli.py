@@ -207,8 +207,9 @@ def _check_frames(path: Path, utt: synthdata.Utterance, width: int, reader: str)
 def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vocabulary,
                 width: int | None = None):
     """A split's utterances.  An empty split, one with no characters to
-    score, or a record with no frames or with features of another width than
-    `width` (default: the first record's) is a DataError."""
+    score, or a record with no frames, with features of width 0 or of
+    another width than `width` (default: the first record's) is a
+    DataError."""
     path = data_dir / name
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
@@ -217,7 +218,10 @@ def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vo
         raise DataError(f"{path}: no records")
     if not any(u.char_ids for u in utts):
         raise DataError(f"{path}: no reference characters to score")
-    width = utts[0].features.shape[1] if width is None else width
+    if width is None:
+        width = utts[0].features.shape[1]
+        if not width:
+            raise DataError(f"{path}: record {utts[0].utt_id!r} has features of width 0")
     for utt in utts:
         _check_frames(path, utt, width, "training")
     return utts

@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Ops return `Tensor`s, each a value and a `Node` of the tape; `backward` walks
-the nodes in reverse topological order.  A node keeps only what its backward
-function reads, so an interior value that no backward function reads is
-freed during the forward pass, once no tensor refers to it.  Inside a
+the nodes in reverse topological order, once per graph.  A node keeps only
+what its backward function reads, so an interior value that no backward
+function reads is freed during the forward pass, once no tensor refers to
+it, and the rest as `backward` passes its node.  Inside a
 `no_grad` block ops record nothing, so each intermediate is freed as soon as
 nothing refers to it.  Everything runs in 64-bit on the CPU, and
 single-threaded execution is bitwise deterministic.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import json
 import math
@@ -45,12 +47,13 @@ class Node:
 
     `parents` are the nodes of the op's inputs, `op` names the op, and
     `_backward` is called with this node's gradient and accumulates into the
-    parents' `grad`.  It captures only the arrays it reads, never the input
-    tensors, so an input value that no backward function reads is freed as
-    soon as the forward pass drops its tensor.  It must not refer to this
-    node either, so a finished graph holds no reference cycle and is freed
-    as soon as the last reference to its loss is dropped.  `grad` is None
-    until something accumulates into it; None means zero.
+    parents' `grad`; `backward` calls it once and then drops it.  It
+    captures only the arrays it reads, never the input tensors, so an input
+    value that no backward function reads is freed as soon as the forward
+    pass drops its tensor.  It must not refer to this node either, so a
+    finished graph holds no reference cycle and is freed as soon as the last
+    reference to its loss is dropped.  `grad` is None until something
+    accumulates into it; None means zero.
     """
 
     __slots__ = ("grad", "parents", "op", "_backward")
@@ -76,9 +79,10 @@ class Tensor:
     `rebuild` is None or a no-argument function returning an array bitwise
     equal to `value` but not sharing its memory, made only from arrays that
     backward functions keep anyway.  The first call makes it and later calls
-    return that same array, until the backward function of the op that made
-    the tensor has run and drops it; so one backward makes each rebuilt value
-    once, and no reader writes to it.  `linear`, `swish` and
+    return that same array, which lives as long as something that can call
+    the rebuild: in a recorded step, until the last consumer's backward
+    function has run.  So one backward makes each rebuilt value once, and no
+    reader writes to it.  `linear`, `swish` and
     `depthwise_conv_rows` keep their input's `rebuild` in place of the
     value, and `multi_head_attention` those of q, k and v.  Recorded
     `swish`, `layer_norm_affine` and `depthwise_conv_rows` outputs have one,
@@ -145,35 +149,17 @@ def is_recording() -> bool:
 def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None],
             rebuild: Callable[[], np.ndarray] | None = None) -> Tensor:
     """Give an op's output node its backward function and the output its
-    `rebuild`, or, inside `no_grad`, make the output a leaf whose node holds
-    neither parents nor `backward_fn`, and which has no `rebuild`.
-
-    The output's `rebuild` calls `rebuild` once and hands every later caller
-    the same array, until `backward_fn` has run and drops it: the consumers'
-    backward functions all run before their producer's, so one backward makes
-    each rebuilt value once, also along a chain of rebuilds that each call
-    their input's.  A `rebuild` may leave scratch that `backward_fn` reads
-    and drops (swish's sigmoid, the convolution's padded input)."""
+    `rebuild`, memoized, or, inside `no_grad`, make the output a leaf whose
+    node holds neither parents nor `backward_fn`, and which has no
+    `rebuild`.  A rebuilt array lives as long as something that can call the
+    rebuild: in a recorded step, until the last consumer's backward function
+    has run and been dropped."""
     if not _recording.get():
         out.node.parents = ()
-    elif rebuild is None:
-        out.node._backward = backward_fn
-    else:
-        made = None
-
-        def once() -> np.ndarray:
-            nonlocal made
-            if made is None:
-                made = rebuild()
-            return made
-
-        def _bwd(g: np.ndarray) -> None:
-            nonlocal made
-            backward_fn(g)
-            made = None
-
-        out.node._backward = _bwd
-        out.rebuild = once
+        return out
+    out.node._backward = backward_fn
+    if rebuild is not None:
+        out.rebuild = functools.cache(rebuild)
     return out
 
 
@@ -218,31 +204,32 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into `.grad` of every leaf reachable from `loss`.
 
     Leaves are the tensors no recorded op made: parameters, inputs, and op
-    outputs made inside `no_grad`.  Only they keep `.grad` afterwards; an
-    interior node's gradient is dropped as soon as its backward function has
-    used it, `loss` included, so a step holds only the gradients still needed.
-    The gradients of all reachable nodes are reset first, so calling backward
-    twice on the same graph yields identical gradients: a leaf that already
-    holds a gradient array has it zeroed in place and accumulated into (a
-    parameter's gradient is a view into its store's flat gradient and
-    must stay one), every other node starts from None.  Tensors not in the
-    graph (e.g. unused parameters) are left untouched; callers zero those
-    through `ParamStore.zero_grad`.  A graph built inside `no_grad` ends at
-    each op output made there, so no gradient reaches the parameters.
+    outputs made inside `no_grad`.  A graph is backpropagated once: each
+    interior node drops its backward function, and with it every array that
+    function kept, and its gradient as soon as the function has run, `loss`
+    included.  So only leaves keep `.grad` afterwards, and a second
+    `backward` that reaches a node already run raises ContractError before
+    any gradient changes.  A reached node that already holds a gradient (on
+    a new graph, a leaf) has it zeroed in place and accumulated into: a
+    parameter's gradient is a view into its store's flat gradient and must
+    stay one.  Tensors not in the graph (e.g. unused parameters) are left
+    untouched; callers zero those through `ParamStore.zero_grad`.  A graph
+    built inside `no_grad` ends at each op output made there, so no gradient
+    reaches the parameters.
     """
     if loss.value.ndim != 0:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     order = _topo_order(loss.node)
+    if any(node.parents and node._backward is None for node in order):
+        raise ContractError("backward already ran on this graph: a graph is backpropagated once")
     for node in order:
-        if node._backward is None and node.grad is not None:
+        if node.grad is not None:
             node.grad.fill(0.0)
-        else:
-            node.grad = None
     loss.node.grad = np.ones_like(loss.value)
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
-            node.grad = None
+            node._backward = node.grad = None
 
 
 def _require_2d(name: str, *tensors: Tensor) -> None:
@@ -392,7 +379,7 @@ def swish(x: Tensor) -> Tensor:
     nothing called the rebuild."""
     x_value = x.rebuild or x.value.view  # the rebuilt array, or a view of the kept one
     nx = x.node
-    sig = None  # the sigmoid the last rebuild made, until backward reads it
+    sig = None  # the sigmoid the rebuild made, which backward reads
 
     def act(xv: np.ndarray) -> np.ndarray:
         nonlocal sig
@@ -401,10 +388,8 @@ def swish(x: Tensor) -> Tensor:
 
     def _bwd(g: np.ndarray) -> None:
         # g * sig * (1 + x * (1 - sig)), in two buffers
-        nonlocal sig
         xv = x_value()
         s = sig if sig is not None else _sigmoid(xv)
-        sig = None
         gx = g * s
         slope = np.subtract(1.0, s, out=s)
         slope *= xv
@@ -451,7 +436,7 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int]) -> Te
     kv = kernel.value
     x_value = x.rebuild or x.value.view  # the rebuilt array, or a view of the kept one
     nx, nk = x.node, kernel.node
-    xp = None  # the padded input the last rebuild made, until backward reads it
+    xp = None  # the padded input the rebuild made, which backward reads
 
     def padded(xv: np.ndarray) -> np.ndarray:
         buf = np.zeros((width + 2 * pad, n))
@@ -469,9 +454,7 @@ def depthwise_conv_rows(x: Tensor, kernel: Tensor, lengths: Sequence[int]) -> Te
         return yp if len(bounds) == 1 else np.concatenate([yp[out] for out in outs])
 
     def _bwd(g: np.ndarray) -> None:
-        nonlocal xp
         xpad = xp if xp is not None else padded(x_value())
-        xp = None
         kg = _acc_zeros(nk, kv.shape)
         gyp = np.zeros((width, n))
         for (a, b), out in zip(bounds, outs):

@@ -134,6 +134,8 @@ class ModelConfig:
         not_ints = {key: v for key, v in asdict(self).items() if type(v) is not int}
         if not_ints:
             raise ContractError(f"sizes must be ints, got {not_ints}")
+        if min(self.d_in, self.d_ff) < 1:
+            raise ContractError(f"d_in and d_ff must be >= 1, got {self.d_in} and {self.d_ff}")
         if min(self.d_model, self.n_heads) < 1 or self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model {self.d_model} must be a positive multiple of n_heads {self.n_heads}"

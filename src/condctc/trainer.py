@@ -124,8 +124,7 @@ def ctc_node(
 
     def _bwd(g: np.ndarray) -> None:
         for node, grad, weight in live:
-            dc._acc_zeros(node, grad.shape)
-            node.grad += (float(g) * weight) * grad
+            dc._acc(node, (float(g) * weight) * grad)
 
     return dc._record(out, _bwd), sums
 
@@ -383,10 +382,12 @@ def _step_gradients(
 ) -> None:
     """Forward, loss and backward of one training batch, leaving the
     gradient of the batch's mean total loss in the parameters' `.grad`.  The
-    forward output is dropped once the loss is built, so during backward the
-    step holds only what its nodes' backward functions read.  The step's
-    graph is freed when this returns, before clipping, Adam, evaluation and
-    the next step's forward."""
+    forward output is dropped once the loss is built, so when backward
+    starts the step holds only what its nodes' backward functions read, and
+    backward frees each node's share as it passes the node: the CTC node's
+    occupancies first.  What is left of the step's graph is freed when this
+    returns, before clipping, Adam, evaluation and the next step's
+    forward."""
     summed, _ = batch_loss(
         model.forward_batch([u.features for u in batch]),
         [u.char_ids for u in batch], [u.syl_ids for u in batch], mix_weight,

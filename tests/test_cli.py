@@ -248,6 +248,37 @@ class TestTrain:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["-3", "0"], ids=["negative", "zero"])
+    def test_feedforward_width_below_1_exits_2(self, data_dir, tmp_path, capsys, value):
+        # At -3 numpy used to raise from the weight initializer (exit 1); at 0
+        # a model without a feed-forward layer trained.
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                    *SMALL_TRAIN, "--d-ff", value])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: d_in and d_ff must be >= 1, got 8 and {value}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_width_features_exit_3_naming_the_record(self, data_dir, tmp_path, capsys):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        out = tmp_path / "run"
+        out.mkdir()
+        for split in ("train.jsonl", "valid.jsonl"):
+            records = [json.loads(line) for line in (data / split).read_text().splitlines()]
+            for rec in records:
+                rec["features"] = {"shape": [rec["features"]["shape"][0], 0], "data": []}
+            (data / split).write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        first = json.loads((data / "train.jsonl").read_text().splitlines()[0])["id"]
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(data), "--out-dir", str(out), *SMALL_TRAIN])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data / 'train.jsonl'}: record {first!r} has features of width 0\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_defaults_are_the_library_defaults(self, data_dir, tmp_path, monkeypatch):
         class Built(Exception):
             pass
@@ -665,6 +696,8 @@ class TestBadInputFiles:
         ("model", lambda meta: meta.update(model=[16])),
         ("placement", lambda meta: meta["placement"].update(char_layers=[9])),
         ("placement", lambda meta: meta["placement"].pop("n_layers")),
+        ("model", lambda meta: meta["model"].update(d_ff=0)),
+        ("model", lambda meta: meta["model"].update(d_in=0)),
     ])
     def test_header_block_that_does_not_construct_exits_3(self, trained_dir, data_dir,
                                                           tmp_path, capsys, block, edit):

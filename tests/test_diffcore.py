@@ -13,7 +13,7 @@ import pytest
 from condctc import diffcore as dc
 from condctc.diffcore import ContractError, FormatError, ParamStore, ShapeError, Tensor
 from condctc.encoder import EncoderModel, ModelConfig, PlacementConfig
-from condctc.trainer import average_checkpoints, batch_loss
+from condctc.trainer import average_checkpoints, batch_loss, ctc_node
 
 
 RNG = np.random.default_rng(42)
@@ -144,14 +144,42 @@ class TestBackwardSemantics:
         dc.backward(dc.swish(x))
         assert float(x.grad) == pytest.approx(0.5)
 
-    def test_repeated_backward_is_identical(self):
+    def test_graphs_of_the_same_inputs_give_identical_gradients(self):
         x = Tensor(RNG.normal(size=(3, 3)))
         w = Tensor(RNG.normal(size=(3, 3)))
-        loss = dc.mean_reduce(dc.mul(dc.softmax_rows(x), w))
+        grads = []
+        for _ in range(2):
+            dc.backward(dc.mean_reduce(dc.mul(dc.softmax_rows(x), w)))
+            grads.append((x.grad.copy(), w.grad.copy()))
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+    def test_second_backward_raises(self):
+        x = Tensor(RNG.normal(size=(4, 3)))
+        w = Tensor(RNG.normal(size=(4, 3)))
+        hidden = dc.swish(x)
+        loss = dc.mean_reduce(dc.mul(hidden, w))
         dc.backward(loss)
-        first = x.grad.copy()
+        first = x.grad.copy(), w.grad.copy()
+        with pytest.raises(ContractError, match="once"):
+            dc.backward(loss)
+        # ... also through a new node on top of a node already run
+        with pytest.raises(ContractError, match="once"):
+            dc.backward(dc.mean_reduce(hidden))
+        assert np.array_equal(x.grad, first[0]) and np.array_equal(w.grad, first[1])
+
+    def test_backward_drops_every_backward_function(self):
+        rng = np.random.default_rng(6)
+        log_probs = dc.log_softmax_rows(Tensor(rng.normal(size=(7, 4))))
+        loss, _ = ctc_node([log_probs], [4, 3], [[[1, 2], [3]]], [1.0])
+        order = dc._topo_order(loss.node)
+        kept = reachable_arrays(loss.node._backward)
+        assert [a.shape for a in kept] == [(7, 4)]  # the occupancies
+        occupancy = weakref.ref(kept[0])
+        del kept
         dc.backward(loss)
-        assert np.array_equal(first, x.grad)
+        assert all(node._backward is None for node in order)
+        assert all(node.grad is None for node in order if node.parents)
+        assert occupancy() is None  # freed with the CTC node's backward function
 
     def test_only_leaves_keep_gradients(self):
         rng = np.random.default_rng(5)
@@ -660,19 +688,12 @@ class TestRecordedStepMemory:
         monkeypatch.setattr(dc, "_record", counting_record)
         loss = self.recorded_step(monkeypatch, lambda t: None)  # undoes the patch
         assert not calls
-        grads = []
-        for n_backward in (1, 2):
-            dc.backward(loss)
-            # The 18 pre-norm outputs, the 12 swish outputs, the 18 q/k/v and
-            # 6 ffn.w1 outputs and the 6 convolution outputs, each made once
-            # per backward.
-            assert Counter(ops[key] for key in calls) == {
-                "layer_norm_affine": 18, "swish": 12, "linear": 24, "depthwise_conv_rows": 6}
-            assert set(calls.values()) == {n_backward}
-            leaves = [n for n in dc._topo_order(loss.node) if n._backward is None]
-            grads.append([n.grad.copy() for n in leaves if n.grad is not None])
-        assert len(grads[0]) == len(grads[1]) > 0
-        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+        dc.backward(loss)
+        # The 18 pre-norm outputs, the 12 swish outputs, the 18 q/k/v and 6
+        # ffn.w1 outputs and the 6 convolution outputs, each made once.
+        assert Counter(ops[key] for key in calls) == {
+            "layer_norm_affine": 18, "swish": 12, "linear": 24, "depthwise_conv_rows": 6}
+        assert set(calls.values()) == {1}
 
 
 def reachable_arrays(fn) -> list[np.ndarray]:
@@ -809,7 +830,8 @@ class TestKeptInputRebuild:
     """A recorded swish or convolution keeps only its input's `rebuild` (or
     the input, when it has none), and its own output carries a `rebuild`.
     Value, rebuild and gradients are bitwise those of the kept-input forms,
-    whether or not something called the output's rebuild before backward."""
+    whether or not something called the output's rebuild before backward,
+    and every call of the rebuild returns the same array."""
 
     @staticmethod
     def assert_bitwise_the_kept_input_form(op, kept_op, arrays, rebuilt):
@@ -827,7 +849,8 @@ class TestKeptInputRebuild:
             made = out.rebuild() if called else None
             out.node._backward(g)
             again = out.rebuild()
-            assert again is not made and not np.shares_memory(again, out.value)
+            assert again is out.rebuild() and not np.shares_memory(again, out.value)
+            assert made is None or again is made
             got = [out.value, again] + [t.grad for t in inputs]
             expected = [want.value, want.value] + [t.grad for t in want_inputs]
             for a, b in zip(got, expected):
@@ -857,8 +880,9 @@ class TestKeptInputRebuild:
 
 class TestRebuild:
     """An op output's `rebuild()` is a new array bitwise equal to its value,
-    signs of zeros included, and later calls return that same array until
-    the op's backward has run; an output made inside `no_grad` has none."""
+    signs of zeros included, and later calls return that same array, also
+    after the op's backward has run; an output made inside `no_grad` has
+    none."""
 
     @staticmethod
     def outputs(x):
@@ -888,7 +912,7 @@ class TestRebuild:
             assert not np.shares_memory(made, out.value), out.op
             assert np.array_equal(made, out.value), out.op
             assert np.array_equal(np.signbit(made), np.signbit(out.value)), out.op
-            assert same is made and new is not made, out.op
+            assert same is made and new is made, out.op
         normed = outs[1].value
         assert np.signbit(normed[normed == 0.0]).any()
         assert all(out.rebuild is None for out in free)
@@ -979,9 +1003,10 @@ class TestParamStore:
         store.zero_grad()
         _, grads = store.arena()
         unused.grad[...] = 5.0  # a stale gradient that no loss reaches
+        grads[:2] = 7.0  # stale gradients that the loss reaches
         dc.backward(loss)
         first = grads.copy()
-        dc.backward(loss)
+        dc.backward(dc.mean_reduce(dc.swish(dc.linear(x, w, b))))
         assert np.array_equal(grads, first) and grads[:2].any()
         assert np.shares_memory(w.grad, grads) and np.shares_memory(b.grad, grads)
         assert np.array_equal(unused.grad, np.full(3, 5.0))
