@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import synthdata, trainer
-from .ctc import InfeasibleAlignmentError
+from .ctc import InfeasibleAlignmentError, min_frames
 from .diffcore import ContractError, FormatError, NumericError, atomic_write
 from .encoder import EncoderModel, ModelConfig, PlacementConfig
 from .labels import InvalidTokenError, UndefinedRateError, Vocabulary, error_rate
@@ -207,9 +209,9 @@ def _check_frames(path: Path, utt: synthdata.Utterance, width: int, reader: str)
 def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vocabulary,
                 width: int | None = None):
     """A split's utterances.  An empty split, one with no characters to
-    score, or a record with no frames, with features of width 0 or of
-    another width than `width` (default: the first record's) is a
-    DataError."""
+    score, or a record with no frames, with features of width 0, of
+    another width than `width` (default: the first record's) or not all
+    finite is a DataError."""
     path = data_dir / name
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
@@ -224,7 +226,23 @@ def _load_split(data_dir: Path, name: str, char_vocab: Vocabulary, syl_vocab: Vo
             raise DataError(f"{path}: record {utts[0].utt_id!r} has features of width 0")
     for utt in utts:
         _check_frames(path, utt, width, "training")
+        if not np.isfinite(utt.features).all():
+            raise DataError(f"{path}: record {utt.utt_id!r} has non-finite features")
     return utts
+
+
+def _check_alignable(path: Path, utts: Sequence[synthdata.Utterance], syllables: bool) -> None:
+    """A DataError naming the first record with fewer frames than its
+    character target, or, with `syllables`, its syllable target, needs
+    (`ctc.min_frames`): no CTC path of its frames spells the target."""
+    levels = ("character", "syllable") if syllables else ("character",)
+    for utt in utts:
+        rows = utt.features.shape[0]
+        for level, target in zip(levels, (utt.char_ids, utt.syl_ids)):
+            need = min_frames(target)
+            if rows < need:
+                raise DataError(f"{path}: record {utt.utt_id!r}: {level} target of length "
+                                f"{len(target)} needs at least {need} frames, got {rows}")
 
 
 def cmd_train(cfg: TrainCmdConfig) -> int:
@@ -269,10 +287,11 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
         )
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
-    if placement.syl_layers:  # the syllable heads are scored too
-        for name, utts in (("train.jsonl", train_set), ("valid.jsonl", valid_set)):
-            if not any(u.syl_ids for u in utts):
-                raise DataError(f"{data_dir / name}: no reference syllables to score")
+    for name, utts in (("train.jsonl", train_set), ("valid.jsonl", valid_set)):
+        if placement.syl_layers and not any(u.syl_ids for u in utts):
+            # the syllable heads are scored too
+            raise DataError(f"{data_dir / name}: no reference syllables to score")
+        _check_alignable(data_dir / name, utts, bool(placement.syl_layers))
     model = EncoderModel(model_cfg, placement, char_vocab.size, syl_vocab.size, seed=cfg.seed)
     meta = {"char_tokens": list(char_vocab.tokens), "syl_tokens": list(syl_vocab.tokens)}
     result = trainer.train(model, train_set, valid_set, train_cfg, out_dir, checkpoint_meta=meta)
@@ -495,7 +514,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.print_config:
             print_config(cfg)
             return EXIT_OK
-        return handler(cfg)
+        # Non-finite values fail where a check finds them, with one line;
+        # numpy's floating-point warnings would print lines of their own.
+        with np.errstate(all="ignore"):
+            return handler(cfg)
     except (ConfigError, LanguageSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -157,14 +157,19 @@ class CtcBatchResult:
     grads: list[np.ndarray] | None  # one per point, shaped like its log-probabilities
 
 
+# The most negative finite float64: raising a shift to it changes no finite
+# shift.
+_SHIFT_FLOOR = np.finfo(np.float64).min
+
+
 def _logsumexp3(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray,
-                top: np.ndarray, term: np.ndarray, flag: np.ndarray) -> None:
-    """log(exp(a) + exp(b) + exp(c)) into `out`, working in `top`, `term`
-    and the bool `flag`, each of `out`'s size; `c` may be none of them."""
+                top: np.ndarray, term: np.ndarray) -> None:
+    """log(exp(a) + exp(b) + exp(c)) into `out`, working in `top` and
+    `term`, each of `out`'s size; `c` may be none of them."""
     np.maximum(a, b, out=top)
     np.maximum(top, c, out=top)
-    # all three are -inf: exp() gives 0, log() gives -inf
-    np.copyto(top, 0.0, where=np.equal(top, -np.inf, out=flag))
+    # all three are -inf: a finite shift keeps exp() at 0, so log() gives -inf
+    np.maximum(top, _SHIFT_FLOOR, out=top)
     np.exp(np.subtract(a, top, out=out), out=out)
     out += np.exp(np.subtract(b, top, out=term), out=term)
     out += np.exp(np.subtract(c, top, out=term), out=term)
@@ -183,8 +188,10 @@ def _prefix_positions(counts: np.ndarray) -> np.ndarray:
 
 def _log_alpha(
     em: np.ndarray, ext: np.ndarray, state: np.ndarray, running: list[int], offsets: list[int]
-) -> np.ndarray:
-    """Forward recursion of many lattices at once, one step per frame.
+) -> None:
+    """Forward recursion of many lattices at once, one step per frame, in
+    place: `em` goes in holding each cell's emission and comes out holding
+    its log-alpha, which includes the emission at t.
 
     The lattices lie side by side along the columns: two guard columns, then
     one column per state.  At frame t only the first `running[t]` columns are
@@ -193,8 +200,9 @@ def _log_alpha(
     `em` holds each cell's log-probability of its column's state, -inf on
     the guards, which so stay -inf and keep the one- and two-state moves,
     plain column shifts, inside a lattice.  `ext` and `state` give each
-    column's label and state index.  Returns log-alpha in the same layout;
-    it includes the emission at t.
+    column's label and state index.  Frame 0's cells past each lattice's
+    first two states are set to -inf; each later frame adds its
+    logsumexp over the previous frame's log-alpha into its emissions.
     """
     # The masks, and each frame's temporaries, live in buffers of the widest
     # frame, so a frame allocates nothing: numpy keeps small freed buffers
@@ -202,25 +210,20 @@ def _log_alpha(
     # pinned all over the heap that later steps reuse.
     n = ext.size
     mask, flag = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    skip = np.full(n, -np.inf)
     np.greater_equal(state, 2, out=mask)
+    np.copyto(em[:n], -np.inf, where=mask)
+    skip = np.full(n, -np.inf)
     mask[2:] &= np.not_equal(ext[2:], BLANK_ID, out=flag[2:])
     mask[2:] &= np.not_equal(ext[2:], ext[:-2], out=flag[2:])
     np.copyto(skip[2:], 0.0, where=mask[2:])
-    alpha = np.full(em.size, -np.inf)
-    np.equal(state, 0, out=mask)
-    mask |= np.equal(state, 1, out=flag)
-    first = np.flatnonzero(mask)
-    alpha[first] = em[first]
-    c, top, term = np.empty(n), np.empty(n), np.empty(n)
+    c, lse, top, term = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for t in range(1, len(running)):
         w, start = running[t], offsets[t]
-        prev, out = alpha[offsets[t - 1] :], alpha[start + 2 : start + w]
+        prev = em[offsets[t - 1] :]
         m = w - 2
         np.add(prev[:m], skip[2:w], out=c[:m])
-        _logsumexp3(prev[2:w], prev[1 : w - 1], c[:m], out, top[:m], term[:m], flag[:m])
-        out += em[start + 2 : start + w]
-    return alpha
+        _logsumexp3(prev[2:w], prev[1 : w - 1], c[:m], lse[:m], top[:m], term[:m])
+        em[start + 2 : start + w] += lse[:m]
 
 
 def ctc_loss_batch(
@@ -240,13 +243,16 @@ def ctc_loss_batch(
     still running are stored, so the sweep's memory follows the frames of
     each lattice, not the longest one's times the number of lattices.  The
     backward pass is the forward recursion over each lattice reversed in
-    time and in state order, run in the same sweep.  No probability floor
-    applies.  Matches `ctc_loss` on `exp(log_probs)` rows wherever no
-    probability falls below its floor.  An infeasible target raises
-    InfeasibleAlignmentError with `point` set.  With `with_grads` False the
-    sweep runs the forward lattices alone and returns no gradients; each
-    lattice's columns are computed elementwise, so the losses are bitwise the
-    same either way.
+    time and in state order, run in the same sweep.  The sweep holds one
+    array of cells, the emissions that log-alpha overwrites, and with
+    gradients each point's cell positions and matrix entries, as int32
+    where they fit and each dropped once its point's gradient is made.  No
+    probability floor applies.  Matches `ctc_loss` on `exp(log_probs)` rows
+    wherever no probability falls below its floor.  An infeasible target
+    raises InfeasibleAlignmentError with `point` set.  With `with_grads`
+    False the sweep runs the forward lattices alone and returns no
+    gradients; each lattice's columns are computed elementwise, so the
+    losses are bitwise the same either way.
     """
     sizes = [int(n) for n in lengths]
     if not sizes or min(sizes) < 1:
@@ -326,37 +332,39 @@ def ctc_loss_batch(
     if with_grads:
         last_frame = lane_t[lane] - 1
         mirror_col = first_col[lane ^ 1] + widths[lane] - 1 - state
+    em = np.full(int(offsets[-1] + running[-1]), -np.inf)  # the emissions, then log-alpha
+    # Each point's cells are kept for the gradients as int32 where every
+    # position and entry fits, which halves what the sweep holds.
+    kept = np.int32 if max(em.size, *(m.size for m in mats)) < 2**31 else np.intp
 
-    def cells(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Point p's forward columns running at each frame, and its running
-        forward cells' sweep positions, matrix entries and, with gradients,
-        their mirrors' sweep positions, frame by frame in column order."""
-        cols = point_cols[p]
+    def fill(p: int) -> tuple[np.ndarray, ...] | None:
+        """Write point p's emissions into `em` at its running forward cells
+        and, with gradients, at their mirrors.  With gradients, returns the
+        point's forward columns running at each frame, and its running
+        forward cells' sweep positions, matrix entries and mirrors' sweep
+        positions, frame by frame in column order."""
+        mat, cols = mats[p], point_cols[p]
         counts = np.searchsorted(cols, running)
         index = _prefix_positions(counts)  # of each cell's column in cols
         frame = np.repeat(np.arange(t_max), counts)
         cell = np.repeat(offsets, counts)
         cell += cols[index]
-        src = frame * mats[p].shape[1]
+        src = frame * mat.shape[1]
         src += base[cols][index]
+        em[cell] = emission = np.take(mat, src)
         if not with_grads:
-            return counts, cell, src, None
+            return None
         mirror = last_frame[cols][index]
         mirror -= frame
         mirror = offsets[mirror]
         mirror += mirror_col[cols][index]
-        return counts, cell, src, mirror
+        em[mirror] = emission
+        return counts, cell.astype(kept), src.astype(kept), mirror.astype(kept)
 
     with np.errstate(divide="ignore"):
-        em = np.full(int(offsets[-1] + running[-1]), -np.inf)
-        point_cells = [cells(p) for p in range(len(mats))]
-        for mat, (_, cell, src, mirror) in zip(mats, point_cells):
-            emission = np.take(mat, src)
-            em[cell] = emission
-            if with_grads:
-                em[mirror] = emission
-        alpha = _log_alpha(em, ext, state, running.tolist(), offsets.tolist())
-        del em
+        point_cells = [fill(p) for p in range(len(mats))]
+        _log_alpha(em, ext, state, running.tolist(), offsets.tolist())
+        alpha = em  # in the emissions' buffer
         fwd = np.arange(0, widths.size, lanes)
         last_col = first_col[fwd] + widths[fwd] - 1  # the guard before a 1-state lattice is -inf
         last = offsets[lane_t[fwd] - 1] + last_col
@@ -370,8 +378,11 @@ def ctc_loss_batch(
         # less the emission counted twice and the lattice's log-probability.
         log_p = log_p[lane // 2]
         grads = []
-        for mat, cols, (counts, cell, src, mirror) in zip(mats, point_cols, point_cells):
-            expo = alpha[cell] + alpha[mirror]
+        for p, (mat, cols) in enumerate(zip(mats, point_cols)):
+            # Each point's cells are dropped as soon as its gradient is made.
+            (counts, cell, src, mirror), point_cells[p] = point_cells[p], None
+            expo = np.take(alpha, cell)
+            expo += np.take(alpha, mirror)
             expo -= np.take(mat, src)
             expo -= log_p[cols][_prefix_positions(counts)]
             occupancy = np.exp(expo, out=expo)

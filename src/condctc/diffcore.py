@@ -82,12 +82,12 @@ class Tensor:
     return that same array, which lives as long as something that can call
     the rebuild: in a recorded step, until the last consumer's backward
     function has run.  So one backward makes each rebuilt value once, and no
-    reader writes to it.  `linear`, `swish` and
-    `depthwise_conv_rows` keep their input's `rebuild` in place of the
-    value, and `multi_head_attention` those of q, k and v.  Recorded
-    `swish`, `layer_norm_affine` and `depthwise_conv_rows` outputs have one,
-    and so does a recorded `linear` output whose input has one.  Op outputs
-    made inside `no_grad` have none.
+    reader writes to it.  `linear`, `swish` and `depthwise_conv_rows` keep
+    their input's `rebuild` in place of the value, and
+    `multi_head_attention` those of q, k and v.  Recorded `swish`,
+    `layer_norm_affine`, `depthwise_conv_rows` and `multi_head_attention`
+    outputs have one, and so does a recorded `linear` output whose input
+    has one.  Op outputs made inside `no_grad` have none.
     """
 
     __slots__ = ("value", "node", "rebuild")
@@ -486,7 +486,12 @@ def multi_head_attention(
     The rows are split into segments of the given `lengths`; a row attends
     only to the rows of its own segment.  Values agree with the per-row
     softmax formula to 1e-12 relative, and a forward inside `no_grad` is
-    bitwise a recorded one.
+    bitwise a recorded one.  A recorded step keeps the rebuilds of q, k and
+    v (or their values, where they have none), each row's softmax sum and
+    each segment's shift, never the weights or the output: the output's
+    `rebuild` repeats the forward's operations over the rebuilt q, k and v
+    and leaves each segment's normalized weights for backward, which makes
+    its own when nothing called the rebuild.
     """
     _require_2d("multi_head_attention", q, k, v)
     shapes = [t.value.shape for t in (q, k, v)]
@@ -511,48 +516,75 @@ def multi_head_attention(
         w -= w.max(axis=shift_axes, keepdims=True)
         return np.exp(w, out=w)
 
-    # What the node keeps is made before the scratch buffers, which so go
-    # back to the top of the heap when freed instead of leaving holes under
-    # the kept arrays that later steps' larger arrays do not fit.
-    y = np.empty((rows, d))  # C order, so that `heads` of it is a view
-    yh = heads(y)
-    # Backward keeps no weights: it makes each segment's exponentials again
-    # with the shift the forward used, and divides them by the same sums.
-    sums = np.empty((n_heads, rows, 1))
-    shifts = []
-    # Scaling q, not the (heads, T, T) scores, is bitwise the same when the
-    # factor is a power of two (d_head 4, 16, 64, ...).
-    qs, kh, vh = heads(q.value * factor), heads(k.value), heads(v.value)
-    # v with a column of ones: the product with the exponentials holds each
-    # row's sum in its last column, so the division runs on (heads, T,
-    # d_head) rather than on the (heads, T, T) scores.
-    v1 = np.empty((n_heads, rows, d_head + 1))
-    v1[:, :, :d_head] = vh
-    v1[:, :, d_head] = 1.0
-    for start, stop in bounds:
-        seg = slice(start, stop)
-        # A row whose maximum lies hundreds of nats under its head's sums to
-        # almost nothing and would lose precision, so a segment with one is
-        # redone with a shift per row.
-        for shift_axes in ((1, 2), 2):
-            wv = exps(qs, kh, seg, shift_axes) @ v1[:, seg]
-            if not wv[:, :, d_head:].min() < _MIN_ROW_SUM:
-                break
-        sums[:, seg] = wv[:, :, d_head:]
-        shifts.append(shift_axes)
-        np.divide(wv[:, :, :d_head], sums[:, seg], out=yh[:, seg])
-    q_value, k_value, v_value = (t.rebuild or t.value.view for t in (q, k, v))
-    nq, nk, nv = q.node, k.node, v.node
-
-    def _bwd(g: np.ndarray) -> None:
-        qv = q_value()
-        qh, qs, kh, vh = heads(qv), heads(qv * factor), heads(k_value()), heads(v_value())
-        gq, gk, gv = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
-        gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
+    def products(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray,
+                 kept: list | None = None) -> np.ndarray:
+        # Each segment's exponentials, appended to `kept` when given, times
+        # v with a column of ones: the (heads, rows, d_head + 1) product
+        # holds each row's sum in its last column, so the division runs on
+        # (heads, rows, d_head) rather than on the (heads, T, T) scores.
+        # Scaling q, not the scores, is bitwise the same when the factor is
+        # a power of two (d_head 4, 16, 64, ...).
+        qs, kh = heads(qv * factor), heads(kv)
+        v1 = np.empty((n_heads, rows, d_head + 1))
+        v1[:, :, :d_head] = heads(vv)
+        v1[:, :, d_head] = 1.0
+        wv = np.empty((n_heads, rows, d_head + 1))
         for (start, stop), shift_axes in zip(bounds, shifts):
             seg = slice(start, stop)
             w = exps(qs, kh, seg, shift_axes)
-            w /= sums[:, seg]
+            np.matmul(w, v1[:, seg], out=wv[:, seg])
+            if kept is not None:
+                kept.append(w)
+        return wv
+
+    # The output and the sums the node keeps are made before the scratch
+    # buffers, which so go back to the top of the heap when freed instead
+    # of leaving holes under the kept arrays that later steps' larger
+    # arrays do not fit.
+    y = np.empty((rows, d))  # C order, so that `heads` of it is a view
+    sums = np.empty((n_heads, rows, 1))
+    shifts = [(1, 2)] * len(bounds)
+    wv = products(q.value, k.value, v.value)
+    # A row whose maximum lies hundreds of nats under its head's sums to
+    # almost nothing and would lose precision, so a segment with one is
+    # redone with a shift per row.
+    starts = [start for start, _ in bounds]
+    low = np.minimum.reduceat(wv[:, :, d_head].min(axis=0), starts) < _MIN_ROW_SUM
+    if low.any():
+        shifts = [2 if redo else shift_axes for redo, shift_axes in zip(low, shifts)]
+        wv = products(q.value, k.value, v.value)
+    sums[...] = wv[:, :, d_head:]
+    np.divide(wv[:, :, :d_head], sums, out=heads(y))
+    del wv
+    q_value, k_value, v_value = (t.rebuild or t.value.view for t in (q, k, v))
+    nq, nk, nv = q.node, k.node, v.node
+    weights = None  # the normalized weights the rebuild made, which backward reads
+
+    def rebuild() -> np.ndarray:
+        nonlocal weights
+        weights = []
+        wv = products(q_value(), k_value(), v_value(), weights)
+        out = np.empty((rows, d))
+        np.divide(wv[:, :, :d_head], sums, out=heads(out))
+        for (start, stop), w in zip(bounds, weights):
+            w /= sums[:, start:stop]
+        return out
+
+    def normalized(qs: np.ndarray, kh: np.ndarray) -> Iterator[np.ndarray]:
+        # Each segment's weights again, one at a time, as the rebuild makes them.
+        for (start, stop), shift_axes in zip(bounds, shifts):
+            w = exps(qs, kh, slice(start, stop), shift_axes)
+            w /= sums[:, start:stop]
+            yield w
+
+    def _bwd(g: np.ndarray) -> None:
+        qv = q_value()
+        qh, kh, vh = heads(qv), heads(k_value()), heads(v_value())
+        ws = weights if weights is not None else normalized(heads(qv * factor), kh)
+        gq, gk, gv = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
+        gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
+        for (start, stop), w in zip(bounds, ws):
+            seg = slice(start, stop)
             # Score gradient before the scale, w * (gw - rowsum(gw * w)) with
             # gw = g @ v^T, computed in gw's buffer.
             gs = gh[:, seg] @ vh[:, seg].transpose(0, 2, 1)
@@ -567,7 +599,7 @@ def multi_head_attention(
         _acc(nk, gk)
         _acc(nv, gv)
 
-    return _record(Tensor(y, (q, k, v), "multi_head_attention"), _bwd)
+    return _record(Tensor(y, (q, k, v), "multi_head_attention"), _bwd, rebuild)
 
 
 def mean_reduce(x: Tensor) -> Tensor:

@@ -101,10 +101,14 @@ def ctc_node(
     CTC losses, as one graph node over all points' log-softmax outputs.
 
     `log_probs[p]` stacks the segments' rows of point p and `targets[p][i]`
-    is segment i's target there.  Also returns each point's summed loss.
-    The gradient at each log-probability is minus its weighted occupancy,
-    which `log_softmax_rows` turns into softmax minus occupancy.  Inside
-    `no_grad` only the losses are computed: the forward lattices alone.
+    is segment i's target there; `batch_loss` puts the final point first.
+    Also returns each point's summed loss.  The gradient at each
+    log-probability is minus its weighted occupancy, which
+    `log_softmax_rows` turns into softmax minus occupancy.  The node lists
+    the first point's log-softmax last among its parents, so that, with
+    posterior feedback, `backward` runs the others' right after this node
+    and frees their outputs and occupancies there.  Inside `no_grad` only
+    the losses are computed: the forward lattices alone.
     """
     recording = dc.is_recording()
     result = ctc.ctc_loss_batch(
@@ -118,6 +122,14 @@ def ctc_node(
     live = []
     if recording:
         live = [(lp, g, w) for lp, g, w in zip(log_probs, result.grads, weights) if w]
+    # `_topo_order` explores the last-listed parent first.  Through the
+    # final head it reaches the whole stack and, with posterior feedback,
+    # every intermediate head's logits, before it comes back to the other
+    # log-softmax nodes.  So these come last in its order, and `backward`
+    # runs them right after this node, before the top block: their outputs
+    # and occupancies are freed there, and only the head-logit gradients of
+    # the same size are held until their layer.
+    live = live[1:] + live[:1]
     out = Tensor(np.float64(total), parents=tuple(lp for lp, _, _ in live), op="ctc_nll")
     # Backward reads the occupancies, not the log-probabilities.
     live = [(lp.node, grad, weight) for lp, grad, weight in live]

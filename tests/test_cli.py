@@ -4,17 +4,19 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from condctc import synthdata, trainer
+from condctc import ctc, synthdata, trainer
 from condctc.cli import TrainCmdConfig, main
 from condctc.ctc import greedy_decode
 from condctc.diffcore import NumericError, ParamStore
@@ -353,6 +355,74 @@ class TestTrain:
             "features; training takes T>=1 frames of 8\n"
         )
 
+    @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl"])
+    def test_record_too_short_for_its_characters_exits_3_naming_it(self, data_dir, tmp_path,
+                                                                    capsys, split):
+        # It used to exit 4 as a numeric failure, naming its place in a
+        # batch, at the first step that drew it or, in the validation
+        # split, at the first evaluation, after training had run.
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        out = tmp_path / "run"
+        out.mkdir()
+        records = [json.loads(line) for line in (data / split).read_text().splitlines()]
+        last = records[-1]
+        last["features"] = {"shape": [1, 8], "data": [0.5] * 8}
+        (data / split).write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(data), "--out-dir", str(out), *SMALL_TRAIN])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data / split}: record {last['id']!r}: character target of length "
+            f"{len(last['chars'])} needs at least {ctc.min_frames(last['chars'])} frames, got 1\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl"])
+    def test_record_too_short_for_its_syllables_exits_3_with_syllable_heads(self, data_dir,
+                                                                            tmp_path, capsys,
+                                                                            split):
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        out = tmp_path / "run"
+        out.mkdir()
+        records = [json.loads(line) for line in (data / split).read_text().splitlines()]
+        last = records[-1]
+        frames = last["features"]["shape"][0]
+        # a repeated syllable needs a blank between repeats: 2 * frames - 1 frames
+        last["syllables"] = last["syllables"][:1] * frames
+        assert ctc.min_frames(last["chars"]) <= frames
+        (data / split).write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        train = ["train", "--data-dir", str(data), "--out-dir", str(out), *SMALL_TRAIN]
+        capsys.readouterr()
+        assert run(train) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data / split}: record {last['id']!r}: syllable target of length "
+            f"{frames} needs at least {2 * frames - 1} frames, got {frames}\n"
+        )
+        assert list(out.iterdir()) == []
+        # Without syllable heads, syllables are not aligned.
+        assert run([*train, "--strategy", "interctc"]) == 0
+
+    @pytest.mark.parametrize("split", ["train.jsonl", "valid.jsonl"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_exit_3_naming_the_record(self, data_dir, tmp_path, capsys,
+                                                          split, value):
+        # Python's json reads NaN and Infinity; training used to run until
+        # it drew the record, then exit 4 naming no record.
+        data = shutil.copytree(data_dir, tmp_path / "data")
+        out = tmp_path / "run"
+        out.mkdir()
+        records = [json.loads(line) for line in (data / split).read_text().splitlines()]
+        last = records[-1]
+        last["features"]["data"][3] = value
+        (data / split).write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(data), "--out-dir", str(out), *SMALL_TRAIN])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {data / split}: record {last['id']!r} has non-finite features\n"
+        )
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["chars.vocab", "syllables.vocab"])
     @pytest.mark.parametrize("content,problem", [
         (b"x\ny\n", "token 0 must be '<blank>'"),
@@ -369,6 +439,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {data / name}: not a vocabulary ({problem}")
         assert err.count("\n") == 1, err
+
+    def test_overflowing_run_prints_one_line_and_no_warning(self, data_dir, tmp_path, capsys):
+        # An enormous learning rate makes the first step's update overflow
+        # the next forward.  numpy used to print a warning line for each
+        # overflow before the numeric-failure line.
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                        *SMALL_TRAIN, "--max-steps", "1", "--lr-factor", "1e300"])
+        assert code == 4
+        assert capsys.readouterr().err == "numeric failure: block 1 produced non-finite values\n"
 
     def test_abort_prints_the_reason(self, data_dir, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -1094,6 +1176,106 @@ class TestFuzzedEvalInputs:
         err = err.getvalue()
         assert (code, err.count("\n")) in ((0, 0), (3, 1)), err
         assert code == 0 or (err.startswith("data error: ") and csv.read_text() == self.CSV), err
+
+
+class TestFuzzedTrainInputs:
+    """`train` on a damaged record, vocabulary or config file never raises:
+    it exits 0, 2, 3 or 4, with one message line on stderr when it fails,
+    and exits 2 and 3 leave `out_dir` as it was.  A run that aborts on
+    non-finite values exits 4 and says so on stdout; one that fails on them
+    says so in a numeric-failure line."""
+
+    # A tiny model and one training step, so an example takes well under a
+    # second; the config file holds the same settings.
+    SETTINGS = {"n_layers": "2", "d_model": "8", "n_heads": "2", "d_ff": "8",
+                "conv_kernel": "3", "batch_size": "4", "eval_interval": "1", "average_k": "1",
+                "strategy": "alternate", "mix_weight": "0.5", "warmup_steps": "4",
+                "lr_factor": "1.0", "grad_clip": "5.0", "seed": "0"}
+    # A config value may be any of these.  Their integers stay small, so no
+    # edit makes a model too large for the test to build.
+    VALUES = (st.integers(-3, 40).map(str) | st.floats().map(repr)
+              | st.sampled_from(["", "x", "true", "nan", "-inf", "1e400", "1_0", "\u0663", " 2"])
+              | st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory, data_dir):
+        work = tmp_path_factory.mktemp("fuzz-train")
+        shutil.copytree(data_dir, work / "data")
+        return work
+
+    def train(self, work, *flags) -> None:
+        out = work / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        (out / "kept.txt").write_text("an earlier run's file\n")
+        err, stdout = io.StringIO(), io.StringIO()
+        # A warning would print lines of its own outside the tests.
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            code = run(["train", "--data-dir", str(work / "data"), "--out-dir", str(out),
+                        "--max-steps", "1", *flags])
+        err = err.getvalue()
+        assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 0), (4, 1)), err
+        prefix = {0: "", 2: "config error: ", 3: "data error: ", 4: "numeric failure: "}[code]
+        assert err.startswith(prefix), err
+        if (code, err) == (4, ""):
+            assert "training aborted on non-finite values" in stdout.getvalue()
+        if code in (2, 3):
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+    def flags(self) -> list[str]:
+        return [arg for key, value in self.SETTINGS.items()
+                for arg in ("--" + key.replace("_", "-"), value)]
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_record(self, data_dir, work, data):
+        split = data.draw(st.sampled_from(["train.jsonl", "valid.jsonl"]))
+        lines = (data_dir / split).read_bytes().splitlines(keepends=True)
+        at = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):
+            lines[at] = edit_bytes(lines[at], data)
+        else:
+            lines[at] = json.dumps(edit_json(json.loads(lines[at]), data)).encode() + b"\n"
+        try:
+            (work / "data" / split).write_bytes(b"".join(lines))
+            self.train(work, *self.flags())
+        finally:
+            shutil.copy(data_dir / split, work / "data" / split)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_vocabulary(self, data_dir, work, data):
+        name = data.draw(st.sampled_from(["chars.vocab", "syllables.vocab"]))
+        blob = (data_dir / name).read_bytes()
+        if data.draw(st.booleans()):
+            blob = edit_bytes(blob, data)
+        else:
+            lines = blob.decode().splitlines()
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at:at + 1] = data.draw(st.lists(st.text(max_size=3), max_size=2))
+            blob = "".join(line + "\n" for line in lines).encode()
+        try:
+            (work / "data" / name).write_bytes(blob)
+            self.train(work, *self.flags())
+        finally:
+            shutil.copy(data_dir / name, work / "data" / name)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_config(self, work, data):
+        lines = [f"{key}={value}" for key, value in self.SETTINGS.items()]
+        text = "".join(line + "\n" for line in lines).encode()
+        if data.draw(st.booleans()):
+            text = edit_bytes(text, data)
+        else:
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = lines[at].partition("=")[0] + "=" + data.draw(self.VALUES)
+            text = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+        config = work / "train.cfg"
+        config.write_bytes(text)
+        self.train(work, "--config", str(config))
 
 
 class TestBadEvalRecords:

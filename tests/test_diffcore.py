@@ -519,6 +519,41 @@ class TestAttentionRebuild:
         q, k, v, n_heads, lengths = row_underflow_inputs()
         self.assert_bitwise_the_kept_weights_form([q, k, v], n_heads, lengths, rebuilt)
 
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
+    @pytest.mark.parametrize("inputs", ["normal", "row-shifted"])
+    def test_backward_reads_the_weights_its_output_rebuild_made(self, inputs, rebuilt):
+        """The output's rebuild makes the value again, bitwise, in memory of
+        its own, and the gradients are bitwise the same whether or not it
+        ran.  Rebuilt q, k and v have their values overwritten with NaN, so
+        backward can only read their rebuilds."""
+        if inputs == "normal":
+            n_heads, lengths = 2, [5, 1, 12, 3]
+            rng = np.random.default_rng(4)
+            arrays = [2.0 * rng.normal(size=(21, 8)) for _ in range(3)]
+        else:
+            *arrays, n_heads, lengths = row_underflow_inputs()
+        g = np.random.default_rng(5).normal(size=arrays[0].shape)
+        results = []
+        for call_rebuild in (False, True):
+            qkv = [Tensor(a.copy()) for a in arrays]
+            if rebuilt:
+                for t, a in zip(qkv, arrays):
+                    t.rebuild = a.copy
+            out = dc.multi_head_attention(*qkv, n_heads, lengths)
+            if rebuilt:
+                for t in qkv:
+                    t.value[...] = np.nan
+            if call_rebuild:
+                again = out.rebuild()
+                assert np.array_equal(again, results[0][0])
+                assert not np.shares_memory(again, out.value)
+                assert out.rebuild() is again
+            out.node._backward(g)
+            results.append([out.value] + [t.grad for t in qkv])
+        for kept, after_rebuild in zip(*results):
+            assert np.isfinite(kept).all()
+            assert np.array_equal(kept, after_rebuild)
+
 
 class TestNoGrad:
     def test_outputs_are_leaves(self):
@@ -571,11 +606,12 @@ class TestRecordedStepMemory:
     @staticmethod
     def rebuilt(node) -> bool:
         """Whether the node's output has a `rebuild`: every recorded swish,
-        layer norm and convolution output has one, and `linear` gives its
-        output one when its input has one."""
+        layer norm, convolution and attention output has one, and `linear`
+        gives its output one when its input has one."""
         if node.op == "linear":
             return TestRecordedStepMemory.rebuilt(node.parents[0])
-        return node.op in ("layer_norm_affine", "swish", "depthwise_conv_rows")
+        return node.op in ("layer_norm_affine", "swish", "depthwise_conv_rows",
+                           "multi_head_attention")
 
     @staticmethod
     def recorded_step(monkeypatch, made):
@@ -627,6 +663,7 @@ class TestRecordedStepMemory:
         into_attention = [node for node, _ in made if node.op == "linear"
                           and {op for op, _ in consumers[id(node)]} == {"multi_head_attention"}]
         into_swish = [node for node, _ in made if {op for op, _ in consumers[id(node)]} == {"swish"}]
+        attention = [node for node, _ in made if node.op == "multi_head_attention"]
         # 24 adds: 18 residual, 5 feedback, 1 position code; the 6 block
         # outputs that feed a head's linear are read by its backward.
         assert sum(node.op == "add" for node, _ in made) == 24
@@ -642,9 +679,13 @@ class TestRecordedStepMemory:
         # the swishes keep.
         assert Counter(node.op for node in into_swish) == {"depthwise_conv_rows": 6, "linear": 6}
         assert all(self.rebuilt(node) for node in into_swish)
+        # The 6 attention outputs, whose rebuilds the `wo` projections keep.
+        assert len(attention) == 6
+        assert all(consumers[id(node)] == [("linear", 0)] for node in attention)
         # head logits, the convolution's normalized input, the position code
         assert {"linear", "layer_norm_affine", "leaf"} <= {n.op for n in unread_values}
-        for node in into_add + into_linear + into_attention + into_swish + unread_values:
+        for node in (into_add + into_linear + into_attention + into_swish + attention
+                     + unread_values):
             assert id(node) in freed, (node.op, consumers[id(node)])
         # ... while every value some backward function reads stays alive.
         read = [node for node, _ in made if consumers[id(node)] and not unread(node)]
@@ -690,9 +731,11 @@ class TestRecordedStepMemory:
         assert not calls
         dc.backward(loss)
         # The 18 pre-norm outputs, the 12 swish outputs, the 18 q/k/v and 6
-        # ffn.w1 outputs and the 6 convolution outputs, each made once.
+        # ffn.w1 outputs, the 6 convolution outputs and the 6 attention
+        # outputs, each made once.
         assert Counter(ops[key] for key in calls) == {
-            "layer_norm_affine": 18, "swish": 12, "linear": 24, "depthwise_conv_rows": 6}
+            "layer_norm_affine": 18, "swish": 12, "linear": 24, "depthwise_conv_rows": 6,
+            "multi_head_attention": 6}
         assert set(calls.values()) == {1}
 
 
