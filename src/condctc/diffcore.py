@@ -181,7 +181,13 @@ def _acc_zeros(node: Node, shape: tuple[int, ...]) -> np.ndarray:
 
 def _topo_order(root: Node | Tensor) -> list:
     """`root` and every node reachable from it through `.parents`, parents
-    first."""
+    first: a depth-first post-order that explores a node's parents from the
+    last-listed to the first.  Callers rely on this shape.  Everything
+    reachable through a node's last parent comes first, and an earlier
+    parent that none of it reaches comes after, just before the node
+    itself when all its own parents are already placed.  So `backward`,
+    which runs the order in reverse, runs such a parent's backward function
+    right after the node's (`trainer.ctc_node` lists its parents for this)."""
     order: list = []
     seen: set[int] = set()
     stack: list[tuple[object, bool]] = [(root, False)]
@@ -489,9 +495,9 @@ def multi_head_attention(
     bitwise a recorded one.  A recorded step keeps the rebuilds of q, k and
     v (or their values, where they have none), each row's softmax sum and
     each segment's shift, never the weights or the output: the output's
-    `rebuild` repeats the forward's operations over the rebuilt q, k and v
-    and leaves each segment's normalized weights for backward, which makes
-    its own when nothing called the rebuild.
+    `rebuild` repeats the forward's operations over the rebuilt q, k and v,
+    and backward makes each segment's weights again, one segment at a time,
+    so that no more than one segment's (heads, T, T) weights are ever held.
     """
     _require_2d("multi_head_attention", q, k, v)
     shapes = [t.value.shape for t in (q, k, v)]
@@ -508,33 +514,31 @@ def multi_head_attention(
         # (rows, d) -> (n_heads, rows, d_head) view
         return a.reshape(rows, n_heads, d_head).transpose(1, 0, 2)
 
-    def exps(qs: np.ndarray, kh: np.ndarray, seg: slice, shift_axes) -> np.ndarray:
-        # One segment's exponentials of the scores of the scaled q, made in
-        # place in one (heads, T, T) buffer and shifted by the maximum over
-        # `shift_axes`: one per head, or one per row.
-        w = qs[:, seg] @ kh[:, seg].transpose(0, 2, 1)
-        w -= w.max(axis=shift_axes, keepdims=True)
+    def exps(qs: np.ndarray, kh: np.ndarray, i: int) -> np.ndarray:
+        # Segment i's exponentials of the scores of the scaled q, made in
+        # place in one (heads, T, T) buffer and shifted by the segment's
+        # kept shift, which the forward makes: the (heads, 1) maximum per
+        # head, or the (heads, T) maximum per row for a segment in `per_row`.
+        start, stop = bounds[i]
+        w = qs[:, start:stop] @ kh[:, start:stop].transpose(0, 2, 1)
+        if shifts[i] is None:
+            shifts[i] = w.max(axis=2 if i in per_row else (1, 2), keepdims=True)[:, :, 0]
+        w -= shifts[i][:, :, None]
         return np.exp(w, out=w)
 
-    def products(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray,
-                 kept: list | None = None) -> np.ndarray:
-        # Each segment's exponentials, appended to `kept` when given, times
-        # v with a column of ones: the (heads, rows, d_head + 1) product
-        # holds each row's sum in its last column, so the division runs on
-        # (heads, rows, d_head) rather than on the (heads, T, T) scores.
-        # Scaling q, not the scores, is bitwise the same when the factor is
-        # a power of two (d_head 4, 16, 64, ...).
+    def products(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray) -> np.ndarray:
+        # Each segment's exponentials times v with a column of ones: the
+        # (heads, rows, d_head + 1) product holds each row's sum in its last
+        # column, so the division runs on (heads, rows, d_head) rather than
+        # on the (heads, T, T) scores.  Scaling q, not the scores, is bitwise
+        # the same when the factor is a power of two (d_head 4, 16, 64, ...).
         qs, kh = heads(qv * factor), heads(kv)
         v1 = np.empty((n_heads, rows, d_head + 1))
         v1[:, :, :d_head] = heads(vv)
         v1[:, :, d_head] = 1.0
         wv = np.empty((n_heads, rows, d_head + 1))
-        for (start, stop), shift_axes in zip(bounds, shifts):
-            seg = slice(start, stop)
-            w = exps(qs, kh, seg, shift_axes)
-            np.matmul(w, v1[:, seg], out=wv[:, seg])
-            if kept is not None:
-                kept.append(w)
+        for i, (start, stop) in enumerate(bounds):
+            np.matmul(exps(qs, kh, i), v1[:, start:stop], out=wv[:, start:stop])
         return wv
 
     # The output and the sums the node keeps are made before the scratch
@@ -543,7 +547,8 @@ def multi_head_attention(
     # arrays do not fit.
     y = np.empty((rows, d))  # C order, so that `heads` of it is a view
     sums = np.empty((n_heads, rows, 1))
-    shifts = [(1, 2)] * len(bounds)
+    shifts: list[np.ndarray | None] = [None] * len(bounds)
+    per_row: set[int] = set()
     wv = products(q.value, k.value, v.value)
     # A row whose maximum lies hundreds of nats under its head's sums to
     # almost nothing and would lose precision, so a segment with one is
@@ -551,40 +556,32 @@ def multi_head_attention(
     starts = [start for start, _ in bounds]
     low = np.minimum.reduceat(wv[:, :, d_head].min(axis=0), starts) < _MIN_ROW_SUM
     if low.any():
-        shifts = [2 if redo else shift_axes for redo, shift_axes in zip(low, shifts)]
+        per_row = set(np.flatnonzero(low).tolist())
+        for i in per_row:
+            shifts[i] = None
         wv = products(q.value, k.value, v.value)
     sums[...] = wv[:, :, d_head:]
     np.divide(wv[:, :, :d_head], sums, out=heads(y))
     del wv
     q_value, k_value, v_value = (t.rebuild or t.value.view for t in (q, k, v))
     nq, nk, nv = q.node, k.node, v.node
-    weights = None  # the normalized weights the rebuild made, which backward reads
 
     def rebuild() -> np.ndarray:
-        nonlocal weights
-        weights = []
-        wv = products(q_value(), k_value(), v_value(), weights)
+        wv = products(q_value(), k_value(), v_value())
         out = np.empty((rows, d))
         np.divide(wv[:, :, :d_head], sums, out=heads(out))
-        for (start, stop), w in zip(bounds, weights):
-            w /= sums[:, start:stop]
         return out
-
-    def normalized(qs: np.ndarray, kh: np.ndarray) -> Iterator[np.ndarray]:
-        # Each segment's weights again, one at a time, as the rebuild makes them.
-        for (start, stop), shift_axes in zip(bounds, shifts):
-            w = exps(qs, kh, slice(start, stop), shift_axes)
-            w /= sums[:, start:stop]
-            yield w
 
     def _bwd(g: np.ndarray) -> None:
         qv = q_value()
-        qh, kh, vh = heads(qv), heads(k_value()), heads(v_value())
-        ws = weights if weights is not None else normalized(heads(qv * factor), kh)
+        qh, qs, kh, vh = heads(qv), heads(qv * factor), heads(k_value()), heads(v_value())
         gq, gk, gv = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
         gh, gqh, gkh, gvh = heads(g), heads(gq), heads(gk), heads(gv)
-        for (start, stop), w in zip(bounds, ws):
+        for i, (start, stop) in enumerate(bounds):
             seg = slice(start, stop)
+            # One segment's weights at a time, as the forward made them.
+            w = exps(qs, kh, i)
+            w /= sums[:, seg]
             # Score gradient before the scale, w * (gw - rowsum(gw * w)) with
             # gw = g @ v^T, computed in gw's buffer.
             gs = gh[:, seg] @ vh[:, seg].transpose(0, 2, 1)

@@ -122,13 +122,13 @@ def ctc_node(
     live = []
     if recording:
         live = [(lp, g, w) for lp, g, w in zip(log_probs, result.grads, weights) if w]
-    # `_topo_order` explores the last-listed parent first.  Through the
-    # final head it reaches the whole stack and, with posterior feedback,
-    # every intermediate head's logits, before it comes back to the other
-    # log-softmax nodes.  So these come last in its order, and `backward`
-    # runs them right after this node, before the top block: their outputs
-    # and occupancies are freed there, and only the head-logit gradients of
-    # the same size are held until their layer.
+    # `backward` runs the order `dc._topo_order` documents: the subgraph of
+    # the last-listed parent first.  Through the final head it reaches the
+    # whole stack and, with posterior feedback, every intermediate head's
+    # logits, so the other log-softmax nodes run right after this node,
+    # before the top block: their outputs and occupancies are freed there,
+    # and only the head-logit gradients of the same size are held until
+    # their layer.
     live = live[1:] + live[:1]
     out = Tensor(np.float64(total), parents=tuple(lp for lp, _, _ in live), op="ctc_nll")
     # Backward reads the occupancies, not the log-probabilities.

@@ -521,11 +521,11 @@ class TestAttentionRebuild:
 
     @pytest.mark.parametrize("rebuilt", [False, True], ids=["kept", "rebuilt"])
     @pytest.mark.parametrize("inputs", ["normal", "row-shifted"])
-    def test_backward_reads_the_weights_its_output_rebuild_made(self, inputs, rebuilt):
+    def test_gradients_do_not_depend_on_the_output_rebuild_having_run(self, inputs, rebuilt):
         """The output's rebuild makes the value again, bitwise, in memory of
         its own, and the gradients are bitwise the same whether or not it
         ran.  Rebuilt q, k and v have their values overwritten with NaN, so
-        backward can only read their rebuilds."""
+        the rebuild and backward can only read their rebuilds."""
         if inputs == "normal":
             n_heads, lengths = 2, [5, 1, 12, 3]
             rng = np.random.default_rng(4)
