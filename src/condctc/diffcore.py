@@ -514,19 +514,20 @@ def multi_head_attention(
         # (rows, d) -> (n_heads, rows, d_head) view
         return a.reshape(rows, n_heads, d_head).transpose(1, 0, 2)
 
-    def exps(qs: np.ndarray, kh: np.ndarray, i: int) -> np.ndarray:
+    def exps(qs: np.ndarray, kh: np.ndarray, i: int, make_shift: bool = False) -> np.ndarray:
         # Segment i's exponentials of the scores of the scaled q, made in
-        # place in one (heads, T, T) buffer and shifted by the segment's
-        # kept shift, which the forward makes: the (heads, 1) maximum per
-        # head, or the (heads, T) maximum per row for a segment in `per_row`.
+        # place in one (heads, T, T) buffer and shifted by the segment's rows
+        # of `shift`, which the forward makes: the maximum per head, or per
+        # row for a segment in `per_row`.
         start, stop = bounds[i]
         w = qs[:, start:stop] @ kh[:, start:stop].transpose(0, 2, 1)
-        if shifts[i] is None:
-            shifts[i] = w.max(axis=2 if i in per_row else (1, 2), keepdims=True)[:, :, 0]
-        w -= shifts[i][:, :, None]
+        if make_shift:
+            shift[:, start:stop] = w.max(axis=2 if i in per_row else (1, 2), keepdims=True)[:, :, 0]
+        w -= shift[:, start:stop, None]
         return np.exp(w, out=w)
 
-    def products(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    def products(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray,
+                 make_shifts: bool = False) -> np.ndarray:
         # Each segment's exponentials times v with a column of ones: the
         # (heads, rows, d_head + 1) product holds each row's sum in its last
         # column, so the division runs on (heads, rows, d_head) rather than
@@ -538,18 +539,18 @@ def multi_head_attention(
         v1[:, :, d_head] = 1.0
         wv = np.empty((n_heads, rows, d_head + 1))
         for i, (start, stop) in enumerate(bounds):
-            np.matmul(exps(qs, kh, i), v1[:, start:stop], out=wv[:, start:stop])
+            np.matmul(exps(qs, kh, i, make_shifts), v1[:, start:stop], out=wv[:, start:stop])
         return wv
 
-    # The output and the sums the node keeps are made before the scratch
-    # buffers, which so go back to the top of the heap when freed instead
-    # of leaving holes under the kept arrays that later steps' larger
-    # arrays do not fit.
+    # The output, the sums and the shifts the node keeps are made before the
+    # scratch buffers, which so go back to the top of the heap when freed
+    # instead of leaving holes under the kept arrays that later steps' (or
+    # utterances') larger arrays do not fit.
     y = np.empty((rows, d))  # C order, so that `heads` of it is a view
     sums = np.empty((n_heads, rows, 1))
-    shifts: list[np.ndarray | None] = [None] * len(bounds)
+    shift = np.empty((n_heads, rows))
     per_row: set[int] = set()
-    wv = products(q.value, k.value, v.value)
+    wv = products(q.value, k.value, v.value, make_shifts=True)
     # A row whose maximum lies hundreds of nats under its head's sums to
     # almost nothing and would lose precision, so a segment with one is
     # redone with a shift per row.
@@ -557,9 +558,7 @@ def multi_head_attention(
     low = np.minimum.reduceat(wv[:, :, d_head].min(axis=0), starts) < _MIN_ROW_SUM
     if low.any():
         per_row = set(np.flatnonzero(low).tolist())
-        for i in per_row:
-            shifts[i] = None
-        wv = products(q.value, k.value, v.value)
+        wv = products(q.value, k.value, v.value, make_shifts=True)
     sums[...] = wv[:, :, d_head:]
     np.divide(wv[:, :, :d_head], sums, out=heads(y))
     del wv
