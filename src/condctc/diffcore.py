@@ -516,14 +516,16 @@ def multi_head_attention(
 
     def exps(qs: np.ndarray, kh: np.ndarray, i: int, make_shift: bool = False) -> np.ndarray:
         # Segment i's exponentials of the scores of the scaled q, made in
-        # place in one (heads, T, T) buffer and shifted by the segment's rows
-        # of `shift`, which the forward makes: the maximum per head, or per
-        # row for a segment in `per_row`.
+        # place in one (heads, T, T) buffer and shifted by the segment's
+        # kept shift, which the forward makes: the maximum per head, kept in
+        # the segment's first column of `shift`, or, for a segment in
+        # `per_row`, the maximum per row, kept in all its columns.
         start, stop = bounds[i]
+        cols = slice(start, stop) if i in per_row else slice(start, start + 1)
         w = qs[:, start:stop] @ kh[:, start:stop].transpose(0, 2, 1)
         if make_shift:
-            shift[:, start:stop] = w.max(axis=2 if i in per_row else (1, 2), keepdims=True)[:, :, 0]
-        w -= shift[:, start:stop, None]
+            shift[:, cols] = w.max(axis=2 if i in per_row else (1, 2), keepdims=True)[:, :, 0]
+        w -= shift[:, cols, None]
         return np.exp(w, out=w)
 
     def products(qv: np.ndarray, kv: np.ndarray, vv: np.ndarray,

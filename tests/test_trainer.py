@@ -656,8 +656,8 @@ class TestParameterMemory:
         by the CTC sweep, and 6.21 MiB.  With the attention outputs rebuilt
         for `wo`, log-alpha made in the sweep's emission buffer, the sweep's
         cells kept as int32 and dropped point by point, and the intermediate
-        log-softmax nodes run right after the CTC node, they are 7.39 MiB,
-        still set by the CTC sweep, and 5.22 MiB, set by backward.  A
+        log-softmax nodes run right after the CTC node, they are 7.43 MiB,
+        still set by the CTC sweep, and 5.28 MiB, set by backward.  A
         failure names each phase's peak."""
         lang = synthdata.make_language(seed=1, n_syllables=20, n_characters=60)
         # The training split that generate_dataset(lang, ..., n_train=50, seed=1) writes.
