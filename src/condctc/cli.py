@@ -103,9 +103,12 @@ def _parse_value(raw: str, kind: type):
             return False
         raise ConfigError(f"cannot parse boolean from {raw!r}")
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {raw!r} as {kind.__name__}") from exc
+    if kind is int and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{raw!r} does not fit in 64 bits")
+    return value
 
 
 def resolve_config(cls, config_path: str | None, overrides: dict):
@@ -391,33 +394,28 @@ def _read_records(path: Path) -> dict[str, dict]:
     'syllables' and 'layers' where a record has them.  Features and other
     fields are dropped, and each distinct token is one string object.  A
     line that is not UTF-8 JSON of a well-formed record, or that repeats an
-    id, raises DataError naming the file and the line."""
+    id, raises FormatError naming the file and the line."""
     records: dict[str, dict] = {}
     seen: dict[str, str] = {}
 
     def tokens(values: list[str]) -> list[str]:
         return [seen.setdefault(tok, tok) for tok in values]
 
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if problem := _record_problem(rec):
-                raise DataError(f"{path}:{lineno}: {problem}")
-            if rec["id"] in records:
-                raise DataError(f"{path}:{lineno}: duplicate id {rec['id']!r}")
-            kept = {key: tokens(rec[key]) for key in ("chars", "syllables") if key in rec}
-            if "layers" in rec:
-                kept["layers"] = {
-                    level: {n: tokens(toks) for n, toks in rec["layers"][level].items()}
-                    for level in ("char", "syl")
-                }
-            records[rec["id"]] = kept
+    def read(rec) -> tuple[str, dict]:
+        if problem := _record_problem(rec):
+            raise FormatError(problem)
+        if rec["id"] in records:  # the records before it are already kept
+            raise FormatError(f"duplicate id {rec['id']!r}")
+        kept = {key: tokens(rec[key]) for key in ("chars", "syllables") if key in rec}
+        if "layers" in rec:
+            kept["layers"] = {
+                level: {n: tokens(toks) for n, toks in rec["layers"][level].items()}
+                for level in ("char", "syl")
+            }
+        return rec["id"], kept
+
+    for utt_id, kept in synthdata.read_json_lines(path, read):
+        records[utt_id] = kept
     return records
 
 

@@ -182,12 +182,7 @@ def _acc_zeros(node: Node, shape: tuple[int, ...]) -> np.ndarray:
 def _topo_order(root: Node | Tensor) -> list:
     """`root` and every node reachable from it through `.parents`, parents
     first: a depth-first post-order that explores a node's parents from the
-    last-listed to the first.  Callers rely on this shape.  Everything
-    reachable through a node's last parent comes first, and an earlier
-    parent that none of it reaches comes after, just before the node
-    itself when all its own parents are already placed.  So `backward`,
-    which runs the order in reverse, runs such a parent's backward function
-    right after the node's (`trainer.ctc_node` lists its parents for this)."""
+    last-listed to the first."""
     order: list = []
     seen: set[int] = set()
     stack: list[tuple[object, bool]] = [(root, False)]
@@ -317,15 +312,24 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _record(Tensor(y, (x,), "softmax_rows"), _bwd)
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Rowwise log-softmax of a 2-D array, shifted by each row's maximum."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def log_softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient at a rowwise log-softmax's input, from its output `y` and `g` there."""
+    return g - np.exp(y) * g.sum(axis=1, keepdims=True)
+
+
 def log_softmax_rows(x: Tensor) -> Tensor:
     _require_2d("log_softmax_rows", x)
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    y = shifted - lse
+    y = log_softmax(x.value)
     nx = x.node
 
     def _bwd(g: np.ndarray) -> None:
-        _acc(nx, g - np.exp(y) * g.sum(axis=1, keepdims=True))
+        _acc(nx, log_softmax_grad(g, y))
 
     return _record(Tensor(y, (x,), "log_softmax_rows"), _bwd)
 

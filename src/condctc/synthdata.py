@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -307,23 +307,29 @@ def write_jsonl(utts: Sequence[Utterance], lang: ToyLanguage, path: str | Path) 
             fh.write(json.dumps(utterance_to_record(utt, lang), separators=(",", ":")) + "\n")
 
 
-def iter_jsonl(
-    path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary
-) -> Iterator[Utterance]:
-    """The utterances of a JSONL file, one record per nonblank line, each read
-    only when the one before it has been taken.  A line that is not UTF-8
-    JSON, or not a record `record_to_utterance` reads, raises FormatError
-    naming the file and the line."""
+def read_json_lines(path: str | Path, read: Callable[[object], object]) -> Iterator:
+    """`read` of the JSON value on each nonblank line of a file, each line
+    read only when the item before it has been taken.  A line that is not
+    UTF-8 JSON, or whose value `read` rejects with FormatError, raises
+    FormatError naming the file and the line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                utt = record_to_utterance(json.loads(line), char_vocab, syl_vocab)
+                item = read(json.loads(line))
             except (FormatError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-            yield utt
+            yield item
+
+
+def iter_jsonl(
+    path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary
+) -> Iterator[Utterance]:
+    """The utterances of a JSONL file, one record per nonblank line, read as
+    `read_json_lines` reads them, by `record_to_utterance`."""
+    return read_json_lines(path, lambda rec: record_to_utterance(rec, char_vocab, syl_vocab))
 
 
 def read_jsonl(path: str | Path, char_vocab: Vocabulary, syl_vocab: Vocabulary) -> list[Utterance]:

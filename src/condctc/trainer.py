@@ -9,12 +9,12 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import ctc, diffcore as dc
-from .diffcore import ContractError, NumericError, ParamStore, Tensor, atomic_write
+from .diffcore import ContractError, Node, NumericError, ParamStore, Tensor, atomic_write
 from .encoder import EncoderModel, ForwardOutput
 from .labels import error_rate
 from .synthdata import Utterance
@@ -92,51 +92,35 @@ class TrainResult:
 
 
 def ctc_node(
-    log_probs: Sequence[Tensor],
+    heads: Sequence[Node],
+    log_probs: Sequence[np.ndarray],
     lengths: Sequence[int],
     targets: Sequence[Sequence[Sequence[int]]],
     weights: Sequence[float],
 ) -> tuple[Tensor, list[float]]:
     """Weighted sum over prediction points of each point's summed per-segment
-    CTC losses, as one graph node over all points' log-softmax outputs.
-
-    `log_probs[p]` stacks the segments' rows of point p and `targets[p][i]`
-    is segment i's target there; `batch_loss` puts the final point first.
-    Also returns each point's summed loss.  The gradient at each
-    log-probability is minus its weighted occupancy, which
-    `log_softmax_rows` turns into softmax minus occupancy.  The node lists
-    the first point's log-softmax last among its parents, so that, with
-    posterior feedback, `backward` runs the others' right after this node
-    and frees their outputs and occupancies there.  Inside `no_grad` only
-    the losses are computed: the forward lattices alone.
-    """
-    recording = dc.is_recording()
-    result = ctc.ctc_loss_batch(
-        [lp.value for lp in log_probs], lengths, targets, with_grads=recording
-    )
+    CTC losses, and each point's sum, as one graph node over the points'
+    head logits: `heads[p]` is the node of point p's logits, `log_probs[p]`
+    their `dc.log_softmax`, and `targets[p][i]` segment i's target there.
+    The node keeps each point's log-softmax and occupancies; its backward
+    gives each head's logits the weighted softmax minus occupancy and drops
+    that point's arrays.  Points of weight 0 stay off the graph.  Inside
+    `no_grad` only the forward lattices run."""
+    result = ctc.ctc_loss_batch(log_probs, lengths, targets, with_grads=dc.is_recording())
     sums = [float(s) for s in result.losses.sum(axis=1)]
     total = 0.0
     for weight, point_sum in zip(weights, sums):
         total += weight * point_sum
-    # Points of weight 0 only report their loss and stay off the graph.
-    live = []
-    if recording:
-        live = [(lp, g, w) for lp, g, w in zip(log_probs, result.grads, weights) if w]
-    # `backward` runs the order `dc._topo_order` documents: the subgraph of
-    # the last-listed parent first.  Through the final head it reaches the
-    # whole stack and, with posterior feedback, every intermediate head's
-    # logits, so the other log-softmax nodes run right after this node,
-    # before the top block: their outputs and occupancies are freed there,
-    # and only the head-logit gradients of the same size are held until
-    # their layer.
-    live = live[1:] + live[:1]
-    out = Tensor(np.float64(total), parents=tuple(lp for lp, _, _ in live), op="ctc_nll")
-    # Backward reads the occupancies, not the log-probabilities.
-    live = [(lp.node, grad, weight) for lp, grad, weight in live]
+    points = zip(heads, weights, log_probs, result.grads or ())
+    live = [(head, w, lp, grad) for head, w, lp, grad in points if w]
+    out = Tensor(np.float64(total), op="ctc_nll")
+    out.node.parents = tuple(head for head, _, _, _ in live)
 
     def _bwd(g: np.ndarray) -> None:
-        for node, grad, weight in live:
-            dc._acc(node, (float(g) * weight) * grad)
+        while live:
+            head, weight, lp, grad = live.pop()
+            grad = (float(g) * weight) * grad  # at the log-probabilities
+            dc._acc(head, dc.log_softmax_grad(grad, lp))
 
     return dc._record(out, _bwd), sums
 
@@ -167,10 +151,10 @@ def batch_loss(
     mix_weight: float,
 ) -> tuple[Tensor, dict]:
     """Sum over the segments of `out` of each one's `total_loss`, built as
-    one `log_softmax_rows` per prediction point feeding one CTC node; the
-    parts are summed the same way.  An infeasible target names its head,
-    layer and segment.  `out` is dropped once the log-softmaxes are built,
-    so when the caller holds no other reference its head logits are freed
+    one CTC node over every prediction point's head logits; the parts are
+    summed the same way.  An infeasible target names its head, layer and
+    segment.  `out` is dropped once the log-softmax values are made, so
+    when the caller holds no other reference its head logits are freed
     before the CTC sweep."""
     if not len(char_targets) == len(syl_targets) == len(out.lengths):
         raise ContractError(
@@ -185,11 +169,12 @@ def batch_loss(
         weights = [1.0] + [0.0] * n_inter
     else:
         weights = [1.0 - mix_weight] + [mix_weight / n_inter] * n_inter
-    log_probs = [dc.log_softmax_rows(out.logits[key]) for key in keys]
+    heads = [out.logits[key].node for key in keys]
+    log_probs = [dc.log_softmax(out.logits[key].value) for key in keys]
     lengths = out.lengths
     del out
     try:
-        node, sums = ctc_node(log_probs, lengths, targets, weights)
+        node, sums = ctc_node(heads, log_probs, lengths, targets, weights)
     except ctc.InfeasibleAlignmentError as exc:
         key = keys[exc.point]
         head = "final char head" if key == final else f"{key[0]} head at layer {key[1]}"
@@ -432,6 +417,14 @@ def _retain_freed_pages() -> None:
     mallopt(m_trim_threshold, 128 << 20)
 
 
+def _batches(rng: np.random.Generator, n: int, batch_size: int) -> Iterator[np.ndarray]:
+    """Batches of indices for ever, each epoch's permutation drawn at its first batch."""
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
+
+
 @dataclass
 class _Checkpoint:
     step: int
@@ -456,7 +449,8 @@ def train(
     `decode_points` pass of `batch_size` utterances per forward, runs every
     `eval_interval` steps and records a metrics row and a checkpoint candidate;
     the `average_k` best checkpoints by validation total loss are averaged
-    into the final parameter set.  A non-finite loss or gradient aborts the
+    into the final parameter set.  A NumericError in a step or in an
+    evaluation (a non-finite loss, gradient or block output) aborts the
     run, returning the last finite parameters and the error's message in
     `abort_reason`.  An `out_dir` that is not an existing directory raises
     ContractError before the first step.  Training gives `model.store` its
@@ -480,9 +474,8 @@ def train(
     best: list[_Checkpoint] = []
     aborted = False
     abort_reason = ""
-    step = 0
 
-    def evaluate_now(lr: float) -> float:
+    def evaluate_now(step: int, lr: float) -> float:
         valid_loss, valid_rates, _ = _evaluate(model, valid_set, cfg.mix_weight, cfg.batch_size)
         train_loss, train_rates, train_parts = _evaluate(
             model, train_set, cfg.mix_weight, cfg.batch_size
@@ -511,31 +504,26 @@ def train(
     # Zeroed once: each step's `backward` resets the gradients of the
     # parameters it reaches, and the others stay zero.
     model.store.zero_grad()
-    done = False
-    while not done:
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
-            step += 1
-            lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor)
-            try:
-                _step_gradients(model, batch, cfg.mix_weight, step)
-                clip_global_norm(model.store, cfg.grad_clip)
-                # Each step makes exactly one update or aborts the run.
-                adam_step(model.store, moments, step, lr)
-            except NumericError as exc:
-                # Divergence: stop with the last finite parameters intact.
-                aborted = True
-                abort_reason = str(exc)
-                done = True
-                break
+    for step, indices in enumerate(_batches(rng, n_train, cfg.batch_size), 1):
+        batch = [train_set[i] for i in indices]
+        lr = noam_lr(step, model.cfg.d_model, cfg.warmup_steps, cfg.lr_factor)
+        try:
+            _step_gradients(model, batch, cfg.mix_weight, step)
+            clip_global_norm(model.store, cfg.grad_clip)
+            # Each step makes exactly one update or aborts the run.
+            adam_step(model.store, moments, step, lr)
             if step % cfg.eval_interval == 0 or step >= step_budget:
                 # The run ends only after an evaluation, or on abort.
-                train_error = evaluate_now(lr)
+                train_error = evaluate_now(step, lr)
                 target = cfg.early_stop_train_cer
                 if step >= step_budget or (target is not None and train_error <= target):
-                    done = True
                     break
+        except NumericError as exc:
+            # Divergence, in a step or in an evaluation: stop with the last
+            # finite parameters intact.
+            aborted = True
+            abort_reason = str(exc)
+            break
 
     if not best:
         # Aborted before the first evaluation: keep the last finite parameters.

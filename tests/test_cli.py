@@ -241,6 +241,7 @@ class TestTrain:
         ("--seed", "-1"), ("--max-steps", "-1"),
         ("--lr-factor", "-2"), ("--lr-factor", "0"), ("--lr-factor", "nan"), ("--lr-factor", "inf"),
         ("--grad-clip", "nan"), ("--grad-clip", "-1"), ("--early-stop-train-cer", "nan"),
+        ("--d-model", str(10**20)),  # numpy raised from the weight initializer (exit 1)
     ])
     def test_out_of_range_value_exits_2(self, data_dir, tmp_path, capsys, flag, value):
         capsys.readouterr()
@@ -453,6 +454,21 @@ class TestTrain:
         assert code == 4
         err = capsys.readouterr().err
         assert err.count("\n") <= 1 and "Warning" not in err, err
+
+    def test_divergence_in_an_evaluation_aborts_like_one_in_a_step(self, data_dir, tmp_path,
+                                                                  capsys):
+        # The first step's update is finite but so large that the evaluation
+        # after it overflows the first block.
+        capsys.readouterr()
+        code = run(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path),
+                    *SMALL_TRAIN, "--max-steps", "1", "--lr-factor", "1e300"])
+        out, err = capsys.readouterr()
+        assert code == 4 and err == ""
+        assert ("training aborted on non-finite values (block 1 produced non-finite values); "
+                "last finite checkpoint kept") in out
+        assert (tmp_path / "metrics.csv").read_text().count("\n") == 1  # no evaluation finished
+        model, _ = EncoderModel.load(tmp_path / "model_avg.ntc")
+        assert np.isfinite(model.store.flat).all()
 
     def test_abort_prints_the_reason(self, data_dir, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -1178,6 +1194,94 @@ class TestFuzzedEvalInputs:
         err = err.getvalue()
         assert (code, err.count("\n")) in ((0, 0), (3, 1)), err
         assert code == 0 or (err.startswith("data error: ") and csv.read_text() == self.CSV), err
+
+
+class TestFuzzedGenDataInputs:
+    """`gen-data` with any config file and flags never raises: it exits 0
+    with nothing on stderr, or 2 with one config-error line, and a failed
+    run leaves `out_dir` as it was.  Drawn counts stay in the tens and
+    lengths under 10, so a run takes milliseconds; values past int64 are
+    explicit examples, as a count that large would not finish."""
+
+    # Small settings, so a run that succeeds writes a few short records.
+    SETTINGS = {"seed": "1", "n_syllables": "4", "n_characters": "9",
+                "max_pronunciations": "2", "d_in": "2", "n_train": "2", "n_valid": "1",
+                "min_len": "1", "max_len": "3", "n_homophone_eval": "1"}
+    ODD = (st.sampled_from(["", "x", "true", "nan", "-inf", "1e3", "2.0", "0x10", "1_0",
+                            "\u0663", " 2", "-0", "+3"])
+           | st.text(st.characters(blacklist_categories=("Nd",)), max_size=3))
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz-gen-data")
+
+    def value(self, key: str, data) -> str:
+        small = st.integers(-3, 9 if key.endswith("_len") else 40).map(str)
+        return data.draw(small | self.ODD)
+
+    @staticmethod
+    def gen_data(work, *args) -> None:
+        out = work / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        (out / "kept.txt").write_text("an earlier run's file\n")
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
+            code = run(["gen-data", "--out-dir", str(out), *args])
+        err = err.getvalue()
+        assert (code, err.count("\n")) in ((0, 0), (2, 1)), err
+        if code == 2:
+            assert err.startswith("config error: "), err
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+    @FUZZ
+    @given(data=st.data())
+    def test_flags(self, work, data):
+        settings = dict(self.SETTINGS)
+        for key in data.draw(st.lists(st.sampled_from(sorted(settings)), unique=True,
+                                      max_size=3)):
+            settings[key] = self.value(key, data)
+        # `--flag=value`, so that a value starting with "-" is not read as a flag
+        self.gen_data(work, *(f"--{key.replace('_', '-')}={value}"
+                              for key, value in settings.items()))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_config_file(self, work, data):
+        lines = [f"{key}={value}" for key, value in self.SETTINGS.items()]
+        if data.draw(st.booleans()):
+            text = edit_bytes("".join(line + "\n" for line in lines).encode(), data)
+        else:
+            at = data.draw(st.integers(0, len(lines) - 1))
+            key = lines[at].partition("=")[0]
+            lines[at] = key + "=" + self.value(key, data)
+            text = "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+        config = work / "gen.cfg"
+        config.write_bytes(text)
+        self.gen_data(work, "--config", str(config))
+
+    # `--max-len 10**20` gave numpy's "high is out of bounds for int64"
+    # traceback (exit 1); `--n-train 10**20` would not finish.
+    @pytest.mark.parametrize("value", [2**63, 10**20, -(2**63) - 1])
+    @pytest.mark.parametrize("key", sorted(SETTINGS))
+    def test_value_past_int64_exits_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in self.SETTINGS.items() if k != key]
+        assert run(["gen-data", "--out-dir", str(out), f"--{key.replace('_', '-')}={value}",
+                    *flags]) == 2
+        assert capsys.readouterr().err == f"config error: '{value}' does not fit in 64 bits\n"
+        assert list(out.iterdir()) == []
+
+    def test_value_past_int64_in_the_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "gen.cfg"
+        config.write_text("max_len=100000000000000000000\n")
+        assert run(["gen-data", "--out-dir", str(tmp_path), "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: '100000000000000000000' does not fit in 64 bits\n")
+        assert list(tmp_path.iterdir()) == [config]
 
 
 class TestFuzzedTrainInputs:

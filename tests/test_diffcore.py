@@ -169,17 +169,18 @@ class TestBackwardSemantics:
 
     def test_backward_drops_every_backward_function(self):
         rng = np.random.default_rng(6)
-        log_probs = dc.log_softmax_rows(Tensor(rng.normal(size=(7, 4))))
-        loss, _ = ctc_node([log_probs], [4, 3], [[[1, 2], [3]]], [1.0])
+        logits = dc.scale(Tensor(rng.normal(size=(7, 4))), 2.0)
+        loss, _ = ctc_node([logits.node], [dc.log_softmax(logits.value)], [4, 3],
+                           [[[1, 2], [3]]], [1.0])
         order = dc._topo_order(loss.node)
         kept = reachable_arrays(loss.node._backward)
-        assert [a.shape for a in kept] == [(7, 4)]  # the occupancies
-        occupancy = weakref.ref(kept[0])
-        del kept
+        # the log-softmax and the occupancies
+        assert [a.shape for a in kept] == [(7, 4), (7, 4)]
+        kept = [weakref.ref(a) for a in kept]
         dc.backward(loss)
         assert all(node._backward is None for node in order)
         assert all(node.grad is None for node in order if node.parents)
-        assert occupancy() is None  # freed with the CTC node's backward function
+        assert [ref() for ref in kept] == [None, None]  # freed by the CTC node's backward
 
     def test_only_leaves_keep_gradients(self):
         rng = np.random.default_rng(5)
@@ -594,11 +595,12 @@ class TestRecordedStepMemory:
     backward function reads."""
 
     # (op, input position) whose backward function does not read that input.
+    # The CTC node keeps its parents' log-softmax, not their values.
     UNREAD = {("add", 0), ("add", 1), ("scale", 0), ("mean_reduce", 0), ("linear", 2),
-              ("softmax_rows", 0), ("log_softmax_rows", 0), ("layer_norm_affine", 0),
-              ("layer_norm_affine", 2)}
+              ("softmax_rows", 0), ("layer_norm_affine", 0), ("layer_norm_affine", 2),
+              *(("ctc_nll", p) for p in range(6))}
     # Ops whose backward function reads their own output.
-    READS_OUTPUT = {"softmax_rows", "log_softmax_rows"}
+    READS_OUTPUT = {"softmax_rows"}
     # (op, input position) that keeps the input's `rebuild` in place of its value.
     KEEPS_REBUILD = {("linear", 0), ("multi_head_attention", 0), ("multi_head_attention", 1),
                      ("multi_head_attention", 2), ("swish", 0), ("depthwise_conv_rows", 0)}
@@ -778,7 +780,7 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-class TestSwishLinear:
+class TestLinearOfSwish:
     """`linear` of a swish output keeps the output's rebuild, not its value:
     the value and all three gradients must be bitwise those of `linear` of
     the kept-sigmoid swish."""

@@ -51,7 +51,7 @@ def small_model(strategy="alternate", n_layers=6, seed=0, chars=5, syls=4):
 
 def final_point_alone(out, target):
     """CTC loss of the final point of a one-utterance output, run by itself."""
-    log_probs = dc.log_softmax_rows(out.logits[("char", 6)]).value
+    log_probs = dc.log_softmax(out.logits[("char", 6)].value)
     return ctc.ctc_loss_batch([log_probs], out.lengths, [[target]]).losses[0, 0]
 
 
@@ -164,9 +164,27 @@ class TestFusedCtc:
         rows = sum(self.LENGTHS)
         return [Tensor(scale * rng.normal(size=(rows, c))) for c in self.CLASSES]
 
-    def node(self, logits):
+    def node(self, logits, weights=WEIGHTS):
+        return ctc_node([x.node for x in logits], [dc.log_softmax(x.value) for x in logits],
+                        self.LENGTHS, self.TARGETS, weights)
+
+    def occupancy_node(self, logits):
+        """The fused node in its earlier form: a `log_softmax_rows` node per
+        point feeding a node whose backward gives each log-probability minus
+        its weighted occupancy."""
         log_probs = [dc.log_softmax_rows(x) for x in logits]
-        return ctc_node(log_probs, self.LENGTHS, self.TARGETS, self.WEIGHTS)
+        result = ctc.ctc_loss_batch([lp.value for lp in log_probs], self.LENGTHS, self.TARGETS)
+        sums = [float(s) for s in result.losses.sum(axis=1)]
+        total = 0.0
+        for weight, point_sum in zip(self.WEIGHTS, sums):
+            total += weight * point_sum
+        live = [(lp.node, grad, w) for lp, grad, w in zip(log_probs, result.grads, self.WEIGHTS)]
+
+        def _bwd(g):
+            for node, grad, weight in live:
+                dc._acc(node, (float(g) * weight) * grad)
+
+        return dc._record(Tensor(np.float64(total), tuple(log_probs), "ctc_nll"), _bwd), sums
 
     def oracle(self, logits):
         """Per-point summed losses and logits gradients of the weighted total."""
@@ -210,10 +228,24 @@ class TestFusedCtc:
             assert dc.softmax_rows(logits[0]).value.min() < 1e-30
         assert dc.grad_check(lambda: self.node(logits)[0], logits, eps=1e-6) < 1e-6
 
+    @pytest.mark.parametrize("scale", [1.0, 20.0, 400.0])
+    def test_matches_log_softmax_nodes_feeding_an_occupancy_node(self, scale):
+        # At x400 softmax underflows to exact zeros in most entries.
+        new, old = self.logits(scale), self.logits(scale)
+        node, sums = self.node(new)
+        ref, ref_sums = self.occupancy_node(old)
+        assert sums == ref_sums and node.value.tobytes() == ref.value.tobytes()
+        dc.backward(node)
+        dc.backward(ref)
+        for x, y in zip(new, old):
+            assert np.array_equal(x.grad, y.grad)
+            assert np.array_equal(np.signbit(x.grad), np.signbit(y.grad))
+        if scale > 20.0:
+            assert (new[0].grad == 0.0).any()
+
     def test_zero_weight_point_stays_off_the_graph(self):
         logits = self.logits()
-        log_probs = [dc.log_softmax_rows(x) for x in logits]
-        node, sums = ctc_node(log_probs, self.LENGTHS, self.TARGETS, (1.0, 0.0))
+        node, sums = self.node(logits, (1.0, 0.0))
         assert float(node.value) == sums[0]
         dc.backward(node)
         assert logits[0].grad is not None and logits[1].grad is None
@@ -612,7 +644,7 @@ class TestParameterMemory:
     @staticmethod
     def phase_peaks(monkeypatch, model, batch) -> dict[str, int]:
         """Traced peaks of one recorded step, by phase: the forward pass and
-        its log-softmaxes, the CTC sweep, the rest of the loss, and the
+        its log-softmax values, the CTC sweep, the rest of the loss, and the
         backward pass."""
         peaks = {}
 
@@ -641,24 +673,12 @@ class TestParameterMemory:
     def test_step_holds_no_rebuilt_value(self, monkeypatch):
         """The traced peak of one recorded step of the default-size 6-layer
         model, on the 342-frame second batch of the benchmark's first epoch
-        (seed-1 corpus, batch order from default_rng(2)).  With every swish
-        output kept for its projection's weight gradient, `alternate` peaked
-        at 23.63 MiB; with the swish outputs rebuilt in backward, at 20.62
-        MiB (`baseline` 17.55 MiB).  With the pre-norm outputs that feed
-        q/k/v and ffn.w1 rebuilt too, the peaks were 18.62 and 15.70 MiB;
-        with attention keeping neither its weights nor q/k/v, and each
-        rebuilt value made once per backward, they were 13.96 and 11.16 MiB.
-        With the convolution and swish keeping only their input's rebuild,
-        and a node taking the first gradient array it is given instead of a
-        copy, they were 9.58 and 6.79 MiB.  With `backward` dropping each
-        node's backward function once it has run, and each rebuilt value
-        living until its last consumer's backward, they were 9.24 MiB, set
-        by the CTC sweep, and 6.21 MiB.  With the attention outputs rebuilt
-        for `wo`, log-alpha made in the sweep's emission buffer, the sweep's
-        cells kept as int32 and dropped point by point, and the intermediate
-        log-softmax nodes run right after the CTC node, they are 7.43 MiB,
-        still set by the CTC sweep, and 5.28 MiB, set by backward.  A
-        failure names each phase's peak."""
+        (seed-1 corpus, batch order from default_rng(2)).  A step keeps no
+        value that backward can make again, and `backward` frees what each
+        node keeps as it passes the node, so the peaks are about 7.45 MiB
+        for `alternate`, set by the CTC sweep, and 5.28 MiB for `baseline`,
+        set by backward (one BLAS thread).  A failure names each phase's
+        peak."""
         lang = synthdata.make_language(seed=1, n_syllables=20, n_characters=60)
         # The training split that generate_dataset(lang, ..., n_train=50, seed=1) writes.
         train_set = synthdata.sample_utterances(lang, 50, (3, 8), 1, 0, "train")
@@ -859,7 +879,7 @@ class TestTrainLoop:
         assert np.any(model.store["block01.ffn.w2"].value != before["block01.ffn.w2"])
 
     def test_head_logits_are_freed_before_the_ctc_sweep(self, tiny_data, monkeypatch):
-        # `batch_loss` drops the forward output once the log-softmaxes exist,
+        # `batch_loss` drops the forward output once the log-softmax values exist,
         # and nothing else holds the logits, so the sweep does not add to them.
         lang, train_set, _ = tiny_data
         model = EncoderModel(SMALL, PlacementConfig.from_strategy("alternate", 2),
@@ -882,25 +902,33 @@ class TestTrainLoop:
         assert alive_at_sweep and not any(alive_at_sweep)
 
     @pytest.mark.parametrize("strategy", ["alternate", "selfcond", "parallel"])
-    def test_intermediate_log_softmaxes_run_right_after_the_ctc_node(self, tiny_data,
-                                                                    strategy):
-        # So their outputs and the occupancies are freed before the top
-        # block's backward.  With posterior feedback, the final head reaches
-        # every intermediate head's logits.
-        n_inter = 5
+    def test_ctc_node_backward_grads_every_head_and_frees_its_arrays(self, tiny_data,
+                                                                      strategy, monkeypatch):
+        # The CTC node's parents are the head logits themselves, and its
+        # backward drops each point's log-softmax and occupancies as it goes.
         lang, train_set, _ = tiny_data
         model = EncoderModel(SMALL, PlacementConfig.from_strategy(strategy, 6),
                              lang.char_vocab().size, lang.syl_vocab().size, seed=3)
+        arrays, loss_batch = [], ctc.ctc_loss_batch
+
+        def sweep(log_probs, *args, **kwargs):
+            result = loss_batch(log_probs, *args, **kwargs)
+            arrays.extend(weakref.ref(a) for a in [*log_probs, *result.grads])
+            return result
+
+        monkeypatch.setattr(ctc, "ctc_loss_batch", sweep)
         out = model.forward_batch([u.features for u in train_set[:3]])
-        final_logits = out.logits[out.final_key].node
+        heads = [t.node for t in out.logits.values()]
         loss, _ = batch_loss(out, [u.char_ids for u in train_set[:3]],
                              [u.syl_ids for u in train_set[:3]], 0.5)
         del out
-        ctc_nll, *after = dc._topo_order(loss.node)[::-1]
-        inter = [node for node in ctc_nll.parents if node.parents[0] is not final_logits]
-        assert ctc_nll.op == "ctc_nll" and len(inter) == n_inter
-        assert {node.op for node in inter} == {"log_softmax_rows"}
-        assert set(map(id, after[:n_inter])) == set(map(id, inter))
+        assert loss.op == "ctc_nll" and len(heads) == 6
+        assert set(map(id, loss.parents)) == set(map(id, heads))
+        assert {node.op for node in loss.parents} == {"linear"}
+        assert len(arrays) == 12 and all(ref() is not None for ref in arrays)
+        loss.node._backward(np.ones_like(loss.value))
+        assert all(head.grad is not None for head in heads)
+        assert [ref for ref in arrays if ref() is not None] == []
 
     def test_graphs_leave_no_reference_cycles(self, tiny_data):
         # Every tape must be freed by reference counting alone.
@@ -951,7 +979,7 @@ class TestTrainLoop:
 
     def test_steps_after_evaluation_record_the_full_tape(self, tiny_data, monkeypatch):
         # Evaluation runs tape-free after every step; each step's tape must
-        # still hold all 271 nodes of a 6-layer `alternate` step.
+        # still hold all 265 nodes of a 6-layer `alternate` step.
         lang, train_set, valid_set = tiny_data
         sizes = []
         backward = dc.backward
@@ -967,7 +995,7 @@ class TestTrainLoop:
                           eval_interval=1)
         result = train(model, train_set, valid_set, cfg)
         assert len(result.metrics) == 3
-        assert sizes == [271, 271, 271]
+        assert sizes == [265, 265, 265]
 
     def test_no_step_graph_outlives_the_step(self, tiny_data, monkeypatch):
         # When a step's forward starts, reference counting alone must have
