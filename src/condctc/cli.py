@@ -22,7 +22,7 @@ import numpy as np
 from . import synthdata, trainer
 from .ctc import InfeasibleAlignmentError, min_frames
 from .diffcore import ContractError, FormatError, NumericError, atomic_write
-from .encoder import EncoderModel, ModelConfig, PlacementConfig
+from .encoder import EncoderModel, ModelConfig, PlacementConfig, _parameter_count
 from .labels import InvalidTokenError, UndefinedRateError, Vocabulary, error_rate
 from .synthdata import LanguageSpecError
 from .trainer import TrainConfig
@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# The most parameters, feature values, characters, pronunciations or
+# utterances that `gen-data` and `train` take (1 GiB of float64 values).
+MAX_SIZE = 2**27
 
 
 class ConfigError(ValueError):
@@ -166,12 +170,27 @@ def _overrides(args: argparse.Namespace, cls) -> dict:
 # -- commands ----------------------------------------------------------------
 
 
+def _check_sizes(**sizes: int) -> None:
+    for name, size in sizes.items():
+        if size > MAX_SIZE:
+            raise ConfigError(f"{size} {name.replace('_', ' ')} exceed the limit of {MAX_SIZE}")
+
+
 def cmd_gen_data(cfg: GenDataConfig) -> int:
     if not cfg.out_dir:
         raise ConfigError("out_dir is required")
     out = Path(cfg.out_dir)
     if not out.is_dir():
         raise DataError(f"output directory does not exist: {out}")
+    # Negative settings, rejected below, count as 0.  The feature values are
+    # the syllable prototypes and the frames: a character is 1 or 2
+    # syllables of at most DUR_RANGE[1] frames.
+    chars, syls, prons, d_in, frames = (max(n, 0) for n in (
+        cfg.n_characters, cfg.n_syllables, cfg.max_pronunciations, cfg.d_in,
+        cfg.max_len * 2 * synthdata.DUR_RANGE[1]))
+    utts = sum(max(n, 0) for n in (cfg.n_train, cfg.n_valid, cfg.n_homophone_eval))
+    _check_sizes(characters=chars, pronunciations=chars * prons, utterances=utts,
+                 feature_values=(syls + utts * frames) * d_in)
     lang = synthdata.make_language(
         seed=cfg.seed,
         n_syllables=cfg.n_syllables,
@@ -290,6 +309,8 @@ def cmd_train(cfg: TrainCmdConfig) -> int:
         )
     except ContractError as exc:
         raise ConfigError(str(exc)) from None
+    _check_sizes(parameters=_parameter_count(model_cfg, cfg.n_layers, char_vocab.size,
+                                             syl_vocab.size))
     for name, utts in (("train.jsonl", train_set), ("valid.jsonl", valid_set)):
         if placement.syl_layers and not any(u.syl_ids for u in utts):
             # the syllable heads are scored too

@@ -150,11 +150,10 @@ def ctc_loss(probs: np.ndarray, target: Sequence[int]) -> CtcResult:
 class CtcBatchResult:
     """Loss of each (prediction point, segment) lattice, and per point the
     gradient of its summed loss w.r.t. its log-probabilities: minus the
-    alpha/beta occupancy of each class at each frame.  `grads` is None when
-    only the losses were asked for."""
+    alpha/beta occupancy of each class at each frame."""
 
     losses: np.ndarray  # (n_points, n_segments)
-    grads: list[np.ndarray] | None  # one per point, shaped like its log-probabilities
+    grads: list[np.ndarray]  # one per point, shaped like its log-probabilities
 
 
 # The most negative finite float64: raising a shift to it changes no finite
@@ -230,7 +229,6 @@ def ctc_loss_batch(
     log_probs: Sequence[np.ndarray],
     lengths: Sequence[int],
     targets: Sequence[Sequence[Sequence[int]]],
-    with_grads: bool = True,
 ) -> CtcBatchResult:
     """CTC negative log-likelihoods of every (prediction point, segment)
     lattice in one log-domain forward-backward sweep.
@@ -244,15 +242,12 @@ def ctc_loss_batch(
     each lattice, not the longest one's times the number of lattices.  The
     backward pass is the forward recursion over each lattice reversed in
     time and in state order, run in the same sweep.  The sweep holds one
-    array of cells, the emissions that log-alpha overwrites, and with
-    gradients each point's cell positions and matrix entries, as int32
-    where they fit and each dropped once its point's gradient is made.  No
-    probability floor applies.  Matches `ctc_loss` on `exp(log_probs)` rows
-    wherever no probability falls below its floor.  An infeasible target
-    raises InfeasibleAlignmentError with `point` set.  With `with_grads`
-    False the sweep runs the forward lattices alone and returns no
-    gradients; each lattice's columns are computed elementwise, so the
-    losses are bitwise the same either way.
+    array of cells, the emissions that log-alpha overwrites, and each
+    point's cell positions and matrix entries, as int32 where they fit and
+    each dropped once its point's gradient is made.  No probability floor
+    applies.  Matches `ctc_loss` on `exp(log_probs)` rows wherever no
+    probability falls below its floor.  An infeasible target raises
+    InfeasibleAlignmentError with `point` set.
     """
     sizes = [int(n) for n in lengths]
     if not sizes or min(sizes) < 1:
@@ -293,15 +288,14 @@ def ctc_loss_batch(
             firsts.append(start)
             frames.append(n)
 
-    # The sweep: lattices longest first, each followed, when gradients are
-    # asked for, by its reversal (labels and frames in reverse order), so the
-    # lattices still running at a frame are a prefix of the columns.  A
-    # reversal's log-alpha at (T-1-t, S-1-s) is its lattice's log-beta at
-    # (t, s) plus the emission at t.
+    # The sweep: lattices longest first, each followed by its reversal
+    # (labels and frames in reverse order), so the lattices still running at
+    # a frame are a prefix of the columns.  A reversal's log-alpha at
+    # (T-1-t, S-1-s) is its lattice's log-beta at (t, s) plus the emission
+    # at t.
     order = np.argsort(-np.array(frames), kind="stable")
-    lanes = 2 if with_grads else 1  # lanes per lattice
-    lane_ext = [e for b in order for e in (exts[b], exts[b][::-1])[:lanes]]
-    lane_t = np.repeat(np.array(frames)[order], lanes)
+    lane_ext = [e for b in order for e in (exts[b], exts[b][::-1])]
+    lane_t = np.repeat(np.array(frames)[order], 2)
     widths = np.array([e.size + 2 for e in lane_ext])
     width = int(widths.sum())
     first_col = np.cumsum(widths) - widths
@@ -319,30 +313,29 @@ def ctc_loss_batch(
     # and state S-1-s, reads the same entry.  The cells are handled point by
     # point, frame by frame in column order: a point's forward columns still
     # running at frame t are a prefix of them too.
-    lane_point = np.repeat(np.asarray(points)[order], lanes)
-    base = np.repeat(np.asarray(firsts)[order], lanes)
+    lane_point = np.repeat(np.asarray(points)[order], 2)
+    base = np.repeat(np.asarray(firsts)[order], 2)
     base *= np.array([m.shape[1] for m in mats])[lane_point]
     base = base[lane] + ext
     mask = np.empty(width, dtype=bool)  # each mask of one point's columns in turn
-    forward &= np.equal(lane % lanes, 0, out=mask)
+    forward &= np.equal(lane % 2, 0, out=mask)
     col_point, point_cols = lane_point[lane], []
     for p in range(len(mats)):
         np.equal(col_point, p, out=mask)
         point_cols.append(np.flatnonzero(np.logical_and(mask, forward, out=mask)))
-    if with_grads:
-        last_frame = lane_t[lane] - 1
-        mirror_col = first_col[lane ^ 1] + widths[lane] - 1 - state
+    last_frame = lane_t[lane] - 1
+    mirror_col = first_col[lane ^ 1] + widths[lane] - 1 - state
     em = np.full(int(offsets[-1] + running[-1]), -np.inf)  # the emissions, then log-alpha
     # Each point's cells are kept for the gradients as int32 where every
     # position and entry fits, which halves what the sweep holds.
     kept = np.int32 if max(em.size, *(m.size for m in mats)) < 2**31 else np.intp
 
-    def fill(p: int) -> tuple[np.ndarray, ...] | None:
+    def fill(p: int) -> tuple[np.ndarray, ...]:
         """Write point p's emissions into `em` at its running forward cells
-        and, with gradients, at their mirrors.  With gradients, returns the
-        point's forward columns running at each frame, and its running
-        forward cells' sweep positions, matrix entries and mirrors' sweep
-        positions, frame by frame in column order."""
+        and at their mirrors.  Returns the point's forward columns running at
+        each frame, and its running forward cells' sweep positions, matrix
+        entries and mirrors' sweep positions, frame by frame in column
+        order."""
         mat, cols = mats[p], point_cols[p]
         counts = np.searchsorted(cols, running)
         index = _prefix_positions(counts)  # of each cell's column in cols
@@ -352,8 +345,6 @@ def ctc_loss_batch(
         src = frame * mat.shape[1]
         src += base[cols][index]
         em[cell] = emission = np.take(mat, src)
-        if not with_grads:
-            return None
         mirror = last_frame[cols][index]
         mirror -= frame
         mirror = offsets[mirror]
@@ -365,15 +356,13 @@ def ctc_loss_batch(
         point_cells = [fill(p) for p in range(len(mats))]
         _log_alpha(em, ext, state, running.tolist(), offsets.tolist())
         alpha = em  # in the emissions' buffer
-        fwd = np.arange(0, widths.size, lanes)
+        fwd = np.arange(0, widths.size, 2)
         last_col = first_col[fwd] + widths[fwd] - 1  # the guard before a 1-state lattice is -inf
         last = offsets[lane_t[fwd] - 1] + last_col
         log_p = np.logaddexp(alpha[last], alpha[last - 1])
         losses = np.empty(order.size)
         losses[order] = -log_p
         losses = losses.reshape(len(mats), len(sizes))
-        if not with_grads:
-            return CtcBatchResult(losses=losses, grads=None)
         # Occupancy of each forward cell: its log-alpha plus its mirror's,
         # less the emission counted twice and the lattice's log-probability.
         log_p = log_p[lane // 2]

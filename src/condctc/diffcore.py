@@ -141,11 +141,6 @@ def no_grad() -> Iterator[None]:
         _recording.reset(token)
 
 
-def is_recording() -> bool:
-    """Whether ops record a graph here: False inside `no_grad`."""
-    return _recording.get()
-
-
 def _record(out: Tensor, backward_fn: Callable[[np.ndarray], None],
             rebuild: Callable[[], np.ndarray] | None = None) -> Tensor:
     """Give an op's output node its backward function and the output its

@@ -144,6 +144,49 @@ class ModelConfig:
             raise ContractError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
 
 
+def _param_spec(
+    cfg: ModelConfig, n_layers: int, char_vocab_size: int, syl_vocab_size: int
+) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
+    """(name, shape, fill) of every parameter of a model of these sizes, in
+    the order `EncoderModel._init_store` draws them; a fill of None means a
+    Glorot-uniform draw."""
+    d = cfg.d_model
+    yield "input.w", (cfg.d_in, d), None
+    yield "input.b", (d,), 0.0
+    for layer in range(1, n_layers + 1):
+        p = f"block{layer:02d}"
+        yield f"{p}.attn_ln.gain", (d,), 1.0
+        yield f"{p}.attn_ln.bias", (d,), 0.0
+        for proj in ("wq", "wk", "wv", "wo"):
+            yield f"{p}.attn.{proj}", (d, d), None
+        for b in ("bq", "bk", "bv", "bo"):
+            yield f"{p}.attn.{b}", (d,), 0.0
+        yield f"{p}.conv_ln.gain", (d,), 1.0
+        yield f"{p}.conv_ln.bias", (d,), 0.0
+        yield f"{p}.conv.depth", (cfg.conv_kernel, d), None
+        yield f"{p}.conv.point.w", (d, d), None
+        yield f"{p}.conv.point.b", (d,), 0.0
+        yield f"{p}.ffn_ln.gain", (d,), 1.0
+        yield f"{p}.ffn_ln.bias", (d,), 0.0
+        yield f"{p}.ffn.w1", (d, cfg.d_ff), None
+        yield f"{p}.ffn.b1", (cfg.d_ff,), 0.0
+        yield f"{p}.ffn.w2", (cfg.d_ff, d), None
+        yield f"{p}.ffn.b2", (d,), 0.0
+    for level, size in (("char", char_vocab_size), ("syl", syl_vocab_size)):
+        yield f"{level}_head.w", (d, size), None
+        yield f"{level}_head.b", (size,), 0.0
+    for level, size in (("char", char_vocab_size), ("syl", syl_vocab_size)):
+        yield f"{level}_cond.w", (size, d), None
+        yield f"{level}_cond.b", (d,), 0.0
+
+
+def _parameter_count(cfg: ModelConfig, n_layers: int, *vocab_sizes: int) -> int:
+    """The parameter count of a model of these sizes, without walking its
+    blocks: they are all alike, so the count is linear in the depth."""
+    bare, one = (sum(math.prod(s) for _, s, _ in _param_spec(cfg, n, *vocab_sizes)) for n in (0, 1))
+    return bare + n_layers * (one - bare)
+
+
 # Keys that checkpoints of earlier versions carry in the header's `model`
 # block, each with the one value the encoder still implements.
 _RETIRED_MODEL_KEYS = {"use_pos_enc": True, "cond_layer_norm": False, "ln_eps": dc.LN_EPS}
@@ -228,42 +271,10 @@ class EncoderModel:
 
     # -- parameters ---------------------------------------------------------
 
-    def _param_spec(self) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
-        """(name, shape, fill) of every parameter, in the order `_init_store`
-        draws them; a fill of None means a Glorot-uniform draw."""
-        cfg = self.cfg
-        d = cfg.d_model
-        yield "input.w", (cfg.d_in, d), None
-        yield "input.b", (d,), 0.0
-        for layer in range(1, self.placement.n_layers + 1):
-            p = f"block{layer:02d}"
-            yield f"{p}.attn_ln.gain", (d,), 1.0
-            yield f"{p}.attn_ln.bias", (d,), 0.0
-            for proj in ("wq", "wk", "wv", "wo"):
-                yield f"{p}.attn.{proj}", (d, d), None
-            for b in ("bq", "bk", "bv", "bo"):
-                yield f"{p}.attn.{b}", (d,), 0.0
-            yield f"{p}.conv_ln.gain", (d,), 1.0
-            yield f"{p}.conv_ln.bias", (d,), 0.0
-            yield f"{p}.conv.depth", (cfg.conv_kernel, d), None
-            yield f"{p}.conv.point.w", (d, d), None
-            yield f"{p}.conv.point.b", (d,), 0.0
-            yield f"{p}.ffn_ln.gain", (d,), 1.0
-            yield f"{p}.ffn_ln.bias", (d,), 0.0
-            yield f"{p}.ffn.w1", (d, cfg.d_ff), None
-            yield f"{p}.ffn.b1", (cfg.d_ff,), 0.0
-            yield f"{p}.ffn.w2", (cfg.d_ff, d), None
-            yield f"{p}.ffn.b2", (d,), 0.0
-        for level, size in (("char", self.char_vocab_size), ("syl", self.syl_vocab_size)):
-            yield f"{level}_head.w", (d, size), None
-            yield f"{level}_head.b", (size,), 0.0
-        for level, size in (("char", self.char_vocab_size), ("syl", self.syl_vocab_size)):
-            yield f"{level}_cond.w", (size, d), None
-            yield f"{level}_cond.b", (d,), 0.0
-
     def _init_store(self, seed: int) -> ParamStore:
         rng = np.random.default_rng(seed)
-        spec = list(self._param_spec())
+        spec = list(_param_spec(self.cfg, self.n_layers, self.char_vocab_size,
+                                self.syl_vocab_size))
         store = ParamStore({name: shape for name, shape, _ in spec})
         for name, shape, fill in spec:
             store[name].value[...] = dc.glorot_uniform(rng, shape) if fill is None else fill
@@ -464,7 +475,8 @@ class EncoderModel:
         # Checked as the spec is walked, so a header that claims far more
         # layers than the file holds stops at the first missing tensor.
         expected = set()
-        for name, shape, _ in model._param_spec():
+        for name, shape, _ in _param_spec(model.cfg, model.n_layers, model.char_vocab_size,
+                                          model.syl_vocab_size):
             expected.add(name)
             if name not in store:
                 raise FormatError(f"{path}: tensor {name!r} is missing")

@@ -7,6 +7,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
+from .diffcore import atomic_write
+
 BLANK_TOKEN = "<blank>"
 BLANK_ID = 0
 
@@ -73,8 +75,9 @@ class Vocabulary:
         return [self.tokens[i] for i in ids]
 
     def save(self, path: str | Path) -> None:
-        """Write one token per line; line 0 is the blank."""
-        Path(path).write_text("".join(t + "\n" for t in self.tokens), encoding="utf-8")
+        """Write one token per line, line 0 the blank; `path` is replaced whole."""
+        with atomic_write(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(t + "\n" for t in self.tokens))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

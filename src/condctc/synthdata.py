@@ -12,7 +12,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .diffcore import FormatError
+from .diffcore import FormatError, atomic_write
 from .labels import InvalidTokenError, Vocabulary
 
 _CONSONANTS = "kstnhmyrwgzdbp"
@@ -302,7 +302,8 @@ def record_to_utterance(record: dict, char_vocab: Vocabulary, syl_vocab: Vocabul
 
 
 def write_jsonl(utts: Sequence[Utterance], lang: ToyLanguage, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """One record per line; `path` is replaced whole."""
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for utt in utts:
             fh.write(json.dumps(utterance_to_record(utt, lang), separators=(",", ":")) + "\n")
 

@@ -104,15 +104,13 @@ def ctc_node(
     their `dc.log_softmax`, and `targets[p][i]` segment i's target there.
     The node keeps each point's log-softmax and occupancies; its backward
     gives each head's logits the weighted softmax minus occupancy and drops
-    that point's arrays.  Points of weight 0 stay off the graph.  Inside
-    `no_grad` only the forward lattices run."""
-    result = ctc.ctc_loss_batch(log_probs, lengths, targets, with_grads=dc.is_recording())
+    that point's arrays.  Points of weight 0 stay off the graph."""
+    result = ctc.ctc_loss_batch(log_probs, lengths, targets)
     sums = [float(s) for s in result.losses.sum(axis=1)]
     total = 0.0
     for weight, point_sum in zip(weights, sums):
         total += weight * point_sum
-    points = zip(heads, weights, log_probs, result.grads or ())
-    live = [(head, w, lp, grad) for head, w, lp, grad in points if w]
+    live = [(h, w, lp, g) for h, w, lp, g in zip(heads, weights, log_probs, result.grads) if w]
     out = Tensor(np.float64(total), op="ctc_nll")
     out.node.parents = tuple(head for head, _, _, _ in live)
 
@@ -165,10 +163,7 @@ def batch_loss(
     keys = [final, *sorted(key for key in out.logits if key != final)]
     targets = [char_targets if level == "char" else syl_targets for level, _ in keys]
     n_inter = len(keys) - 1
-    if mix_weight == 0.0 or not n_inter:
-        weights = [1.0] + [0.0] * n_inter
-    else:
-        weights = [1.0 - mix_weight] + [mix_weight / n_inter] * n_inter
+    weights = [1.0 - mix_weight] + [mix_weight / n_inter] * n_inter if n_inter else [1.0]
     heads = [out.logits[key].node for key in keys]
     log_probs = [dc.log_softmax(out.logits[key].value) for key in keys]
     lengths = out.lengths

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from condctc import ctc, synthdata, trainer
-from condctc.cli import TrainCmdConfig, main
+from condctc.cli import MAX_SIZE, TrainCmdConfig, main
 from condctc.ctc import greedy_decode
 from condctc.diffcore import NumericError, ParamStore
 from condctc.encoder import EncoderModel, ModelConfig
@@ -131,6 +131,51 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert list(out.iterdir()) == []
+
+
+class TestSizeCeiling:
+    """A size that `gen-data` or `train` implies past `MAX_SIZE` exits 2
+    with one config-error line before any work, leaving `out_dir` as it
+    was.  The cases marked (numpy) raised a numpy traceback and exited 1
+    without the ceiling; the others would allocate or loop for many GB."""
+
+    @staticmethod
+    def assert_refused(argv, out, capsys, size):
+        out.mkdir(exist_ok=True)
+        (out / "kept.txt").write_text("an earlier run's file\n")
+        capsys.readouterr()
+        assert run(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert f" {size} exceed the limit of {MAX_SIZE}" in err and "Traceback" not in err
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [
+            ("kept.txt", "an earlier run's file\n")]
+
+    @pytest.mark.parametrize("flags,size", [
+        (["--n-train", "1", "--n-valid", "1", "--max-len", str(2**63 - 1)], "feature values"),
+        (["--d-in", str(2**62)], "feature values"),
+        (["--n-characters", str(10**12)], "characters"),
+        (["--n-syllables", "500", "--n-characters", "2000", "--max-pronunciations", "70000"],
+         "pronunciations"),
+        (["--n-train", str(2**27)], "utterances"),
+        (["--n-train", "20000", "--max-len", "1000"], "feature values"),
+        (["--n-syllables", "10000000", "--n-characters", "20000000", "--d-in", "14"],
+         "feature values"),
+    ], ids=["max-len-numpy", "d-in-numpy", "characters", "pronunciations", "utterances",
+            "frames", "prototypes"])
+    def test_gen_data_exits_2(self, tmp_path, capsys, flags, size):
+        self.assert_refused(["gen-data", *flags], tmp_path / "out", capsys, size)
+
+    @pytest.mark.parametrize("flags", [
+        ["--d-model", str(2**40), "--n-heads", "1"],
+        ["--d-ff", str(2**60)],
+        ["--conv-kernel", str(2**62 - 1)],
+        ["--n-layers", "100000"],
+        ["--d-model", "65536"],
+    ], ids=["d-model-numpy", "d-ff-numpy", "conv-kernel-numpy", "n-layers", "d-model"])
+    def test_train_exits_2(self, data_dir, tmp_path, capsys, flags):
+        argv = ["train", "--data-dir", str(data_dir), "--n-layers", "1", "--max-steps", "1"]
+        self.assert_refused(argv + flags, tmp_path / "out", capsys, "parameters")
 
 
 class TestConfigHandling:

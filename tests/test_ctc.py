@@ -228,8 +228,6 @@ class TestCtcLossBatch:
                     point.append(target)
                 targets.append(point)
             result = ctc_loss_batch([np.log(z) for z in probs], lengths, targets)
-            alone = ctc_loss_batch([np.log(z) for z in probs], lengths, targets, with_grads=False)
-            assert alone.grads is None and np.array_equal(alone.losses, result.losses)
             bounds = np.cumsum([0, *lengths])
             for p, (z, point) in enumerate(zip(probs, targets)):
                 for i, target in enumerate(point):
@@ -393,7 +391,7 @@ def skewed_batch():
 
 def assert_matches_rectangle(log_probs, lengths, targets):
     """Losses and gradients bitwise those of the rectangle sweep, zero signs
-    included, and loss-only losses bitwise the full sweep's."""
+    included."""
     result = ctc_loss_batch(log_probs, lengths, targets)
     losses, grads = rectangle_ctc_loss_batch(log_probs, lengths, targets)
     assert np.array_equal(result.losses, losses)
@@ -401,8 +399,6 @@ def assert_matches_rectangle(log_probs, lengths, targets):
     for got, want in zip(result.grads, grads):
         assert got.shape == want.shape
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    alone = ctc_loss_batch(log_probs, lengths, targets, with_grads=False)
-    assert alone.grads is None and np.array_equal(alone.losses, result.losses)
 
 
 class TestRunningCellSweep:

@@ -9,6 +9,7 @@ from condctc.encoder import (
     EncoderModel,
     ModelConfig,
     PlacementConfig,
+    _parameter_count,
     sinusoidal_positions,
     strategy_names,
 )
@@ -299,6 +300,14 @@ class TestForward:
             model = EncoderModel(cfg, PlacementConfig.from_strategy(strategy, 6), 5, 4, seed=0)
             counts.add(model.parameter_count)
         assert len(counts) == 1
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 7])
+    @pytest.mark.parametrize("cfg", [
+        SMALL, ModelConfig(), ModelConfig(d_in=3, d_model=6, n_heads=3, d_ff=5, conv_kernel=9),
+    ], ids=["small", "default", "odd-sizes"])
+    def test_parameter_count_without_a_model_is_the_models(self, cfg, n_layers):
+        model = EncoderModel(cfg, PlacementConfig.from_strategy("alternate", n_layers), 5, 4)
+        assert _parameter_count(cfg, n_layers, 5, 4) == model.parameter_count
 
     def test_head_parameter_count_fixed(self):
         a = small_model(PlacementConfig(n_layers=2, char_layers={1}, syl_layers={1}, condition=True))

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from condctc import synthdata
 from condctc.ctc import min_frames
 from condctc.diffcore import FormatError
 from condctc.labels import BLANK_TOKEN
@@ -184,6 +185,24 @@ class TestDataset:
             }
             want += json.dumps(record, separators=(",", ":")) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
+
+    def test_failed_write_leaves_the_old_file(self, lang, tmp_path, monkeypatch):
+        path = tmp_path / "train.jsonl"
+        path.write_bytes(b"an earlier run's records\n")
+        to_record, calls = synthdata.utterance_to_record, []
+
+        def third_raises(utt, language):
+            calls.append(utt.utt_id)
+            if len(calls) == 3:
+                raise RuntimeError("serialization failed")
+            return to_record(utt, language)
+
+        monkeypatch.setattr(synthdata, "utterance_to_record", third_raises)
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            generate_dataset(lang, tmp_path, n_train=5, n_valid=3, len_range=(2, 4), seed=4)
+        assert len(calls) == 3
+        assert path.read_bytes() == b"an earlier run's records\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_generate_dataset_files(self, lang, tmp_path):
         paths = generate_dataset(lang, tmp_path, n_train=5, n_valid=3, len_range=(2, 4),
